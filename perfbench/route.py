@@ -150,6 +150,19 @@ def genus2():
     return len(used), [tuple(remap[v] for v in f) for f in all_faces]
 
 
+def surface(workload: str):
+    """(num_vertices, faces) of a workload's surface, as plain tuples; only
+    the standard library is loaded to build it, so set-up time can be
+    measured from a bare interpreter."""
+    if workload == "solve-genus2":
+        return genus2()
+    sizes = {"resolve-torus16": (16, 16), "check-torus20": (4, 5),
+             "realize-torus32": (32, 32)}
+    if workload not in sizes:
+        raise ValueError(f"unknown workload {workload!r}")
+    return torus_grid(*sizes[workload])
+
+
 def euler_characteristic(num_vertices: int, faces) -> int:
     edges = {tuple(sorted(e)) for a, b, c in faces for e in ((a, b), (b, c), (a, c))}
     return num_vertices - len(edges) + len(faces)

@@ -13,9 +13,12 @@ attempted, failed and metrics; the full record of the run (every
 repetition's time, the src/ line count, the spans' summary) is written to
 DIR (default perfbench/out/runs).
 
-Several runs, and a comparison of two sets of them:
+Two sets of runs, each a directory of run records written with --out,
+compared metric by metric:
 
-    python3 perfbench/run.py sweep --seeds 1-10 --seconds 20 --trace 0 --out DIR [--workloads A,B]
+    for s in 1 2 3 4 5 6 7 8 9 10; do
+        python3 perfbench/run.py --workload W --seed $s --seconds 20 --trace 0 --out DIR_A
+    done
     python3 perfbench/run.py compare DIR_A DIR_B
 
 Exits 2 without a result when the checkout has no src/hypack.
@@ -72,18 +75,34 @@ def src_lines() -> int:
     return total
 
 
-ESTIMATORS = {"min": min, "median": statistics.median}
-# The figure each workload reports, chosen by the spread it showed across
-# sets of runs (README, "Estimator"): the fastest repetition for the two
-# solves, the median for the enumeration and the realization.
-ESTIMATOR = {"solve-genus2": "min", "resolve-torus16": "min",
-             "check-torus20": "median", "realize-torus32": "median"}
+# Seconds of each speed probe (worker.py) on the reference machine at its
+# best speed (README, "Estimator").
+PROBE_REF_S = {"python": 0.014, "numpy": 0.019}
 
 
-def op_seconds(res, estimator):
-    """Seconds per operation: the estimator over each instance's
-    repetitions, averaged over the instances (whose work differs)."""
-    per = [ESTIMATORS[estimator](res["times"][label]) for label in res["timed_ops"]]
+def op_seconds(res):
+    """Seconds per operation: each instance's fastest repetition, scaled to
+    the reference speed by the low tenth of its probes (the mean of each
+    before/after pair), averaged over the instances (whose work differs).
+    The low tenth, not the fastest probe, so that one freak probe does not
+    set the scale; runs of fewer than ten repetitions use the fastest."""
+    per = []
+    for label in res["timed_ops"]:
+        probes = [0.5 * (b + a) for b, a in res["probes"][label]]
+        best = statistics.quantiles(probes, n=10)[0] if len(probes) >= 10 else min(probes)
+        per.append(min(res["times"][label]) * PROBE_REF_S[res["probe"]] / best)
+    return sum(per) / len(per)
+
+
+def setup_seconds(setups):
+    """Median of the set-ups, each scaled by the probes just before and
+    just after it."""
+    return statistics.median(t * PROBE_REF_S["python"] / (0.5 * (b + a))
+                             for t, b, a in setups)
+
+
+def raw_op_seconds(res, estimator):
+    per = [estimator(res["times"][label]) for label in res["timed_ops"]]
     return sum(per) / len(per)
 
 
@@ -97,10 +116,10 @@ def run_once(a) -> int:
               file=sys.stderr)
         return 2
     began = time.perf_counter()
-    setups = []
+    setups = []                            # (seconds, probe before, probe after)
     if not a.trace:
         for i in range(SETUP_PROBES + 1):
-            value = float(_worker(["setup", a.workload], 60))
+            value = json.loads(_worker(["setup", a.workload], 60))
             if i:                          # the first one warms the file cache
                 setups.append(value)
     os.makedirs(a.out, exist_ok=True)
@@ -114,14 +133,16 @@ def run_once(a) -> int:
     record = dict(res)
     record.update({"src_lines": src_lines(), "python": platform.python_version(),
                    "machine": f"{os.cpu_count()} cpus, {platform.machine()}",
-                   "setup_probes_s": setups,
-                   "op_s_by_estimator": {e: op_seconds(res, e) for e in ESTIMATORS}})
+                   "setups": setups,
+                   "raw_setup_s": statistics.median(t for t, _, _ in setups) if setups else None,
+                   "raw_op_s": {"median": raw_op_seconds(res, statistics.median),
+                                "min": raw_op_seconds(res, min)}})
     if a.trace:
         metrics = res["layers"]
     else:
         metrics = {
-            "op_s": {"value": op_seconds(res, ESTIMATOR[a.workload]), "unit": "s"},
-            "setup_s": {"value": statistics.median(setups), "unit": "s"},
+            "op_s": {"value": op_seconds(res), "unit": "s"},
+            "setup_s": {"value": setup_seconds(setups), "unit": "s"},
             "peak_rss_mb": {"value": res["peak_rss_mb"], "unit": "MB"},
         }
     record["metrics"] = metrics
@@ -138,26 +159,8 @@ def run_once(a) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sets of runs
+# Comparing sets of runs
 # ---------------------------------------------------------------------------
-
-def _seeds(text):
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
-
-
-def sweep(a) -> int:
-    names = a.workloads.split(",") if a.workloads else WORKLOADS
-    for name in names:
-        for seed in _seeds(a.seeds):
-            proc = subprocess.run([sys.executable, __file__, "--workload", name,
-                                   "--seed", str(seed), "--seconds", str(a.seconds),
-                                   "--trace", str(a.trace), "--out", a.out],
-                                  capture_output=True, text=True)
-            last = proc.stdout.strip().splitlines()[-1:] or [proc.stderr.strip()]
-            print(f"{name} seed {seed}: exit {proc.returncode} {last[0]}", flush=True)
-    return 0
-
 
 def _quartiles(values):
     if len(values) < 2:
@@ -219,14 +222,6 @@ def main(argv=None) -> int:
         p.add_argument("first")
         p.add_argument("second")
         return compare(p.parse_args(argv[1:]))
-    if argv[:1] == ["sweep"]:
-        p = argparse.ArgumentParser(prog="run.py sweep")
-        p.add_argument("--seeds", default="1-10")
-        p.add_argument("--seconds", type=float, default=20)
-        p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-        p.add_argument("--workloads", default="")
-        p.add_argument("--out", required=True)
-        return sweep(p.parse_args(argv[1:]))
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)

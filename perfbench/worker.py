@@ -2,11 +2,19 @@
 
     worker.py setup <workload>
         time `import hypack` plus building and validating the workload's
-        Triangulation; print the seconds.
+        Triangulation, with a speed probe just before and just after it;
+        print the three seconds.
     worker.py run <workload> <seed> <seconds> <trace> <spans-file>
         build the seeded inputs, run whole rounds of the workload's
         operations for <seconds>, check every output and print one JSON
-        object with the timings, counts and (traced) layer metrics.
+        object with the timings, counts and (traced) layer metrics.  Each
+        timed operation is bracketed by two speed probes.
+
+The speed probes are fixed loops of the benchmark's own, one for Python
+arithmetic and one for numpy passes over 8 MB arrays.  A shared virtual
+machine can switch between a fast and a slow state about 1.5 times apart
+within seconds (README, "Estimator"), so run.py scales each time by the
+probes taken around it.
 
 run.py sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
 in the environment, so the pin is in place before numpy loads.
@@ -33,17 +41,45 @@ def _import_hypack():
     return hypack
 
 
+def python_probe() -> float:
+    """Seconds for a fixed pure-Python float loop."""
+    t0 = time.perf_counter()
+    s = 0.0
+    for i in range(200_000):
+        s += (i % 7) * 0.5
+    return time.perf_counter() - t0
+
+
+class NumpyProbe:
+    """Seconds for two masked accumulations over 2^20 int64 entries, the
+    kind of pass check_admissible makes."""
+
+    def __init__(self):
+        import numpy as np
+        self.masks = np.arange(1 << 20, dtype=np.int64)
+        self.acc = np.zeros(1 << 20)
+
+    def __call__(self) -> float:
+        t0 = time.perf_counter()
+        self.acc.fill(0.0)
+        for i in range(2):
+            self.acc += 0.5 * ((self.masks >> i) & 1)
+        return time.perf_counter() - t0
+
+
 def setup_probe(name: str):
-    import workloads
-    n, faces = workloads.surface(name)
+    import route                         # the standard library's math only
+    n, faces = route.surface(name)
+    before = python_probe()
     t0 = time.perf_counter()
     hp = _import_hypack()
     tri = hp.Triangulation(n, faces)
     defects = tri.validate()
     t1 = time.perf_counter()
+    after = python_probe()
     if defects:
         raise SystemExit(f"{name}: surface is not closed: {defects[:3]}")
-    print(repr(t1 - t0))
+    print(json.dumps([t1 - t0, before, after]))
 
 
 def run(name: str, seed: int, seconds: float, trace: bool, spans_path: str):
@@ -57,14 +93,18 @@ def run(name: str, seed: int, seconds: float, trace: bool, spans_path: str):
         hp = _import_hypack()
     import workloads
     ops, facts = workloads.build(name, seed, hp)
+    kind = workloads.PROBE[name]
+    probe = NumpyProbe() if kind == "numpy" else python_probe
 
     try:                                 # warm-up, not counted
+        probe()
         ops[0].run()
     except Exception:                    # counted when the timed loop meets it
         pass
 
     verdicts: dict = {}                  # output bytes -> problems found
     times = {op.label: [] for op in ops}
+    probes = {op.label: [] for op in ops if op.timed}   # (before, after) pairs
     op_spans: list[int] = []
     solve_traces = []
     attempted = failed = 0
@@ -74,6 +114,8 @@ def run(name: str, seed: int, seconds: float, trace: bool, spans_path: str):
     while True:
         for op in ops:
             attempted += 1
+            if op.timed:
+                before = probe()
             if rec is not None and op.timed:
                 span = rec.open(rec.name_id("op"))
             t0 = time.perf_counter()
@@ -83,6 +125,8 @@ def run(name: str, seed: int, seconds: float, trace: bool, spans_path: str):
             except Exception as exc:     # an operation that raises has failed
                 out, err = None, f"{type(exc).__name__}: {exc}"
             dt = time.perf_counter() - t0
+            if op.timed:
+                probes[op.label].append((before, probe()))
             if rec is not None and op.timed:
                 rec.close(span)
                 op_spans.append(span)
@@ -115,8 +159,9 @@ def run(name: str, seed: int, seconds: float, trace: bool, spans_path: str):
         "rounds": rounds, "elapsed_s": elapsed,
         "attempted": attempted, "failed": failed, "problems": problems[:20],
         "times": {label: ts for label, ts in times.items()},
-        "timed_ops": [op.label for op in ops if op.timed],
-        "known_fault_ops": [op.label for op in ops if op.known_fault],
+        "probe": kind, "probes": probes,
+        "timed_ops": list(dict.fromkeys(op.label for op in ops if op.timed)),
+        "known_fault_ops": list(dict.fromkeys(op.label for op in ops if op.known_fault)),
         "facts": facts,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }

@@ -13,45 +13,72 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 
 import route
 
-# Planted states draw every K* from PALETTE, the 16 bin-midpoint quantiles
-# of N(0, SIGMA): k = exp(K*) mixes circles (k > 1) and hypercycles (k < 1),
-# and most faces reach the polygon solvers.  A palette keeps the set of
-# faces a planted state can contain finite and the same for every seed, so
-# the test suite checks each of them against the route.  With K* drawn
-# straight from N(0, SIGMA), hyptrig's root-finder fault lands on a face of
-# a 32 x 32 or 16 x 16 state for a few seeds in a hundred, and which runs
-# fail would then depend on the seed.
+# Every planted state draws each K* from N(0, SIGMA): k = exp(K*) mixes
+# circles (k > 1) and hypercycles (k < 1), so most faces reach the polygon
+# solvers.
 SIGMA = 0.7
-PALETTE_BINS = 16
+# The solve and realize workloads draw their planted states from a pool:
+# state j of a workload is planted from default_rng([tag, j]), j < POOL, and
+# the seed picks which pool states a run times.  The states are fixed so
+# that whether an operation passes does not depend on the seed: hyptrig's
+# root finder reports a non-root as converged on about one face in 20k, and
+# a state drawn straight from the seed meets such a face on a few seeds in
+# a hundred.  Each of states 0-39 passes on each of the three workloads;
+# the first state past them that fails on a solve workload runs in every
+# round as a known-fault operation (FAULT_STATE below), so the fault is
+# counted in `failed` on every workload whose path it breaks.
+POOL = 40
+TAG = {"solve-genus2": 2, "resolve-torus16": 3, "realize-torus32": 4}
+# Pool states left out for doing different work from the rest, so runs
+# with different seeds do the same work.  A state's work is estimated from
+# the face evaluations its operation makes, by case, weighted by each
+# case's cost (22.6, 69.2, 67.9, 23.8 and 30.9 us for the triangle, quad,
+# pentagon, hexagon and horocycle cases, from a traced run): a count, so
+# it does not move with the machine.  solve-genus2 keeps the nine states
+# of 0-39 within 3% of the median estimate; their cold solves make 595 to
+# 667 evaluations of L.  resolve-torus16 keeps the states that converge in
+# one Newton step, all within 4% of the median (states 30 and 33 take two
+# and three).  On realize-torus32 every state is within 3%.
+GENUS2_POOL = (7, 8, 11, 12, 16, 23, 25, 29, 33)
+RESOLVE_POOL = tuple(j for j in range(POOL) if j not in (30, 33))
+# The first failing state of each solve workload.  Genus-2 state 40: a
+# finite-difference point of the Newton Hessian meets a root-finder miss
+# and cho_factor raises LinAlgError.  Torus-16 state 59: the planted state
+# holds a face the root finder gets wrong, so Newton cannot reach the
+# target; the default solve raises StiffnessError after about 14 s, so this
+# operation is capped at RESOLVE_FAULT_STEPS Newton steps (every pool
+# state converges in one) and fails with MAX_STEPS_EXCEEDED in about 0.5 s.
+FAULT_STATE = {"solve-genus2": 40, "resolve-torus16": 59}
+RESOLVE_FAULT_STEPS = 2
 # resolve-torus16: continuation step K* -> K* + delta, delta_i = +-DELTA with
-# random signs; the starting residual is then ~4e-5, far below the 1e-3
-# Newton switch.
+# random signs; the starting residual is then about 2e-5, far below the
+# 1e-3 Newton switch.
 DELTA = 3e-6
 # realize-torus32: share of vertices planted as exact cusps (K = 0).
 CUSP_SHARE = 0.2
 # check-torus20: how far each planted violation overshoots pi |F_W|.
 OVERSHOOT = 0.25
-# Instances per seed, each one operation of every round.  The run's figure
-# is the fastest repetition of each instance, which is steady only over
-# many repetitions, so the rounds hold few instances.
-INSTANCES = {"solve-genus2": 2, "resolve-torus16": 1, "check-torus20": 2,
+# The speed probe (worker.py) that brackets each timed operation: the one
+# whose work is most like the operation's.  check_admissible is numpy
+# passes over 8 MB arrays; the others are Python arithmetic.
+PROBE = {"solve-genus2": "python", "resolve-torus16": "python",
+         "check-torus20": "numpy", "realize-torus32": "python"}
+# Timed repetitions of each instance per round, so that the known-fault
+# operation, which takes about as long as a timed one, takes a smaller
+# share of the run.
+REPEATS = {"solve-genus2": 4, "resolve-torus16": 4, "check-torus20": 1,
+           "realize-torus32": 1}
+# Timed instances per round.  A run's figure is each instance's fastest
+# repetition (run.py, op_seconds), which is steady only over many
+# repetitions, so the rounds hold few instances.
+INSTANCES = {"solve-genus2": 1, "resolve-torus16": 1, "check-torus20": 2,
              "realize-torus32": 1}
-# solve-genus2 draws its instances from a pool of planted states, state j
-# planted from default_rng([GENUS2_TAG, j]).  A cold solve evaluates faces at
-# states no palette controls, so the root-finder fault can strike any of
-# them; a pool makes each state's outcome fixed.  Of states 0-39, the pool
-# keeps the ten whose cold solve makes 626 to 659 evaluations of L (within
-# 3% of their median, 643), so runs with different seeds do the same work.
-# State 19 is not among them: its solve raises (see README).
-GENUS2_TAG = 2
-GENUS2_POOL = (0, 4, 6, 10, 20, 21, 22, 24, 31, 35)
 
 # Tolerances of the checks.  The solve stops at max |L - Lhat| < 1e-10 and
 # the two face routes agree to ~1e-13 on faces the solvers get right, so a
@@ -65,9 +92,6 @@ GEOM_TOL = 1e-8     # report fields against the route, per vertex or face
 # as a fixed, seed-independent operation that fails until the fault is
 # mended.
 FAULT_FACE = (1.1307453759447548, 2.5404926670117565, 0.7991123188093775)
-
-PALETTE = tuple(NormalDist(0.0, SIGMA).inv_cdf((2 * i + 1) / (2 * PALETTE_BINS))
-                for i in range(PALETTE_BINS))
 
 NAMES = ("solve-genus2", "resolve-torus16", "check-torus20", "realize-torus32")
 
@@ -88,23 +112,11 @@ class Op:
     known_fault: bool = False
 
 
-def surface(name: str):
-    """(num_vertices, faces) of the workload's surface; the faces are plain
-    tuples, so set-up time can be measured apart from building them."""
-    if name == "solve-genus2":
-        return route.genus2()
-    if name == "resolve-torus16":
-        return route.torus_grid(16, 16)
-    if name == "check-torus20":
-        return route.torus_grid(4, 5)
-    if name == "realize-torus32":
-        return route.torus_grid(32, 32)
-    raise ValueError(f"unknown workload {name!r}; expected one of {', '.join(NAMES)}")
-
-
 def build(name: str, seed: int, hp):
-    """(operations of one round, facts about the inputs) for the seed."""
-    n, faces = surface(name)
+    """(operations of one round, facts about the inputs) for the seed.  A
+    timed operation appears REPEATS times in the round, the known-fault
+    operation once."""
+    n, faces = route.surface(name)
     tri = hp.Triangulation(n, faces)
     defects = tri.validate()
     if defects:
@@ -112,7 +124,9 @@ def build(name: str, seed: int, hp):
     rng = np.random.default_rng(seed)
     make = {"solve-genus2": _solve_genus2, "resolve-torus16": _resolve_torus16,
             "check-torus20": _check_torus20, "realize-torus32": _realize_torus32}[name]
-    return make(hp, tri, n, faces, rng)
+    ops, facts = make(hp, tri, n, faces, rng)
+    timed = [op for op in ops if op.timed for _ in range(REPEATS[name])]
+    return timed + [op for op in ops if not op.timed], facts
 
 
 # ---------------------------------------------------------------------------
@@ -140,38 +154,55 @@ def _solve_key(res):
     return res.status.name.encode() + np.asarray(res.K, dtype=float).tobytes()
 
 
-def planted(rng, n):
-    return np.array(PALETTE)[rng.integers(0, PALETTE_BINS, n)]
-
-
 def genus2_state(j: int, n: int):
-    return planted(np.random.default_rng([GENUS2_TAG, j]), n)
+    return np.random.default_rng([TAG["solve-genus2"], j]).normal(0.0, SIGMA, n)
+
+
+def resolve_state(j: int, n: int):
+    """(K*, K* + delta) of torus-16 state j."""
+    rng = np.random.default_rng([TAG["resolve-torus16"], j])
+    K_star = rng.normal(0.0, SIGMA, n)
+    return K_star, K_star + DELTA * rng.choice((-1.0, 1.0), n)
+
+
+def realize_state(j: int, n: int):
+    rng = np.random.default_rng([TAG["realize-torus32"], j])
+    cusp = rng.random(n) < CUSP_SHARE
+    return np.where(cusp, 0.0, rng.normal(0.0, SIGMA, n))
+
+
+def _pick(rng, name, pool):
+    """The seed's pool states for the timed operations, then the fault state."""
+    chosen = [int(j) for j in rng.choice(pool, size=INSTANCES[name], replace=False)]
+    return [(j, False) for j in chosen] + [(FAULT_STATE[name], True)]
 
 
 def _solve_genus2(hp, tri, n, faces, rng):
-    chosen = [int(j) for j in rng.choice(GENUS2_POOL, size=INSTANCES["solve-genus2"],
-                                         replace=False)]
     ops = []
-    for j in chosen:
+    for j, fault in _pick(rng, "solve-genus2", GENUS2_POOL):
         K_star = genus2_state(j, n)
         target = route.vertex_L(faces, np.exp(K_star).tolist())
-        ops.append(Op(f"solve-pool{j}", lambda target=target: hp.solve(tri, target),
-                      _solve_check(faces, K_star, target), _solve_key))
-    return ops, {"sigma": SIGMA, "palette_bins": PALETTE_BINS, "pool_states": chosen}
+        ops.append(Op(f"solve-state{j}", lambda target=target: hp.solve(tri, target),
+                      _solve_check(faces, K_star, target), _solve_key,
+                      timed=not fault, known_fault=fault))
+    return ops, {"sigma": SIGMA, "states": [op.label for op in ops]}
 
 
 def _resolve_torus16(hp, tri, n, faces, rng):
     ops, res0 = [], []
-    for i in range(INSTANCES["resolve-torus16"]):
-        K_star = planted(rng, n)
-        K_next = K_star + DELTA * rng.choice((-1.0, 1.0), n)
+    capped = hp.FlowConfig(max_steps=RESOLVE_FAULT_STEPS)
+    for j, fault in _pick(rng, "resolve-torus16", RESOLVE_POOL):
+        K_star, K_next = resolve_state(j, n)
         target = route.vertex_L(faces, np.exp(K_next).tolist())
         start = route.vertex_L(faces, np.exp(K_star).tolist())
         res0.append(max(abs(a - b) for a, b in zip(start, target)))
-        ops.append(Op(f"resolve-{i}",
-                      lambda target=target, K0=K_star: hp.solve(tri, target, K0=K0),
-                      _solve_check(faces, K_next, target), _solve_key))
-    return ops, {"sigma": SIGMA, "palette_bins": PALETTE_BINS, "delta": DELTA,
+        config = capped if fault else None
+        ops.append(Op(f"resolve-state{j}",
+                      lambda target=target, K0=K_star, config=config:
+                          hp.solve(tri, target, K0=K0, config=config),
+                      _solve_check(faces, K_next, target), _solve_key,
+                      timed=not fault, known_fault=fault))
+    return ops, {"sigma": SIGMA, "delta": DELTA, "states": [op.label for op in ops],
                  "start_residual": res0}
 
 
@@ -191,7 +222,7 @@ def _check_torus20(hp, tri, n, faces, rng):
     targets = []
     half = INSTANCES["check-torus20"] // 2
     for kind in ("admissible",) * half + ("violated",) * half:
-        L = route.vertex_L(faces, np.exp(planted(rng, n)).tolist())
+        L = route.vertex_L(faces, np.exp(rng.normal(0.0, SIGMA, n)).tolist())
         W = None
         if kind == "violated":
             W = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(2, 6)),
@@ -206,7 +237,7 @@ def _check_torus20(hp, tri, n, faces, rng):
         ops.append(Op(f"check-{kind}-{i}", lambda L=L: hp.check_admissible(tri, L),
                       _admissibility_check(faces, n, L, kind),
                       lambda a: repr((a.admissible, a.worst_margin, a.witness)).encode()))
-    return ops, {"sigma": SIGMA, "palette_bins": PALETTE_BINS, "overshoot": OVERSHOOT,
+    return ops, {"sigma": SIGMA, "overshoot": OVERSHOOT,
                  "violated_subsets": [W for _, _, W in targets if W]}
 
 
@@ -241,10 +272,9 @@ def _admissibility_check(faces, n, L, kind):
 
 def _realize_torus32(hp, tri, n, faces, rng):
     ops, counts = [], []
-    for i in range(INSTANCES["realize-torus32"]):
-        cusp = rng.random(n) < CUSP_SHARE
-        K = np.where(cusp, 0.0, planted(rng, n))
-        ops.append(Op(f"realize-{i}",
+    for j in rng.choice(POOL, size=INSTANCES["realize-torus32"], replace=False):
+        K = realize_state(int(j), n)
+        ops.append(Op(f"realize-state{j}",
                       lambda K=K: hp.report_document(hp.realize_metric(tri, K)),
                       _report_check(faces, n, K), str.encode))
         counts.append({"cone": int(np.sum(K > 0)), "boundary": int(np.sum(K < 0)),
@@ -257,8 +287,8 @@ def _realize_torus32(hp, tri, n, faces, rng):
     ops.append(Op("realize-fault-face",
                   lambda: hp.report_document(hp.realize_metric(tri4, K4)),
                   _report_check(tet, 4, K4), str.encode, timed=False, known_fault=True))
-    return ops, {"sigma": SIGMA, "palette_bins": PALETTE_BINS,
-                 "cusp_share": CUSP_SHARE, "classes": counts}
+    return ops, {"sigma": SIGMA, "cusp_share": CUSP_SHARE,
+                 "states": [op.label for op in ops], "classes": counts}
 
 
 def _report_check(faces, n, K):
