@@ -27,17 +27,13 @@ from .hyptrig import (
     bigon_kernel,
     classify_curvature,
     curvature_to_radius,
-    horocycle_chord,
-    radius_to_curvature,
     solve_hexagon,
     solve_pentagon,
     solve_quadrilateral,
-    triangle_angles,
 )
 from .packing import (
     CurvatureReport,
     global_jacobian,
-    phi_gradient,
     potential_value,
     vertex_curvatures,
 )
@@ -60,7 +56,6 @@ from .surface import (
     Triangulation,
     check_admissible,
     euler_characteristic,
-    faces_incident,
     load_targets,
     load_triangulation,
 )
@@ -68,8 +63,6 @@ from .tangency import (
     EmbeddedCircle,
     EmbeddedFace,
     FaceGeometry,
-    GeneralizedCircle,
-    edge_length,
     face_jacobian,
     realize_face,
     solve_face,

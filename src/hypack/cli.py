@@ -161,9 +161,6 @@ _KIND_LABEL = {"circle": "angle", "hypercycle": "axis segment", "horocycle": "(n
 
 def _cmd_face(args) -> int:
     k1, k2, k3 = args.k
-    if min(k1, k2, k3) <= 0:
-        print("curvatures must be positive", file=sys.stderr)
-        return EXIT_ERROR
     fg = solve_face(k1, k2, k3)
     for i in range(3):
         kind = fg.kinds[i].value
@@ -182,12 +179,9 @@ def _cmd_face(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    k1, k2, k3 = args.k
-    if min(k1, k2, k3) <= 0:
-        print("curvatures must be positive", file=sys.stderr)
-        return EXIT_ERROR
+    svg = render_face_svg(*args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render_face_svg(k1, k2, k3))
+        fh.write(svg)
     return EXIT_OK
 
 

@@ -203,7 +203,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     For at most 25 vertices the target is first checked against the
     feasibility polytope and rejected with a witness subset; above that
     an infeasible target is detected heuristically when the residual
-    stalls while some K_i drifts beyond +-40.  On convergence the result
+    stalls while some K_i drifts beyond +-30.  On convergence the result
     is independent of K0 (the packing is unique).
     """
     cfg = config or FlowConfig()

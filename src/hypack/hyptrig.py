@@ -2,9 +2,12 @@
 
 Curvature/radius conversions and the right-angled polygon solvers
 (quadrilateral, pentagon, hexagon) that every three-circle face
-computation reduces to.  All lengths and angles are dimensionless reals
-in hyperbolic units.  Everything here is a pure function of its scalar
-arguments and safe to call concurrently.
+computation reduces to.  Every solver is a closed form: the
+quadrilateral and pentagon split points are atanh expressions written
+as log1p of a ratio of positive terms, so nothing cancels and no
+iterative root finder is involved.  All lengths and angles are
+dimensionless reals in hyperbolic units.  Everything here is a pure
+function of its scalar arguments and safe to call concurrently.
 
 Curvature convention: a curve of constant geodesic curvature k > 0 is a
 circle (k = coth r > 1), a horocycle (k = 1) or a hypercycle at distance
@@ -26,12 +29,9 @@ __all__ = [
     "BigonResult",
     "classify_curvature",
     "curvature_to_radius",
-    "radius_to_curvature",
-    "triangle_angles",
     "solve_quadrilateral",
     "solve_pentagon",
     "solve_hexagon",
-    "horocycle_chord",
     "bigon_kernel",
 ]
 
@@ -51,18 +51,15 @@ class InfeasibleGeometryError(ValueError):
 
 @dataclass(frozen=True)
 class PolygonSolution:
-    """Root of a right-angled polygon construction.
+    """Split of a right-angled polygon construction.
 
     x is the split point along the side named by the solver (the longer
     of the two candidate sides for the quadrilateral, the middle side
-    for the pentagon), y the perpendicular height at the split, and
-    residuals the two defining-equation residuals, normalized as
-    |lhs - rhs| / (1 + |rhs|).
+    for the pentagon) and y the perpendicular height at the split.
     """
 
     x: float
     y: float
-    residuals: tuple[float, float]
 
 
 class BigonResult(NamedTuple):
@@ -98,85 +95,6 @@ def curvature_to_radius(k: float) -> float:
     return math.atanh(k)
 
 
-def radius_to_curvature(r: float, kind: CurveKind) -> float:
-    """Inverse of curvature_to_radius; the kind disambiguates coth vs tanh."""
-    if kind is CurveKind.HOROCYCLE:
-        if not math.isinf(r):
-            raise ValueError("horocycles have infinite radius")
-        return 1.0
-    if not r > 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    if kind is CurveKind.CIRCLE:
-        return 1.0 / math.tanh(r)
-    return math.tanh(r)
-
-
-def _angle_from_one_minus_cos(u: float) -> float:
-    """Angle in (0, pi) with 1 - cos(theta) = u, stable near both ends."""
-    if u <= 1.0:
-        return 2.0 * math.asin(math.sqrt(0.5 * max(u, 0.0)))
-    return math.pi - 2.0 * math.asin(math.sqrt(0.5 * max(2.0 - u, 0.0)))
-
-
-def triangle_angles(d1: float, d2: float, d3: float) -> tuple[float, float, float]:
-    """Angles of the hyperbolic triangle with side lengths d1, d2, d3.
-
-    theta_i is the angle opposite side d_i, from the hyperbolic cosine
-    law.  Computed through half-angle products, so no cancellation for
-    thin or tiny triangles.
-    """
-    d = (d1, d2, d3)
-    if min(d) <= 0.0:
-        raise ValueError(f"side lengths must be positive, got {d}")
-    # half-perimeter excesses: h[i] = (perimeter/2) - d_i > 0 iff triangle inequality
-    p = 0.5 * (d1 + d2 + d3)
-    h = tuple(p - di for di in d)
-    if min(h) <= 0.0:
-        raise InfeasibleGeometryError(f"triangle inequality violated for sides {d}")
-    sp = math.sinh(p)
-    sh = tuple(math.sinh(hi) for hi in h)
-    sd = tuple(math.sinh(di) for di in d)
-    angles = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        # 1 - cos(theta_i) = 2 sinh(h_j) sinh(h_k) / (sinh d_j sinh d_k)
-        # 1 + cos(theta_i) = 2 sinh(p) sinh(h_i)   / (sinh d_j sinh d_k)
-        num_minus = sh[j] * sh[k]
-        num_plus = sp * sh[i]
-        angles.append(2.0 * math.atan2(math.sqrt(num_minus), math.sqrt(num_plus)))
-    return tuple(angles)
-
-
-def _solve_monotone(f, fprime, lo: float, hi: float) -> float:
-    """Root of a strictly increasing f on (lo, hi): bisect then Newton polish."""
-    flo, fhi = f(lo), f(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise InfeasibleGeometryError("no root in the bracketing interval")
-    # bisection to ~1e-3 of the interval
-    a, b = lo, hi
-    for _ in range(12):
-        m = 0.5 * (a + b)
-        if f(m) < 0.0:
-            a = m
-        else:
-            b = m
-    x = 0.5 * (a + b)
-    for _ in range(60):
-        fx = f(x)
-        step = fx / fprime(x)
-        x_new = x - step
-        if x_new <= a or x_new >= b:
-            x_new = 0.5 * (a + b)  # fall back inside the bracket
-        if f(x_new) < 0.0:
-            a = x_new
-        else:
-            b = x_new
-        if abs(x_new - x) <= 1e-16 * (1.0 + abs(x)):
-            return x_new
-        x = x_new
-    return x
-
-
 def solve_quadrilateral(l1: float, l2: float, l3: float) -> PolygonSolution:
     """Split point of the quadrilateral with two adjacent right angles.
 
@@ -191,20 +109,16 @@ def solve_quadrilateral(l1: float, l2: float, l3: float) -> PolygonSolution:
         raise ValueError(f"side lengths must be positive, got {(l1, l2, l3)}")
     mirrored = l1 < l3
     la, lc = (l3, l1) if mirrored else (l1, l3)  # split side la >= lc
-    # f(x) = ln sinh x - ln cosh(la - x), strictly increasing on (0, la)
-    target = math.log(math.sinh(lc)) - math.log(math.cosh(l2))
-    f = lambda x: math.log(math.sinh(x)) - math.log(math.cosh(la - x)) - target
-    fp = lambda x: 1.0 / math.tanh(x) + math.tanh(la - x)
-    eps = 1e-15 * la
-    x = _solve_monotone(f, fp, eps, la - eps)
-    cosh_y = math.sinh(lc) / math.sinh(x)
+    # sinh x / cosh(la - x) = c gives tanh x = c cosh la / (1 + c sinh la);
+    # in the atanh below 1 - c e^-la > 1/2, as c e^-la <= sinh(lc) e^-lc < 1/2
+    sc = math.sinh(lc)
+    c = sc / math.cosh(l2)
+    x = 0.5 * math.log1p(2.0 * c * math.cosh(la) / (1.0 - c * math.exp(-la)))
+    cosh_y = sc / math.sinh(x)
     if cosh_y <= 1.0:
         raise InfeasibleGeometryError(
             f"quadrilateral sides {(l1, l2, l3)} admit no perpendicular split")
-    y = math.acosh(cosh_y)
-    r1 = abs(math.sinh(x) * cosh_y - math.sinh(lc)) / (1.0 + math.sinh(lc))
-    r2 = abs(math.cosh(la - x) * cosh_y - math.cosh(l2)) / (1.0 + math.cosh(l2))
-    return PolygonSolution(x=x, y=y, residuals=(r1, r2))
+    return PolygonSolution(x=x, y=math.acosh(cosh_y))
 
 
 def solve_pentagon(l1: float, l2: float, l3: float) -> PolygonSolution:
@@ -216,22 +130,18 @@ def solve_pentagon(l1: float, l2: float, l3: float) -> PolygonSolution:
     """
     if min(l1, l2, l3) <= 0.0:
         raise ValueError(f"side lengths must be positive, got {(l1, l2, l3)}")
+    s1 = math.sinh(l1)
     if l1 == l2:
         x = 0.5 * l3
     else:
-        target = math.log(math.sinh(l1)) - math.log(math.sinh(l2))
-        f = lambda x: math.log(math.sinh(x)) - math.log(math.sinh(l3 - x)) - target
-        fp = lambda x: 1.0 / math.tanh(x) + 1.0 / math.tanh(l3 - x)
-        eps = 1e-15 * l3
-        x = _solve_monotone(f, fp, eps, l3 - eps)
-    cosh_y = math.sinh(l1) / math.sinh(x)
+        # tanh x = sinh l1 sinh l3 / (sinh l2 + sinh l1 cosh l3), as atanh
+        x = 0.5 * math.log1p(2.0 * s1 * math.sinh(l3)
+                             / (math.sinh(l2) + s1 * math.exp(-l3)))
+    cosh_y = s1 / math.sinh(x)
     if cosh_y <= 1.0:
         raise InfeasibleGeometryError(
             f"pentagon sides {(l1, l2, l3)} admit no perpendicular split")
-    y = math.acosh(cosh_y)
-    r1 = abs(math.sinh(x) * cosh_y - math.sinh(l1)) / (1.0 + math.sinh(l1))
-    r2 = abs(math.sinh(l3 - x) * cosh_y - math.sinh(l2)) / (1.0 + math.sinh(l2))
-    return PolygonSolution(x=x, y=y, residuals=(r1, r2))
+    return PolygonSolution(x=x, y=math.acosh(cosh_y))
 
 
 def solve_hexagon(d1: float, d2: float, d3: float) -> tuple[float, float, float]:
@@ -251,14 +161,6 @@ def solve_hexagon(d1: float, d2: float, d3: float) -> tuple[float, float, float]
         j, k = (i + 1) % 3, (i + 2) % 3
         out.append(math.acosh((cd[i] + cd[j] * cd[k]) / (sd[j] * sd[k])))
     return tuple(out)
-
-
-def horocycle_chord(alpha: float) -> float:
-    """Length of a horocycle segment cut off by a geodesic meeting it at
-    angle alpha on both ends: 2 tan(alpha), for alpha in (0, pi/2)."""
-    if not 0.0 < alpha < 0.5 * math.pi:
-        raise ValueError(f"intersection angle must lie in (0, pi/2), got {alpha}")
-    return 2.0 * math.tan(alpha)
 
 
 def bigon_kernel(k1: float, k2: float) -> BigonResult:

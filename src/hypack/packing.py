@@ -22,7 +22,6 @@ __all__ = [
     "vertex_curvatures",
     "vertex_curvature_sums",
     "global_jacobian",
-    "phi_gradient",
     "potential_value",
     "DENSE_BELOW",
 ]
@@ -97,16 +96,6 @@ def global_jacobian(tri: Triangulation, K, *, dense_below: int = DENSE_BELOW):
             for b in range(3):
                 M[f[a], f[b]] += J[a][b]
     return M if dense else M.tocsr()
-
-
-def phi_gradient(tri: Triangulation, K, l_hat) -> np.ndarray:
-    """Gradient of the potential: L(K) - Lhat (zero exactly at the packing
-    with the prescribed curvatures)."""
-    L = vertex_curvature_sums(tri, K)
-    target = np.asarray(l_hat, dtype=float)
-    if target.shape != L.shape:
-        raise ValueError(f"target shape {target.shape} != state shape {L.shape}")
-    return L - target
 
 
 def potential_value(tri: Triangulation, K, K_ref, l_hat, *,

@@ -37,8 +37,6 @@ __all__ = [
 # prescribed degenerate targets or exact symmetry.
 CLASS_TOL = 1e-9
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
 
 def classify(k, tol: float = CLASS_TOL):
     """Partition vertices by solved curvature: I1 (k < 1 - tol, boundary),
@@ -57,8 +55,17 @@ def classify(k, tol: float = CLASS_TOL):
     return tuple(i1), tuple(i2), tuple(i3)
 
 
-def _corner_index(face: tuple[int, int, int], v: int) -> int:
-    return face.index(v)
+def _corner_sums(tri: Triangulation, rep: CurvatureReport, vertices) -> dict[int, float]:
+    """Per vertex, the sum of its corners' generalized angles over the
+    incident faces: the cone angle at a circle vertex, the boundary
+    length at a hypercycle vertex."""
+    out: dict[int, float] = {}
+    for v in vertices:
+        total = 0.0
+        for fi in tri.vertex_faces[v]:
+            total += rep.faces[fi].gen_angle[tri.faces[fi].index(v)]
+        out[v] = total
+    return out
 
 
 def cone_data(tri: Triangulation, K, *, report: CurvatureReport | None = None,
@@ -68,24 +75,7 @@ def cone_data(tri: Triangulation, K, *, report: CurvatureReport | None = None,
     K = np.asarray(K, dtype=float)
     k = np.exp(K)
     rep = report or vertex_curvatures(tri, K)
-    out: dict[int, float] = {}
-    for v in range(tri.num_vertices):
-        if k[v] <= 1.0 + tol:
-            continue
-        theta = 0.0
-        for fi in tri.vertex_faces[v]:
-            fg = rep.faces[fi]
-            theta += fg.gen_angle[_corner_index(tri.faces[fi], v)]
-        out[v] = theta
-    return out
-
-
-def cone_angle(tri: Triangulation, K, v: int) -> float:
-    """Cone angle at a single circle vertex (domain error otherwise)."""
-    k = math.exp(np.asarray(K, dtype=float)[v])
-    if k <= 1.0 + CLASS_TOL:
-        raise ValueError(f"vertex {v} has k = {k}, not a circle vertex")
-    return cone_data(tri, K)[v]
+    return _corner_sums(tri, rep, [v for v in range(tri.num_vertices) if k[v] > 1.0 + tol])
 
 
 def boundary_data(tri: Triangulation, K, *, report: CurvatureReport | None = None,
@@ -98,16 +88,9 @@ def boundary_data(tri: Triangulation, K, *, report: CurvatureReport | None = Non
     into one closed geodesic whose length is the sum.
     """
     K = np.asarray(K, dtype=float)
-    k = np.exp(K)
-    i1, i2, _ = classify(k, tol)
+    i1, i2, _ = classify(np.exp(K), tol)
     rep = report or vertex_curvatures(tri, K)
-    lengths: dict[int, float] = {}
-    for v in i1:
-        total = 0.0
-        for fi in tri.vertex_faces[v]:
-            total += rep.faces[fi].gen_angle[_corner_index(tri.faces[fi], v)]
-        lengths[v] = total
-    return lengths, list(i2)
+    return _corner_sums(tri, rep, i1), list(i2)
 
 
 def gauss_bonnet_audit(tri: Triangulation, K, *, report: CurvatureReport | None = None,
@@ -121,14 +104,7 @@ def gauss_bonnet_audit(tri: Triangulation, K, *, report: CurvatureReport | None 
     bookkeeping are consistent.
     """
     K = np.asarray(K, dtype=float)
-    k = np.exp(K)
-    i1, i2, i3 = classify(k, tol)
-    rep = report or vertex_curvatures(tri, K)
-    total_area = sum(fg.polygon_area for fg in rep.faces)
-    chi_realized = euler_characteristic(tri) - len(i1) - len(i2)
-    cones = cone_data(tri, K, report=rep, tol=tol)
-    deficit = sum(2.0 * math.pi - th for th in cones.values())
-    return abs(total_area + 2.0 * math.pi * chi_realized - deficit)
+    return _realize(tri, K, report or vertex_curvatures(tri, K), tol).audit_residual
 
 
 @dataclass(frozen=True)
@@ -148,36 +124,39 @@ class RealizedMetric:
     audit_residual: float
 
 
-_CLASS_NAME = {CurveKind.HYPERCYCLE: "boundary",
-               CurveKind.HOROCYCLE: "cusp",
-               CurveKind.CIRCLE: "cone"}
-
-
 def realize_metric(tri: Triangulation, K, tol: float = CLASS_TOL) -> RealizedMetric:
     K = np.asarray(K, dtype=float)
+    return _realize(tri, K, vertex_curvatures(tri, K), tol)
+
+
+def _realize(tri: Triangulation, K: np.ndarray, rep: CurvatureReport,
+             tol: float) -> RealizedMetric:
+    """One pass over the solved faces: classes, corner sums and the audit."""
     k = np.exp(K)
-    rep = vertex_curvatures(tri, K)
     i1, i2, i3 = classify(k, tol)
     classes = ["cone"] * tri.num_vertices
     for v in i1:
         classes[v] = "boundary"
     for v in i2:
         classes[v] = "cusp"
-    cones = cone_data(tri, K, report=rep, tol=tol)
-    cones = {v: cones[v] for v in i3}
-    lengths, cusps = boundary_data(tri, K, report=rep, tol=tol)
+    cones = _corner_sums(tri, rep, i3)
+    gaussian = {v: 2.0 * math.pi - th for v, th in cones.items()}
+    total_area = sum(fg.polygon_area for fg in rep.faces)
+    chi_surface = euler_characteristic(tri)
+    chi_realized = chi_surface - len(i1) - len(i2)
     return RealizedMetric(
         k=k,
         classes=tuple(classes),
         L=rep.L,
         cone_angles=cones,
-        gaussian_curvature={v: 2.0 * math.pi - th for v, th in cones.items()},
-        boundary_lengths=lengths,
-        cusps=tuple(cusps),
-        total_area=sum(fg.polygon_area for fg in rep.faces),
-        chi_surface=euler_characteristic(tri),
-        chi_realized=euler_characteristic(tri) - len(i1) - len(i2),
-        audit_residual=gauss_bonnet_audit(tri, K, report=rep, tol=tol),
+        gaussian_curvature=gaussian,
+        boundary_lengths=_corner_sums(tri, rep, i1),
+        cusps=i2,
+        total_area=total_area,
+        chi_surface=chi_surface,
+        chi_realized=chi_realized,
+        audit_residual=abs(total_area + 2.0 * math.pi * chi_realized
+                           - sum(gaussian.values())),
     )
 
 

@@ -1,9 +1,9 @@
 """Combinatorial model of a closed triangulated surface.
 
 Validation (every edge in two faces, single-cycle vertex links,
-connectivity), face-incidence counting, Euler characteristic, and the
-brute-force feasibility test for prescribed total geodesic curvatures:
-a positive target vector Lhat is admissible iff
+connectivity), Euler characteristic, and the brute-force feasibility
+test for prescribed total geodesic curvatures: a positive target
+vector Lhat is admissible iff
 
     sum_{i in I} Lhat_i  <  pi * |F_I|   for every nonempty I subset V,
 
@@ -27,7 +27,6 @@ __all__ = [
     "Admissibility",
     "CapacityError",
     "ParseError",
-    "faces_incident",
     "check_admissible",
     "euler_characteristic",
     "load_triangulation",
@@ -178,15 +177,6 @@ class Triangulation:
             return [Defect("disconnected", (),
                            f"face-adjacency graph splits ({len(seen)} of {len(self.faces)} reachable)")]
         return []
-
-
-def faces_incident(tri: Triangulation, subset) -> int:
-    """Number of faces having at least one vertex in the given subset."""
-    s = set(subset)
-    for v in s:
-        if not 0 <= v < tri.num_vertices:
-            raise ValueError(f"vertex {v} out of range [0, {tri.num_vertices})")
-    return sum(1 for f in tri.faces if s.intersection(f))
 
 
 def euler_characteristic(tri: Triangulation) -> int:

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad as _quad
-
 from .hyptrig import (
     CurveKind,
     InfeasibleGeometryError,
@@ -33,11 +31,9 @@ from .hyptrig import (
 )
 
 __all__ = [
-    "GeneralizedCircle",
     "FaceGeometry",
     "EmbeddedCircle",
     "EmbeddedFace",
-    "edge_length",
     "solve_face",
     "realize_face",
     "face_jacobian",
@@ -45,19 +41,6 @@ __all__ = [
 ]
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-@dataclass(frozen=True)
-class GeneralizedCircle:
-    """A packing curve: curvature k, its kind, and generalized radius r."""
-
-    k: float
-    kind: CurveKind
-    r: float
-
-    @classmethod
-    def from_curvature(cls, k: float) -> "GeneralizedCircle":
-        return cls(k=k, kind=classify_curvature(k), r=curvature_to_radius(k))
 
 
 @dataclass(frozen=True)
@@ -71,8 +54,9 @@ class FaceGeometry:
     area is the region enclosed by the three arcs (= pi - sum L);
     polygon_area is the face of the induced polyhedral metric
     (= pi - sum of circle-corner angles, right angles at hypercycle
-    truncations, zero at ideal vertices).  edge_lengths follow the
-    corner order of _PAIRS: (d01, d02, d12), +inf on horocycle edges.
+    truncations, zero at ideal vertices).  edge_lengths are the
+    center/axis distances r_i + r_j in the corner order of _PAIRS:
+    (d01, d02, d12), +inf on horocycle edges.
     """
 
     curvatures: tuple[float, float, float]
@@ -83,16 +67,6 @@ class FaceGeometry:
     area: float
     polygon_area: float
     edge_lengths: tuple[float, float, float]
-
-
-def edge_length(a: GeneralizedCircle, b: GeneralizedCircle) -> float:
-    """Distance between the centers/axes of two tangent packing curves.
-
-    Circle/circle: arccoth k_a + arccoth k_b, hypercycle/hypercycle:
-    arctanh + arctanh, mixed: arctanh + arccoth; +inf as soon as one
-    curve is a horocycle.  In radius terms this is always r_a + r_b.
-    """
-    return a.r + b.r
 
 
 def _corner_angles(ks):
@@ -242,8 +216,6 @@ def solve_face(k1: float, k2: float, k3: float) -> FaceGeometry:
         tot[p] = L
         kinds[p] = sorted_kinds[pos]
 
-    circles = tuple(GeneralizedCircle.from_curvature(k) for k in ks)
-    edges = tuple(edge_length(circles[i], circles[j]) for i, j in _PAIRS)
     # sum in canonical order: bit-identical across input permutations
     area = math.pi - out[0][2] - out[1][2] - out[2][2]
     poly_area = math.pi - sum(out[pos][0] for pos in range(3)
@@ -252,6 +224,7 @@ def solve_face(k1: float, k2: float, k3: float) -> FaceGeometry:
         # true area is positive but can round to ~0 at extreme curvatures
         raise InfeasibleGeometryError(
             f"face with curvatures {ks} has non-positive enclosed area")
+    rs = tuple(curvature_to_radius(k) for k in ks)
     return FaceGeometry(
         curvatures=ks,
         kinds=tuple(kinds),
@@ -260,7 +233,7 @@ def solve_face(k1: float, k2: float, k3: float) -> FaceGeometry:
         total_curvature=tuple(tot),
         area=area,
         polygon_area=poly_area,
-        edge_lengths=edges,
+        edge_lengths=tuple(rs[i] + rs[j] for i, j in _PAIRS),
     )
 
 
@@ -410,8 +383,11 @@ def _arc_quadrature(emb: EmbeddedFace, i: int) -> float:
             break
     if chosen is None:
         raise InfeasibleGeometryError("degenerate tangency chain: collinear contacts")
+    # imported here, so that importing the package does not load scipy.integrate
+    from scipy.integrate import quad
+
     lo, hi = min(chosen), max(chosen)
-    val, _err = _quad(
+    val, _err = quad(
         lambda t: circ.radius / (circ.cy + circ.radius * math.sin(t)),
         lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val

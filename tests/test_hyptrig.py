@@ -11,13 +11,11 @@ from hypack.hyptrig import (
     bigon_kernel,
     classify_curvature,
     curvature_to_radius,
-    horocycle_chord,
-    radius_to_curvature,
     solve_hexagon,
     solve_pentagon,
     solve_quadrilateral,
-    triangle_angles,
 )
+from hypack.tangency import _triangle_angles_from_radii
 
 HALF_LN3 = 0.5493061443340548  # 0.5 * ln 3
 
@@ -50,49 +48,44 @@ class TestCurvatureRadius:
         if kind is CurveKind.HOROCYCLE:
             return
         r = curvature_to_radius(k)
-        back = radius_to_curvature(r, kind)
+        back = 1.0 / math.tanh(r) if kind is CurveKind.CIRCLE else math.tanh(r)
         assert abs(back - k) <= 1e-14 * k
 
     def test_round_trip_extremes(self):
         for k in (1e-6, 1e-3, 0.999999, 1.000001, 1e3, 1e6):
             kind = classify_curvature(k)
-            back = radius_to_curvature(curvature_to_radius(k), kind)
+            r = curvature_to_radius(k)
+            back = 1.0 / math.tanh(r) if kind is CurveKind.CIRCLE else math.tanh(r)
             assert abs(back - k) <= 1e-14 * k
-
-    def test_radius_to_curvature_horocycle(self):
-        assert radius_to_curvature(math.inf, CurveKind.HOROCYCLE) == 1.0
-        with pytest.raises(ValueError):
-            radius_to_curvature(1.0, CurveKind.HOROCYCLE)
 
 
 class TestTriangleAngles:
+    """The three-circle kernel: angles of the triangle with sides
+    r_j + r_k, the angle at center i opposite side r_j + r_k."""
+
     def test_equilateral_cosh_5_3(self):
         # equal sides with cosh d = 5/3 (tangent circles of curvature 2)
-        d = math.acosh(5.0 / 3.0)
-        th = triangle_angles(d, d, d)
+        r = 0.5 * math.acosh(5.0 / 3.0)
+        th = _triangle_angles_from_radii((r, r, r))
         expect = math.acos(5.0 / 8.0)
         for t in th:
             assert t == pytest.approx(expect, abs=1e-14)
 
     def test_symmetry(self):
-        th = triangle_angles(1.3, 1.3, 1.3)
+        th = _triangle_angles_from_radii((0.65, 0.65, 0.65))
         assert th[0] == th[1] == th[2]
 
     def test_thin_triangle_limit(self):
-        # d1 grows with d2 = d3 fixed (large enough to stay a triangle):
-        # the opposite angle collapses
-        assert triangle_angles(25.0, 30.0, 30.0)[0] < 1e-6
-        assert triangle_angles(25.0, 30.0, 30.0)[0] > triangle_angles(20.0, 30.0, 30.0)[0]
-
-    def test_triangle_inequality_violation(self):
-        with pytest.raises(InfeasibleGeometryError):
-            triangle_angles(3.0, 1.0, 1.0)
+        # sides (25, 30, 30) and (20, 30, 30): the angle opposite the
+        # short side collapses as that side grows with the others fixed
+        assert _triangle_angles_from_radii((17.5, 12.5, 12.5))[0] < 1e-6
+        assert (_triangle_angles_from_radii((17.5, 12.5, 12.5))[0]
+                > _triangle_angles_from_radii((20.0, 10.0, 10.0))[0])
 
     @given(st.tuples(*[st.floats(min_value=0.01, max_value=5.0)] * 3))
     @settings(max_examples=100, deadline=None)
     def test_angle_sum_below_pi(self, radii):
-        r1, r2, r3 = radii
-        th = triangle_angles(r2 + r3, r1 + r3, r1 + r2)
+        th = _triangle_angles_from_radii(radii)
         assert 0.0 < sum(th) < math.pi
 
 
@@ -109,9 +102,11 @@ class TestQuadrilateral:
         r1, r2, r3 = radii
         l1, l2, l3 = r2 + r3, r1 + r3, r1 + r2
         sol = solve_quadrilateral(l1, l2, l3)
-        assert sol.residuals[0] < 1e-12
-        assert sol.residuals[1] < 1e-12
         la, lc = (l3, l1) if l1 < l3 else (l1, l3)
+        # defining equations: sinh lc = sinh x cosh y, cosh l2 = cosh(la - x) cosh y
+        cosh_y = math.cosh(sol.y)
+        assert abs(math.sinh(sol.x) * cosh_y - math.sinh(lc)) < 1e-12 * (1.0 + math.sinh(lc))
+        assert abs(math.cosh(la - sol.x) * cosh_y - math.cosh(l2)) < 1e-12 * (1.0 + math.cosh(l2))
         # split stays strictly inside, and the proof's bounds hold
         assert 0.0 < sol.x < la
         assert lc > sol.x
@@ -145,8 +140,10 @@ class TestPentagon:
         rc, rg, rh = radii
         l1, l2, l3 = rc + rg, rc + rh, rg + rh
         sol = solve_pentagon(l1, l2, l3)
-        assert sol.residuals[0] < 1e-12
-        assert sol.residuals[1] < 1e-12
+        # defining equations: sinh l1 = sinh x cosh y, sinh l2 = sinh(l3 - x) cosh y
+        cosh_y = math.cosh(sol.y)
+        assert abs(math.sinh(sol.x) * cosh_y - math.sinh(l1)) < 1e-12 * (1.0 + math.sinh(l1))
+        assert abs(math.sinh(l3 - sol.x) * cosh_y - math.sinh(l2)) < 1e-12 * (1.0 + math.sinh(l2))
         assert 0.0 < sol.x < l3
         assert sol.x < l1
         assert l3 - sol.x < l2
@@ -177,22 +174,6 @@ class TestHexagon:
         s = solve_hexagon(*d)
         s_perm = solve_hexagon(d[2], d[0], d[1])
         assert s_perm == (s[2], s[0], s[1])
-
-
-class TestHorocycleChord:
-    def test_quarter_pi(self):
-        assert horocycle_chord(math.pi / 4) == pytest.approx(2.0, abs=1e-15)
-
-    def test_small_angle(self):
-        assert horocycle_chord(1e-9) == pytest.approx(2e-9, rel=1e-9)
-
-    def test_third_pi(self):
-        assert horocycle_chord(math.pi / 3) == pytest.approx(2 * math.sqrt(3), abs=1e-14)
-
-    def test_domain(self):
-        for bad in (0.0, -0.1, math.pi / 2, 2.0):
-            with pytest.raises(ValueError):
-                horocycle_chord(bad)
 
 
 class TestBigon:

@@ -10,7 +10,6 @@ from hypack.packing import vertex_curvatures
 from hypack.realize import (
     boundary_data,
     classify,
-    cone_angle,
     cone_data,
     gauss_bonnet_audit,
     realize_metric,
@@ -68,9 +67,9 @@ class TestConeData:
             assert abs(rep.L[v] - cones[v] * math.cosh(r)) < 1e-10
 
     def test_non_circle_vertex_rejected(self, tetrahedron):
+        # the hypercycle vertex 3 has no cone angle
         K = np.log(np.array([2.0, 2.0, 2.0, 0.5]))
-        with pytest.raises(ValueError):
-            cone_angle(tetrahedron, K, 3)
+        assert set(cone_data(tetrahedron, K)) == {0, 1, 2}
 
 
 class TestBoundaryData:

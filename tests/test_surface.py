@@ -11,7 +11,6 @@ from hypack.surface import (
     Triangulation,
     check_admissible,
     euler_characteristic,
-    faces_incident,
     load_targets,
     load_triangulation,
 )
@@ -66,27 +65,6 @@ class TestValidate:
             assert 2 * len(t.edges) == 3 * len(t.faces)
 
 
-class TestFacesIncident:
-    def test_single_vertex(self, tetrahedron):
-        assert faces_incident(tetrahedron, [0]) == 3
-
-    def test_all_vertices(self, tetrahedron):
-        assert faces_incident(tetrahedron, range(4)) == 4
-
-    def test_empty(self, tetrahedron):
-        assert faces_incident(tetrahedron, []) == 0
-
-    def test_monotone(self, octahedron, rng):
-        for _ in range(30):
-            a = set(rng.choice(6, size=rng.integers(0, 4), replace=False).tolist())
-            b = a | set(rng.choice(6, size=rng.integers(0, 3), replace=False).tolist())
-            assert faces_incident(octahedron, a) <= faces_incident(octahedron, b)
-
-    def test_out_of_range(self, tetrahedron):
-        with pytest.raises(ValueError):
-            faces_incident(tetrahedron, [7])
-
-
 class TestEuler:
     def test_tetrahedron(self, tetrahedron):
         assert euler_characteristic(tetrahedron) == 2
@@ -136,7 +114,8 @@ class TestAdmissible:
     def test_witness_truly_violates(self, tetrahedron):
         adm = check_admissible(tetrahedron, [10.0, 1.0, 1.0, 1.0])
         total = sum([10.0, 1.0, 1.0, 1.0][i] for i in adm.witness)
-        assert total >= math.pi * faces_incident(tetrahedron, adm.witness)
+        incident = sum(1 for f in tetrahedron.faces if set(adm.witness).intersection(f))
+        assert total >= math.pi * incident
 
     def test_oracle_equivalence(self, tetrahedron, octahedron, rng):
         for tri in (tetrahedron, octahedron, torus_grid(2, 4)):

@@ -2,11 +2,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypack.hyptrig import CurveKind, curvature_to_radius
 from hypack.tangency import (
-    GeneralizedCircle,
-    edge_length,
+    corner_curvatures,
     face_jacobian,
     realize_face,
     solve_face,
@@ -16,19 +17,17 @@ LN3 = 1.0986122886681098
 FACE222_L = 1.0342246196750180  # arccos(5/8) * 2/sqrt(3)
 
 
-def circ(k):
-    return GeneralizedCircle.from_curvature(k)
-
-
 class TestEdgeLength:
+    """FaceGeometry.edge_lengths = (d01, d02, d12), d_ij = r_i + r_j."""
+
     def test_two_circles(self):
-        assert edge_length(circ(2.0), circ(2.0)) == pytest.approx(LN3, abs=1e-14)
+        assert solve_face(2.0, 2.0, 3.0).edge_lengths[0] == pytest.approx(LN3, abs=1e-14)
 
     def test_horocycle_infinite(self):
-        assert edge_length(circ(1.0), circ(5.0)) == math.inf
+        assert solve_face(1.0, 5.0, 3.0).edge_lengths[:2] == (math.inf, math.inf)
 
     def test_mixed(self):
-        assert edge_length(circ(0.5), circ(2.0)) == pytest.approx(LN3, abs=1e-14)
+        assert solve_face(0.5, 2.0, 3.0).edge_lengths[0] == pytest.approx(LN3, abs=1e-14)
 
 
 class TestSolveFace:
@@ -227,6 +226,41 @@ class TestRealizeFace:
                 closed = emb.arc_length(i, method="closed")
                 quad = emb.arc_length(i, method="quadrature")
                 assert quad == pytest.approx(closed, rel=1e-8)
+
+
+# Signs of ln k per corner for the five face cases: three circles
+# (triangle), one hypercycle (quadrilateral), two (pentagon), three
+# (hexagon), and a horocycle (ideal vertex, through the embedding).
+FACE_CASES = ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1), (0, 1, -1))
+
+
+class TestRouteAgreement:
+    """corner_curvatures (the trigonometric route the solver evaluates)
+    against the half-plane embedding."""
+
+    def test_reproducer_face(self):
+        # a face whose quadrilateral split a bracketed Newton iteration can
+        # stop short of (f(x) = 6.4e-4, L off by 5.8e-4) while reporting
+        # convergence
+        ks = (1.1307453759447548, 2.5404926670117565, 0.7991123188093775)
+        L = corner_curvatures(*ks)
+        emb = realize_face(*ks)
+        for i in range(3):
+            assert abs(emb.arc_length(i) * ks[i] - L[i]) < 1e-12
+            assert abs(emb.arc_length(i, method="quadrature") * ks[i] - L[i]) < 1e-12
+
+    @given(st.sampled_from(FACE_CASES),
+           st.tuples(*[st.floats(min_value=-9.2, max_value=1.4)] * 3),
+           st.permutations(range(3)))
+    @settings(max_examples=300, deadline=None)
+    def test_corner_curvatures_match_embedding(self, signs, log_mags, perm):
+        # |ln k| from 1e-4 to 4 on circle and hypercycle corners
+        ks = [math.exp(s * math.exp(m)) for s, m in zip(signs, log_mags)]
+        ks = [ks[p] for p in perm]
+        L = corner_curvatures(*ks)
+        emb = realize_face(*ks)
+        for i in range(3):
+            assert abs(emb.arc_length(i) * ks[i] - L[i]) < 1e-9
 
 
 class TestFaceJacobian:
