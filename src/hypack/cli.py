@@ -27,8 +27,10 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
 
-_CONFIG_KEYS = ("residual_tol", "newton_switch_tol", "max_steps", "max_time",
-                "stepper", "newton", "class_tol")
+# config file field -> its type; a float field also takes a JSON integer
+_CONFIG_TYPES = {"residual_tol": float, "newton_switch_tol": float,
+                 "max_steps": int, "max_time": float, "newton": bool,
+                 "class_tol": float}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", help="write the solve report here (default stdout)")
     ps.add_argument("--trajectory", help="write accepted-step CSV here")
     ps.add_argument("--class-tol", type=float, help="vertex classification tolerance")
-    ps.add_argument("--stepper", choices=("adaptive", "rk4"), help="time stepper")
     ps.add_argument("--no-newton", action="store_true", help="disable Newton finish")
 
     pf = sub.add_parser("face", help="solve one three-circle configuration")
@@ -76,28 +77,28 @@ def _load_config_file(path: str | None) -> dict:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    unknown = sorted(set(doc) - set(_CONFIG_TYPES))
     if unknown:
         raise ParseError(f"{path}: unknown config fields {unknown}")
+    for key, val in doc.items():
+        want = _CONFIG_TYPES[key]
+        accepted = (int, float) if want is float else want
+        # JSON true/false load as bool, a subclass of int
+        if not isinstance(val, accepted) or isinstance(val, bool) != (want is bool):
+            raise ParseError(f"{path}: config field {key!r} must be {want.__name__}, "
+                             f"got {val!r}")
     return doc
 
 
 def _flow_config(args, file_cfg: dict) -> tuple[FlowConfig, float]:
     """Merge defaults < config file < flags; returns (config, class_tol)."""
-    kwargs = {}
-    class_tol = CLASS_TOL
-    for key, val in file_cfg.items():
-        if key == "class_tol":
-            class_tol = float(val)
-        else:
-            kwargs[key] = val
-    if getattr(args, "tol", None) is not None:
+    kwargs = dict(file_cfg)
+    class_tol = kwargs.pop("class_tol", CLASS_TOL)
+    if args.tol is not None:
         kwargs["residual_tol"] = args.tol
-    if getattr(args, "stepper", None):
-        kwargs["stepper"] = args.stepper
-    if getattr(args, "no_newton", False):
+    if args.no_newton:
         kwargs["newton"] = False
-    if getattr(args, "class_tol", None) is not None:
+    if args.class_tol is not None:
         class_tol = args.class_tol
     return FlowConfig(**kwargs), class_tol
 

@@ -5,7 +5,8 @@ potential, so for admissible targets it converges exponentially to the
 unique log-curvature vector realizing the prescribed per-vertex total
 geodesic curvatures.  Time integration uses an embedded Dormand-Prince
 5(4) pair with per-step error control; once the residual is small a
-damped Newton iteration on the same gradient finishes the job.
+Newton iteration on the same gradient, with one dense symmetric solve
+per step and a backtracking line search, finishes the job.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import cg as _cg
 
 from .hyptrig import InfeasibleGeometryError
 from .packing import global_jacobian, vertex_curvature_sums
@@ -36,7 +34,6 @@ __all__ = [
 ]
 
 # Dormand-Prince 5(4) tableau; row 7 of A is the 5th-order weights (FSAL).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -50,7 +47,13 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
-NEWTON_DIRECT_BELOW = 2000   # direct symmetric factorization below, CG above
+# flow step size: first trial, cap, and the floor below which the
+# flow raises StiffnessError
+_INITIAL_STEP = 0.01
+_MAX_STEP = 5.0
+_MIN_STEP = 1e-14
+_NEWTON_DAMPING = 1.0       # first Newton step fraction tried before halving
+
 # |K_i| beyond this while the residual stalls => infeasible heuristic.  Kept
 # safely below ~36.7 where exp(K) exceeds the polygon solvers' double-
 # precision range, so divergence is diagnosed before evaluations degenerate.
@@ -76,37 +79,29 @@ class SolveStatus(Enum):
 class FlowConfig:
     """Solver knobs.  residual_tol and newton_switch_tol are max-norm
     bounds on L - Lhat; step_error_tol is the per-step acceptance bound
-    of the embedded pair."""
+    of the adaptive Dormand-Prince 5(4) flow, the only time stepper.
+    With newton on, the flow hands over to Newton once the residual is
+    below newton_switch_tol."""
 
     residual_tol: float = 1e-10
     max_time: float = 1e5
     max_steps: int = 50_000
-    stepper: str = "adaptive"          # "adaptive" | "rk4"
     newton: bool = True
     newton_switch_tol: float = 1e-3
-    newton_damping: float = 1.0        # initial/maximal Newton step fraction
     step_error_tol: float = 1e-8
     # relative cap: a step is also rejected when its error estimate exceeds
     # this fraction of the current residual, keeping the decaying tail
     # accuracy-limited instead of stability-limited
     rel_step_error: float = 0.05
-    fixed_step: float = 0.05           # rk4 stepper only
-    initial_step: float = 0.01
-    max_step: float = 5.0
-    min_step: float = 1e-14
     check_admissibility: bool = True
 
     def __post_init__(self):
         for name in ("residual_tol", "max_time", "newton_switch_tol",
-                     "step_error_tol", "fixed_step", "initial_step", "max_step"):
+                     "step_error_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.newton_switch_tol <= self.residual_tol:
             raise ValueError("newton_switch_tol must exceed residual_tol")
-        if not 0.0 < self.newton_damping <= 1.0:
-            raise ValueError("newton_damping must lie in (0, 1]")
-        if self.stepper not in ("adaptive", "rk4"):
-            raise ValueError(f"unknown stepper {self.stepper!r}")
 
 
 @dataclass
@@ -173,27 +168,10 @@ def flow_step(tri: Triangulation, K, l_hat, h: float):
     return K5, float(np.max(np.abs(K5 - K4)))
 
 
-def _rk4_step(tri, K, target, h):
-    f = lambda y: target - vertex_curvature_sums(tri, y)
-    k1 = f(K)
-    k2 = f(K + 0.5 * h * k1)
-    k3 = f(K + 0.5 * h * k2)
-    k4 = f(K + h * k3)
-    return K + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _newton_direction(tri, K, res):
+    # M is SPD at every state, so one symmetric solve serves every size
     M = global_jacobian(tri, K)
-    if sparse.issparse(M):
-        Ms = 0.5 * (M + M.T)
-        if tri.num_vertices < NEWTON_DIRECT_BELOW:
-            return np.linalg.solve(Ms.toarray(), res)
-        x, info = _cg(Ms, res, rtol=1e-12, atol=0.0)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
-        return x
-    Ms = 0.5 * (M + M.T)
-    return cho_solve(cho_factor(Ms, lower=True), res)
+    return np.linalg.solve(0.5 * (M + M.T), res)
 
 
 def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) -> SolveResult:
@@ -227,7 +205,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     K = (np.zeros(tri.num_vertices) if K0 is None
          else np.array(K0, dtype=float, copy=True))
     t = 0.0
-    h = cfg.initial_step
+    h = _INITIAL_STEP
     res = vertex_curvature_sums(tri, K) - target
     trace.append(t, K, res, "flow")
     steps = 0
@@ -244,20 +222,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
         if res_max > cfg.residual_tol * 10 and float(np.max(np.abs(K))) > _DRIFT_LIMIT:
             return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE)
 
-        if cfg.stepper == "rk4":
-            try:
-                K = _rk4_step(tri, K, target, cfg.fixed_step)
-            except InfeasibleGeometryError as exc:
-                raise StiffnessError(
-                    f"fixed-step evaluation left the solvable domain at t={t}: {exc}",
-                    K=K, t=t) from exc
-            t += cfg.fixed_step
-            steps += 1
-            res = vertex_curvature_sums(tri, K) - target
-            trace.append(t, K, res, "flow")
-            continue
-
-        h = min(h, cfg.max_step, max(cfg.max_time - t, cfg.min_step))
+        h = min(h, _MAX_STEP, max(cfg.max_time - t, _MIN_STEP))
         eff_tol = min(cfg.step_error_tol, cfg.rel_step_error * res_max)
         steps += 1
         try:
@@ -271,12 +236,12 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             res = vertex_curvature_sums(tri, K) - target
             trace.append(t, K, res, "flow")
             if err > 0.0:
-                h = min(cfg.max_step, h * min(5.0, 0.9 * (eff_tol / err) ** 0.2))
+                h = min(_MAX_STEP, h * min(5.0, 0.9 * (eff_tol / err) ** 0.2))
             else:
-                h = min(cfg.max_step, 5.0 * h)
+                h = min(_MAX_STEP, 5.0 * h)
         else:
             h *= 0.5
-            if h < cfg.min_step:
+            if h < _MIN_STEP:
                 raise StiffnessError(
                     f"step size underflowed at t={t} (residual {res_max:.3e})",
                     K=K, t=t)
@@ -289,7 +254,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
         if steps >= cfg.max_steps:
             return SolveResult(K=K, trace=trace, status=SolveStatus.MAX_STEPS_EXCEEDED)
         direction = _newton_direction(tri, K, res)
-        alpha = cfg.newton_damping
+        alpha = _NEWTON_DAMPING
         while True:
             K_try = K - alpha * direction
             res_try = vertex_curvature_sums(tri, K_try) - target

@@ -111,6 +111,19 @@ class TestSolve:
                      "--config", cfg]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("residual_tol", "1e-10"),
+        ("max_steps", "abc"),
+        ("max_time", None),
+        ("newton", "no"),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, tetra_path, unit_targets,
+                                        capsys, field, value):
+        cfg = write(tmp_path, "cfg.json", {field: value})
+        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                     "--config", cfg]) == 1
+        assert field in capsys.readouterr().err
+
     def test_no_newton_flag(self, tmp_path, tetra_path, unit_targets, capsys):
         out = tmp_path / "r.json"
         assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
@@ -161,15 +174,6 @@ class TestRender:
 
     def test_bad_curvature(self, capsys):
         assert main(["render", "--k", "0", "1", "1", "--out", "/tmp/x.svg"]) == 1
-
-
-class TestStepperFlag:
-    def test_rk4(self, tmp_path, tetra_path, unit_targets):
-        out = tmp_path / "r.json"
-        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
-                     "--stepper", "rk4", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert abs(doc["vertices"][0]["k"] - 0.05861660657695536) < 1e-8
 
 
 class TestClassTolFlag:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,13 +95,6 @@ class TestSolve:
         assert off.status is SolveStatus.CONVERGED
         assert np.max(np.abs(on.K - off.K)) < 1e-8
 
-    def test_rk4_stepper(self, tetrahedron):
-        res = solve(tetrahedron, np.ones(4),
-                    config=FlowConfig(stepper="rk4", newton=False, fixed_step=0.05,
-                                      max_steps=20000))
-        assert res.status is SolveStatus.CONVERGED
-        assert np.allclose(res.K, K_STAR_TETRA, atol=1e-8)
-
     def test_lyapunov_monotone(self, tetrahedron, rng):
         res = solve(tetrahedron, np.ones(4), rng.uniform(-1, 1, 4),
                     config=FlowConfig(newton=False))
@@ -189,23 +185,14 @@ class TestRateEstimate:
 
 
 class TestLargerSurface:
-    def test_torus_sparse_jacobian_path(self):
+    def test_torus_newton_from_start(self):
         from conftest import torus_grid
-        tri = torus_grid(8, 8)  # 64 vertices: sparse Hessian assembly
+        tri = torus_grid(8, 8)  # 64 vertices, Newton from K = 0
         cfg = FlowConfig(newton_switch_tol=10.0, residual_tol=1e-9)
         res = solve(tri, np.full(64, 0.5), config=cfg)
         assert res.status is SolveStatus.CONVERGED
         L = vertex_curvature_sums(tri, res.K)
         assert np.max(np.abs(L - 0.5)) < 1e-9
-
-    def test_conjugate_gradient_branch(self, monkeypatch):
-        import hypack.flow as flow_mod
-        from conftest import torus_grid
-        monkeypatch.setattr(flow_mod, "NEWTON_DIRECT_BELOW", 0)
-        tri = torus_grid(8, 8)
-        cfg = FlowConfig(newton_switch_tol=10.0, residual_tol=1e-9)
-        res = solve(tri, np.full(64, 0.5), config=cfg)
-        assert res.status is SolveStatus.CONVERGED
 
 
 class TestConfigValidation:
@@ -214,7 +201,16 @@ class TestConfigValidation:
             FlowConfig(residual_tol=-1.0)
         with pytest.raises(ValueError):
             FlowConfig(newton_switch_tol=1e-12)  # below residual_tol
-        with pytest.raises(ValueError):
-            FlowConfig(newton_damping=0.0)
-        with pytest.raises(ValueError):
-            FlowConfig(stepper="euler")
+
+
+def test_import_loads_no_scipy():
+    # scipy belongs to the quadrature oracle and the tests; the solve path
+    # must not pull it in at import time
+    import hypack
+    src = os.path.dirname(os.path.dirname(hypack.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import hypack, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from hypack.packing import (
     global_jacobian,
@@ -10,6 +9,7 @@ from hypack.packing import (
     vertex_curvature_sums,
     vertex_curvatures,
 )
+from hypack.tangency import corner_curvatures, face_jacobian
 
 VERTEX_L_ALL2 = 3.1026738590250541  # 3 * face(2,2,2) corner value
 
@@ -47,6 +47,23 @@ class TestVertexCurvatures:
         with pytest.raises(ValueError):
             vertex_curvature_sums(tetrahedron, np.zeros(5))
 
+    def test_scatter_matches_loop_over_faces(self, octahedron, rng):
+        # np.bincount adds per-face values in face order, exactly as this loop
+        K = rng.uniform(-1.5, 1.5, size=6)
+        k = np.exp(K).tolist()
+        L = np.zeros(6)
+        M = np.zeros((6, 6))
+        for f in octahedron.faces:
+            Lf = corner_curvatures(*(k[v] for v in f))
+            J = face_jacobian(*(k[v] for v in f))
+            for a in range(3):
+                L[f[a]] += Lf[a]
+                for b in range(3):
+                    M[f[a], f[b]] += J[a][b]
+        assert np.array_equal(vertex_curvature_sums(octahedron, K), L)
+        assert np.array_equal(vertex_curvatures(octahedron, K).L, L)
+        assert np.array_equal(global_jacobian(octahedron, K), M)
+
 
 class TestGlobalJacobian:
     def test_symmetric_state_structure(self, tetrahedron):
@@ -82,23 +99,20 @@ class TestGlobalJacobian:
                 assert w.min() > 0.0
 
     def test_matches_finite_differences(self, tetrahedron, rng):
-        K = rng.uniform(-1.0, 1.0, size=4)
-        M = global_jacobian(tetrahedron, K)
-        h = 1e-6
-        for j in range(4):
-            up, dn = K.copy(), K.copy()
-            up[j] += h
-            dn[j] -= h
-            col = (vertex_curvature_sums(tetrahedron, up)
-                   - vertex_curvature_sums(tetrahedron, dn)) / (2 * h)
-            assert np.allclose(M[:, j], col, rtol=1e-5, atol=1e-8)
-
-    def test_sparse_path_matches_dense(self, octahedron, rng):
-        K = rng.uniform(-1.0, 1.0, size=6)
-        dense = global_jacobian(octahedron, K)
-        sp = global_jacobian(octahedron, K, dense_below=0)
-        assert sparse.issparse(sp)
-        assert np.allclose(sp.toarray(), dense)
+        from conftest import torus_grid
+        for tri in (tetrahedron, torus_grid(8, 8)):
+            n = tri.num_vertices
+            K = rng.uniform(-1.0, 1.0, size=n)
+            M = global_jacobian(tri, K)
+            assert isinstance(M, np.ndarray) and M.shape == (n, n)
+            h = 1e-6
+            for j in range(n):
+                up, dn = K.copy(), K.copy()
+                up[j] += h
+                dn[j] -= h
+                col = (vertex_curvature_sums(tri, up)
+                       - vertex_curvature_sums(tri, dn)) / (2 * h)
+                assert np.allclose(M[:, j], col, rtol=1e-5, atol=1e-8)
 
     def test_monotone_sign_pattern(self, tetrahedron):
         # raising K_i raises L_i and lowers every neighbor's L_j
