@@ -40,9 +40,7 @@ from .packing import (
 from .realize import (
     CLASS_TOL,
     RealizedMetric,
-    boundary_data,
     classify,
-    cone_data,
     gauss_bonnet_audit,
     realize_metric,
     render_face_svg,
@@ -50,7 +48,6 @@ from .realize import (
 )
 from .surface import (
     Admissibility,
-    CapacityError,
     Defect,
     ParseError,
     Triangulation,

@@ -6,8 +6,8 @@ Subcommands:
   face    solve a single three-circle face and print its geometry
   render  write the Poincare-disk SVG of a single face
 
-Exit codes: 0 success/admissible, 1 parse or validation error,
-2 infeasible target, 3 non-convergence within budget.
+Exit codes: 0 success/admissible, 1 usage, parse or validation error,
+2 infeasible target, 3 no convergence (budget exhausted or solver stalled).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import json
 import sys
 
 
-from .flow import FlowConfig, SolveStatus, rate_estimate, solve
+from .flow import FlowConfig, SolveStatus, StiffnessError, rate_estimate, solve
 from .realize import CLASS_TOL, realize_metric, render_face_svg, report_document
-from .surface import ParseError, load_targets, load_triangulation
+from .surface import ParseError, check_admissible, load_targets, load_triangulation
 from .tangency import solve_face
 
 EXIT_OK = 0
@@ -42,14 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--tri", required=True, help="triangulation JSON path")
         sp.add_argument("--targets", required=True, help="target curvatures JSON path")
-        sp.add_argument("--config", help="JSON config file (flags win over file)")
-        sp.add_argument("--tol", type=float, help="residual tolerance (max-norm)")
 
     pc = sub.add_parser("check", help="validate surface and test admissibility")
     common(pc)
 
     ps = sub.add_parser("solve", help="solve for the packing metric")
     common(ps)
+    ps.add_argument("--config", help="JSON config file (flags win over file)")
+    ps.add_argument("--tol", type=float, help="residual tolerance (max-norm)")
     ps.add_argument("--out", help="write the solve report here (default stdout)")
     ps.add_argument("--trajectory", help="write accepted-step CSV here")
     ps.add_argument("--class-tol", type=float, help="vertex classification tolerance")
@@ -104,8 +104,6 @@ def _flow_config(args, file_cfg: dict) -> tuple[FlowConfig, float]:
 
 
 def _cmd_check(args) -> int:
-    from .surface import check_admissible
-
     tri = load_triangulation(args.tri)
     defects = tri.validate()
     for d in defects:
@@ -136,8 +134,7 @@ def _cmd_solve(args) -> int:
     if args.trajectory:
         result.trace.write_csv(args.trajectory)
     if result.status is SolveStatus.INFEASIBLE:
-        witness = list(result.witness) if result.witness is not None else "(heuristic)"
-        print(f"infeasible: witness subset {witness}", file=sys.stderr)
+        print(f"infeasible: witness subset {list(result.witness)}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if result.status is not SolveStatus.CONVERGED:
         print(f"did not converge within budget ({result.status.value})", file=sys.stderr)
@@ -187,17 +184,20 @@ def _cmd_render(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_ERROR if exc.code else EXIT_OK
     handler = {"check": _cmd_check, "solve": _cmd_solve,
                "face": _cmd_face, "render": _cmd_render}[args.command]
     try:
         return handler(args)
-    except ParseError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
+    except StiffnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ from enum import Enum
 
 import numpy as np
 
-from .hyptrig import InfeasibleGeometryError
 from .packing import global_jacobian, vertex_curvature_sums
-from .surface import ADMISSIBILITY_VERTEX_CAP, Triangulation, check_admissible
+# check_admissible stays importable from here, where perfbench's tracer wraps it
+from .surface import Triangulation, check_admissible, violating_subset  # noqa: F401
 
 __all__ = [
     "FlowConfig",
@@ -54,9 +54,9 @@ _MAX_STEP = 5.0
 _MIN_STEP = 1e-14
 _NEWTON_DAMPING = 1.0       # first Newton step fraction tried before halving
 
-# |K_i| beyond this while the residual stalls => infeasible heuristic.  Kept
-# safely below ~36.7 where exp(K) exceeds the polygon solvers' double-
-# precision range, so divergence is diagnosed before evaluations degenerate.
+# Guards check_admissibility=False: |K_i| beyond this while the residual
+# stalls ends the solve as INFEASIBLE.  Below ~36.7, where exp(K) leaves the
+# polygon solvers' double-precision range, so divergence is diagnosed first.
 _DRIFT_LIMIT = 30.0
 
 
@@ -145,27 +145,25 @@ class SolveResult:
     witness: tuple[int, ...] | None = None
 
 
-def flow_step(tri: Triangulation, K, l_hat, h: float):
+def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
     """One embedded Dormand-Prince 5(4) step of dK/dt = -(L - Lhat).
 
-    Returns (K', error_estimate) where the estimate is the max-norm
-    difference of the 5th- and 4th-order solutions; the caller accepts
-    the step when the estimate is below the configured bound and halves
-    h otherwise.
+    `rate` is Lhat - L(K), the first stage, which the caller already has.
+    Returns (K', error_estimate, rate at K' = the last stage, first same as
+    last); the caller accepts the step when the max-norm difference of the
+    5th- and 4th-order solutions is below its bound, and else halves h.
     """
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     K = np.asarray(K, dtype=float)
     target = np.asarray(l_hat, dtype=float)
-    ks = []
-    for i in range(7):
-        y = K
-        if i:
-            y = K + h * sum(a * kk for a, kk in zip(_DP_A[i], ks))
+    ks = [np.asarray(rate, dtype=float)]
+    for i in range(1, 7):
+        y = K + h * sum(a * kk for a, kk in zip(_DP_A[i], ks))
         ks.append(target - vertex_curvature_sums(tri, y))
     K5 = K + h * sum(b * kk for b, kk in zip(_DP_B5, ks))
     K4 = K + h * sum(b * kk for b, kk in zip(_DP_B4, ks))
-    return K5, float(np.max(np.abs(K5 - K4)))
+    return K5, float(np.max(np.abs(K5 - K4))), ks[6]
 
 
 def _newton_direction(tri, K, res):
@@ -178,11 +176,12 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     """Drive the flow (plus optional Newton finish) to the packing with
     prescribed total geodesic curvatures.
 
-    For at most 25 vertices the target is first checked against the
-    feasibility polytope and rejected with a witness subset; above that
-    an infeasible target is detected heuristically when the residual
-    stalls while some K_i drifts beyond +-30.  On convergence the result
-    is independent of K0 (the packing is unique).
+    The target is first checked by check_admissible's maximum flow, at
+    every size, and an infeasible one is rejected with its witness.  With
+    check_admissibility off, divergence (some K_i beyond +-30 while the
+    residual stalls) ends the solve as INFEASIBLE without a witness.  A
+    trial state the face kernel cannot evaluate counts as a failed step.
+    On convergence the result is independent of K0 (the packing is unique).
     """
     cfg = config or FlowConfig()
     defects = tri.validate()
@@ -192,15 +191,15 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     target = np.asarray(l_hat, dtype=float)
     if target.shape != (tri.num_vertices,):
         raise ValueError(f"expected {tri.num_vertices} targets, got {target.shape}")
-    if not np.all(target > 0.0):
-        raise ValueError("target curvatures must be positive")
+    if not np.all((target > 0.0) & (target < math.inf)):
+        raise ValueError("target curvatures must be positive and finite")
 
     trace = FlowTrace(config=cfg)
-    if cfg.check_admissibility and tri.num_vertices <= ADMISSIBILITY_VERTEX_CAP:
-        adm = check_admissible(tri, target)
-        if not adm.admissible:
+    if cfg.check_admissibility:
+        witness = violating_subset(tri, target)
+        if witness is not None:
             return SolveResult(K=np.zeros(tri.num_vertices), trace=trace,
-                               status=SolveStatus.INFEASIBLE, witness=adm.witness)
+                               status=SolveStatus.INFEASIBLE, witness=witness)
 
     K = (np.zeros(tri.num_vertices) if K0 is None
          else np.array(K0, dtype=float, copy=True))
@@ -226,14 +225,13 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
         eff_tol = min(cfg.step_error_tol, cfg.rel_step_error * res_max)
         steps += 1
         try:
-            K_new, err = flow_step(tri, K, target, h)
-        except InfeasibleGeometryError:
-            # a stage overshot the solvable domain (diverging trajectory)
-            K_new, err = None, math.inf
+            K_new, err, rate_new = flow_step(tri, K, target, h, -res)
+        except ValueError:  # a stage left the range the face kernel can evaluate
+            err = math.inf
         if err < eff_tol:
             t += h
             K = K_new
-            res = vertex_curvature_sums(tri, K) - target
+            res = -rate_new
             trace.append(t, K, res, "flow")
             if err > 0.0:
                 h = min(_MAX_STEP, h * min(5.0, 0.9 * (eff_tol / err) ** 0.2))
@@ -257,8 +255,11 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
         alpha = _NEWTON_DAMPING
         while True:
             K_try = K - alpha * direction
-            res_try = vertex_curvature_sums(tri, K_try) - target
-            if float(np.linalg.norm(res_try)) < res_norm:
+            try:
+                res_try = vertex_curvature_sums(tri, K_try) - target
+            except ValueError:  # the trial left the range the face kernel can evaluate
+                res_try = None
+            if res_try is not None and float(np.linalg.norm(res_try)) < res_norm:
                 break
             alpha *= 0.5
             if alpha < 1e-12:

@@ -24,8 +24,6 @@ __all__ = [
     "CLASS_TOL",
     "RealizedMetric",
     "classify",
-    "cone_data",
-    "boundary_data",
     "gauss_bonnet_audit",
     "realize_metric",
     "render_face_svg",
@@ -57,8 +55,8 @@ def classify(k, tol: float = CLASS_TOL):
 
 def _corner_sums(tri: Triangulation, rep: CurvatureReport, vertices) -> dict[int, float]:
     """Per vertex, the sum of its corners' generalized angles over the
-    incident faces: the cone angle at a circle vertex, the boundary
-    length at a hypercycle vertex."""
+    incident faces: the cone angle at a circle vertex, the boundary length
+    at a hypercycle vertex (its axis segments close up at right angles)."""
     out: dict[int, float] = {}
     for v in vertices:
         total = 0.0
@@ -66,31 +64,6 @@ def _corner_sums(tri: Triangulation, rep: CurvatureReport, vertices) -> dict[int
             total += rep.faces[fi].gen_angle[tri.faces[fi].index(v)]
         out[v] = total
     return out
-
-
-def cone_data(tri: Triangulation, K, *, report: CurvatureReport | None = None,
-              tol: float = CLASS_TOL) -> dict[int, float]:
-    """Cone angle Theta_v (sum of incident circle-corner angles) for every
-    vertex with k_v > 1; discrete Gaussian curvature is 2*pi - Theta_v."""
-    K = np.asarray(K, dtype=float)
-    k = np.exp(K)
-    rep = report or vertex_curvatures(tri, K)
-    return _corner_sums(tri, rep, [v for v in range(tri.num_vertices) if k[v] > 1.0 + tol])
-
-
-def boundary_data(tri: Triangulation, K, *, report: CurvatureReport | None = None,
-                  tol: float = CLASS_TOL):
-    """(boundary lengths for I1, cusp list for I2).
-
-    At a hypercycle vertex every incident face contributes one axis
-    segment; the B-arc corners all carry right angles and the edges meet
-    the axis orthogonally from both sides, so the segments concatenate
-    into one closed geodesic whose length is the sum.
-    """
-    K = np.asarray(K, dtype=float)
-    i1, i2, _ = classify(np.exp(K), tol)
-    rep = report or vertex_curvatures(tri, K)
-    return _corner_sums(tri, rep, i1), list(i2)
 
 
 def gauss_bonnet_audit(tri: Triangulation, K, *, report: CurvatureReport | None = None,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -45,6 +46,12 @@ class TestCheck:
         p.write_text('{"num_vertices": 4,\n "faces": [[0,1,2],]}')
         assert main(["check", "--tri", str(p), "--targets", unit_targets]) == 1
         assert "line" in capsys.readouterr().err
+
+    def test_rejects_solve_options(self, tetra_path, unit_targets, capsys):
+        # --config and --tol belong to solve, and check reads neither
+        assert main(["check", "--tri", tetra_path, "--targets", unit_targets,
+                     "--config", "/nonexistent.json", "--tol", "5"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_invalid_surface(self, tmp_path, unit_targets, capsys):
         p = write(tmp_path, "open.json",
@@ -124,12 +131,36 @@ class TestSolve:
                      "--config", cfg]) == 1
         assert field in capsys.readouterr().err
 
+    def test_stalled_solver_exit(self, tmp_path, tetra_path, capsys):
+        near_tight = write(tmp_path, "t.json",
+                           {"L_hat": [3 * math.pi - 1e-6, 1.0, 1.0, 1.0]})
+        assert main(["solve", "--tri", tetra_path, "--targets", near_tight]) == 3
+        err = capsys.readouterr().err
+        assert "backtracking stalled" in err and "Traceback" not in err
+
     def test_no_newton_flag(self, tmp_path, tetra_path, unit_targets, capsys):
         out = tmp_path / "r.json"
         assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
                      "--no-newton", "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert "rate estimate" in err
+
+
+class TestUsage:
+    # exit code 2 means "infeasible", so usage errors exit 1
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["solve", "--tri", "t.json"],
+        ["face", "--k", "1", "1"],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestFace:

@@ -18,6 +18,8 @@ from hypack.flow import (
 from hypack.packing import vertex_curvature_sums
 from hypack.surface import Triangulation
 
+from conftest import TETRA_FACES, torus_grid
+
 # symmetric tetrahedron solution for unit targets, frozen from the
 # scalar equation s(r) sinh r = 1/3, cosh s(r) = cosh 2r / (cosh 2r - 1)
 K_STAR_TETRA = -2.8367372338609138
@@ -37,14 +39,18 @@ class TestFlowStep:
     def test_fixed_point(self, tetrahedron):
         K_hat = np.full(4, K_STAR_TETRA)
         L_hat = vertex_curvature_sums(tetrahedron, K_hat)
-        K_new, err = flow_step(tetrahedron, K_hat, L_hat, 0.5)
+        K_new, err, rate = flow_step(tetrahedron, K_hat, L_hat, 0.5, np.zeros(4))
         assert np.max(np.abs(K_new - K_hat)) < 1e-13
         assert err < 1e-13
+        assert np.max(np.abs(rate)) < 1e-13
 
     def test_symmetry_preserved(self, tetrahedron):
         K = np.full(4, 0.7)
-        K_new, _ = flow_step(tetrahedron, K, np.ones(4), 0.1)
+        rate = np.ones(4) - vertex_curvature_sums(tetrahedron, K)
+        K_new, _, rate_new = flow_step(tetrahedron, K, np.ones(4), 0.1, rate)
         assert np.all(K_new == K_new[0])
+        assert np.array_equal(rate_new,
+                              np.ones(4) - vertex_curvature_sums(tetrahedron, K_new))
 
     def test_velocity_bound(self, octahedron, rng):
         # |dK_i/dt| < pi deg(i) + Lhat_i everywhere
@@ -57,7 +63,7 @@ class TestFlowStep:
 
     def test_rejects_bad_step(self, tetrahedron):
         with pytest.raises(ValueError):
-            flow_step(tetrahedron, np.zeros(4), np.ones(4), -0.1)
+            flow_step(tetrahedron, np.zeros(4), np.ones(4), -0.1, np.zeros(4))
 
 
 class TestSolve:
@@ -82,6 +88,41 @@ class TestSolve:
         res = solve(tetrahedron, [3.2] * 4)
         assert res.status is SolveStatus.INFEASIBLE
         assert res.witness == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("surface, target, witness", [
+        (lambda: Triangulation(4, TETRA_FACES), [3 * math.pi, 0.5, 0.5, 0.5], (0,)),  # tight
+        (lambda: torus_grid(4, 4), [5 * math.pi] * 2 + [0.5] * 14, (0, 1)),           # tight
+        (lambda: torus_grid(6, 6), [6 * math.pi + 0.1] + [0.5] * 35, (0,)),   # 36 vertices
+    ])
+    def test_infeasible_witness_at_every_size(self, surface, target, witness):
+        res = solve(surface(), target)
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.witness == witness
+
+    def test_unevaluable_trial_fails_the_step(self, tetrahedron):
+        # admissible by 1e-6; a Newton trial underflows exp(K) to 0, which
+        # the face kernel rejects, so backtracking shortens it until it stalls
+        with pytest.raises(StiffnessError, match="backtracking stalled"):
+            solve(tetrahedron, [3 * math.pi - 1e-6, 1.0, 1.0, 1.0])
+
+    def test_six_curvature_evaluations_per_flow_step(self, tetrahedron, monkeypatch):
+        import hypack.flow as flow_module
+        calls = {"L": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(flow_module, "vertex_curvature_sums",
+                            counted("L", flow_module.vertex_curvature_sums))
+        monkeypatch.setattr(flow_module, "flow_step", counted("step", flow_module.flow_step))
+        res = solve(tetrahedron, np.ones(4), config=FlowConfig(newton=False))
+        assert res.status is SolveStatus.CONVERGED
+        # the starting residual, then stages 2-7 of each attempted step: the
+        # first stage is the current rate and the last one the next rate
+        assert calls["L"] == 1 + 6 * calls["step"]
 
     def test_infeasible_flow_does_not_converge(self, tetrahedron):
         cfg = FlowConfig(check_admissibility=False)
@@ -142,6 +183,12 @@ class TestSolve:
     def test_nonpositive_targets(self, tetrahedron):
         with pytest.raises(ValueError):
             solve(tetrahedron, [1.0, -1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_infinite_target_rejected(self, tetrahedron, gate):
+        with pytest.raises(ValueError, match="finite"):
+            solve(tetrahedron, [math.inf, 1.0, 1.0, 1.0],
+                  config=FlowConfig(check_admissibility=gate))
 
     def test_csv_export(self, tetrahedron, tmp_path):
         res = solve(tetrahedron, np.ones(4))

@@ -8,9 +8,7 @@ from hypack.flow import solve
 from hypack.hyptrig import curvature_to_radius
 from hypack.packing import vertex_curvatures
 from hypack.realize import (
-    boundary_data,
     classify,
-    cone_data,
     gauss_bonnet_audit,
     realize_metric,
     render_face_svg,
@@ -50,7 +48,7 @@ class TestClassify:
 class TestConeData:
     def test_tetra_all_two(self, tetrahedron):
         K = np.log(np.full(4, 2.0))
-        cones = cone_data(tetrahedron, K)
+        cones = realize_metric(tetrahedron, K).cone_angles
         assert set(cones) == {0, 1, 2, 3}
         for th in cones.values():
             assert th == pytest.approx(CONE_ALL2, abs=1e-12)
@@ -61,7 +59,7 @@ class TestConeData:
         # L_v = Theta_v cosh r_v when every incident corner is a circle
         K = np.log(rng.uniform(1.5, 4.0, size=6))
         rep = vertex_curvatures(octahedron, K)
-        cones = cone_data(octahedron, K)
+        cones = realize_metric(octahedron, K).cone_angles
         for v in range(6):
             r = curvature_to_radius(math.exp(K[v]))
             assert abs(rep.L[v] - cones[v] * math.cosh(r)) < 1e-10
@@ -69,14 +67,15 @@ class TestConeData:
     def test_non_circle_vertex_rejected(self, tetrahedron):
         # the hypercycle vertex 3 has no cone angle
         K = np.log(np.array([2.0, 2.0, 2.0, 0.5]))
-        assert set(cone_data(tetrahedron, K)) == {0, 1, 2}
+        assert set(realize_metric(tetrahedron, K).cone_angles) == {0, 1, 2}
 
 
 class TestBoundaryData:
     def test_solved_tetrahedron(self, tetrahedron):
         res = solve(tetrahedron, np.ones(4))
-        lengths, cusps = boundary_data(tetrahedron, res.K)
-        assert cusps == []
+        m = realize_metric(tetrahedron, res.K)
+        lengths, cusps = m.boundary_lengths, m.cusps
+        assert cusps == ()
         for v in range(4):
             assert lengths[v] == pytest.approx(BOUNDARY_TETRA, abs=1e-8)
 
@@ -84,15 +83,16 @@ class TestBoundaryData:
         # L_v = sum over corners of s * sinh r_v at hypercycle vertices
         K = np.log(rng.uniform(0.1, 0.9, size=4))
         rep = vertex_curvatures(tetrahedron, K)
-        lengths, _ = boundary_data(tetrahedron, K)
+        lengths = realize_metric(tetrahedron, K).boundary_lengths
         for v in range(4):
             r = curvature_to_radius(math.exp(K[v]))
             assert rep.L[v] == pytest.approx(lengths[v] * math.sinh(r), rel=1e-10)
 
     def test_cusp_listed_without_length(self, tetrahedron):
         K = np.log(np.array([0.5, 1.0, 2.0, 0.7]))
-        lengths, cusps = boundary_data(tetrahedron, K)
-        assert cusps == [1]
+        m = realize_metric(tetrahedron, K)
+        lengths, cusps = m.boundary_lengths, m.cusps
+        assert cusps == (1,)
         assert set(lengths) == {0, 3}
 
     def test_boundary_closure_combinatorics(self, tetrahedron):
@@ -129,7 +129,7 @@ class TestAudit:
         K = np.log(rng.uniform(1.2, 3.0, size=6))
         rep = vertex_curvatures(octahedron, K)
         lhs = sum(fg.polygon_area for fg in rep.faces)
-        cones = cone_data(octahedron, K)
+        cones = realize_metric(octahedron, K).cone_angles
         rhs = -2 * math.pi * 2 + sum(2 * math.pi - th for th in cones.values())
         assert lhs == pytest.approx(rhs, abs=1e-10)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hypack.surface import (
-    CapacityError,
     ParseError,
     Triangulation,
     check_admissible,
@@ -83,10 +82,11 @@ def brute_force_admissible(tri, L):
     """Independent plain-python subset enumeration."""
     worst = math.inf
     witness = None
+    incident = [{fi for fi, f in enumerate(tri.faces) if v in f}
+                for v in range(tri.num_vertices)]
     for size in range(1, tri.num_vertices + 1):
         for subset in itertools.combinations(range(tri.num_vertices), size):
-            s = set(subset)
-            fi = sum(1 for f in tri.faces if s.intersection(f))
+            fi = len(set().union(*(incident[i] for i in subset)))
             margin = math.pi * fi - sum(L[i] for i in subset)
             if margin < worst:
                 worst = margin
@@ -118,17 +118,40 @@ class TestAdmissible:
         assert total >= math.pi * incident
 
     def test_oracle_equivalence(self, tetrahedron, octahedron, rng):
-        for tri in (tetrahedron, octahedron, torus_grid(2, 4)):
-            for _ in range(15):
-                L = rng.uniform(0.1, 6.0, size=tri.num_vertices)
+        # (surface, upper end of the target range, draws): the range grows
+        # with the vertex degree so that both outcomes occur
+        for tri, hi, draws in ((tetrahedron, 6.0, 15), (octahedron, 6.0, 15),
+                               (torus_grid(2, 4), 6.0, 15), (genus2(), 14.0, 5),
+                               (torus_grid(4, 4), 12.0, 5)):
+            for _ in range(draws):
+                L = rng.uniform(0.1, hi, size=tri.num_vertices)
                 adm = check_admissible(tri, L)
-                worst, _ = brute_force_admissible(tri, L)
+                worst, witness = brute_force_admissible(tri, L)
                 assert adm.worst_margin == pytest.approx(worst, abs=1e-9)
                 assert adm.admissible == (worst > 0.0)
                 if not adm.admissible:
+                    assert adm.witness == witness
                     s = set(adm.witness)
                     fi = sum(1 for f in tri.faces if s.intersection(f))
                     assert sum(L[i] for i in adm.witness) >= math.pi * fi
+
+    @pytest.mark.parametrize("tri, L, witness", [
+        # margin exactly 0 on {0}: one flow alone saturates every vertex
+        (Triangulation(4, TETRA_FACES), [3 * math.pi, 0.5, 0.5, 0.5], (0,)),
+        # {0, 1} meets 10 faces and carries exactly 10 pi
+        (torus_grid(4, 4), [5 * math.pi] * 2 + [0.5] * 14, (0, 1)),
+    ])
+    def test_tight_target_is_inadmissible(self, tri, L, witness):
+        adm = check_admissible(tri, L)
+        assert (adm.admissible, adm.worst_margin, adm.witness) == (False, 0.0, witness)
+        assert brute_force_admissible(tri, L) == (0.0, witness)
+
+    def test_above_former_subset_cap(self):
+        # 36 vertices: 2^36 subsets, far beyond exhaustive enumeration
+        tri = torus_grid(6, 6)
+        adm = check_admissible(tri, [6 * math.pi + 0.1] + [0.5] * 35)
+        assert not adm.admissible and adm.witness == (0,)
+        assert adm.worst_margin == pytest.approx(-0.1, abs=1e-12)
 
     def test_octahedron_examples(self, octahedron):
         assert check_admissible(octahedron, [2.0] * 6).admissible
@@ -137,11 +160,6 @@ class TestAdmissible:
     def test_nonpositive_rejected(self, tetrahedron):
         with pytest.raises(ValueError):
             check_admissible(tetrahedron, [1.0, 0.0, 1.0, 1.0])
-
-    def test_capacity_guard(self):
-        t = torus_grid(3, 9)  # 27 vertices
-        with pytest.raises(CapacityError):
-            check_admissible(t, [0.1] * 27)
 
     def test_string_of_margins(self, tetrahedron):
         # violation amount is maximized by the witness, with smallest-set
