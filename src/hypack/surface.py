@@ -215,7 +215,7 @@ def violating_subset(tri: Triangulation, l_hat) -> tuple[int, ...] | None:
 def _max_flow(tri: Triangulation, l_hat):
     """Route the targets by a maximum flow, in which corner c of face f takes
     x[f][c] from its vertex and face f can pass room[f] more to the sink.
-    Flows and rooms within tol of zero count as zero."""
+    Returns (x, room, tol, witness, its margin); values within tol of 0 are 0."""
     L = np.asarray(l_hat, dtype=float)
     if L.shape != (tri.num_vertices,):
         raise ValueError(f"expected {tri.num_vertices} target entries, got shape {L.shape}")
@@ -282,10 +282,10 @@ def _augment(tri: Triangulation, x, room, start: int, limit: float, tol: float) 
 
 
 def _witness(tri: Triangulation, x, room, short, tol) -> tuple[int, ...] | None:
-    """The smallest worst-violating set of a maximum flow, or None: all
-    that the vertices short of their target reach (the smallest minimum
-    cut) or else, as a vertex with no residual path to the sink lies in a
-    tight set (margin 0), the smallest reach of such a vertex."""
+    """The smallest worst-violating set of a maximum flow, or None.  With
+    vertices short of their target it is all they reach (the smallest
+    minimum cut); else a vertex with no residual path to the sink lies in
+    a tight set (margin 0), and the smallest one is such a vertex's reach."""
     if short:
         return tuple(sorted(_search(tri, x, room, short, tol)[1]))
     to_sink: set[int] = set()
