@@ -55,8 +55,9 @@ _MIN_STEP = 1e-14
 _NEWTON_DAMPING = 1.0       # first Newton step fraction tried before halving
 
 # Guards check_admissibility=False: |K_i| beyond this while the residual
-# stalls ends the solve as INFEASIBLE.  Below ~36.7, where exp(K) leaves the
-# polygon solvers' double-precision range, so divergence is diagnosed first.
+# stalls ends the flow or Newton as INFEASIBLE.  Below ~36.7, where exp(K)
+# leaves the polygon solvers' double-precision range, so divergence is
+# diagnosed first.  With the gate on, INFEASIBLE always has a witness.
 _DRIFT_LIMIT = 30.0
 
 
@@ -167,9 +168,14 @@ def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
 
 
 def _newton_direction(tri, K, res):
-    # M is SPD at every state, so one symmetric solve serves every size
-    M = global_jacobian(tri, K)
-    return np.linalg.solve(0.5 * (M + M.T), res)
+    # M is SPD at every state and symmetric to rounding: one dense solve
+    return np.linalg.solve(global_jacobian(tri, K), res)
+
+
+def _drifted(K, res_max: float, cfg: FlowConfig) -> bool:
+    """Gate off, some |K_i| beyond _DRIFT_LIMIT and the residual not small."""
+    return (not cfg.check_admissibility and res_max > cfg.residual_tol * 10
+            and float(np.max(np.abs(K))) > _DRIFT_LIMIT)
 
 
 def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) -> SolveResult:
@@ -218,7 +224,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             break
         if steps >= cfg.max_steps or t >= cfg.max_time:
             return SolveResult(K=K, trace=trace, status=SolveStatus.MAX_STEPS_EXCEEDED)
-        if res_max > cfg.residual_tol * 10 and float(np.max(np.abs(K))) > _DRIFT_LIMIT:
+        if _drifted(K, res_max, cfg):
             return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE)
 
         h = min(h, _MAX_STEP, max(cfg.max_time - t, _MIN_STEP))
@@ -247,10 +253,13 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     # ---- Newton phase ----
     res_norm = float(np.linalg.norm(res))
     for _ in range(200):
-        if float(np.max(np.abs(res))) < cfg.residual_tol:
+        res_max = float(np.max(np.abs(res)))
+        if res_max < cfg.residual_tol:
             return SolveResult(K=K, trace=trace, status=SolveStatus.CONVERGED)
         if steps >= cfg.max_steps:
             return SolveResult(K=K, trace=trace, status=SolveStatus.MAX_STEPS_EXCEEDED)
+        if _drifted(K, res_max, cfg):
+            return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE)
         direction = _newton_direction(tri, K, res)
         alpha = _NEWTON_DAMPING
         while True:

@@ -2,9 +2,11 @@
 the global Jacobian/Hessian M = [dL_i/dK_j], and the convex potential.
 
 The state is the log-curvature vector K (K_i = ln k_i), which makes the
-domain all of R^|V|.  Face evaluations use a fixed face order and
-fixed-order summation so results are deterministic.  The Hessian has one
-assembly path, a dense ndarray at every surface size.
+domain all of R^|V|.  Every face goes through one call of the array face
+kernel (tangency.face_kernel) per evaluation, with no loop over faces;
+the Hessian takes the kernel's exact face Jacobians.  Scatters to the
+vertices add in face order, so results are deterministic.  The Hessian
+has one assembly path, a dense ndarray at every surface size.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .surface import Triangulation
-from .tangency import FaceGeometry, corner_curvatures, face_jacobian, solve_face
+from .tangency import FaceGeometry, face_kernel, face_records
+# not called here: perfbench's tracer wraps these names in this module
+from .tangency import corner_curvatures, face_jacobian, solve_face  # noqa: F401
 
 __all__ = [
     "CurvatureReport",
@@ -35,55 +39,52 @@ class CurvatureReport:
     total_area: float
 
 
+def _face_curvatures(tri: Triangulation, K) -> np.ndarray:
+    """The (F, 3) corner curvatures exp(K) of every face.  exp overflows
+    to inf and underflows to 0 silently; the face kernel rejects both."""
+    K = np.asarray(K, dtype=float)
+    if K.shape != (tri.num_vertices,):
+        raise ValueError(f"expected {tri.num_vertices} state entries, got {K.shape}")
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(K)[tri.face_array]
+
+
 def vertex_curvature_sums(tri: Triangulation, K) -> np.ndarray:
-    """L_i = sum over faces at i of the corner total curvature (fast path)."""
-    k = np.exp(np.asarray(K, dtype=float))
-    if k.shape != (tri.num_vertices,):
-        raise ValueError(f"expected {tri.num_vertices} state entries, got {k.shape}")
-    kl = k.tolist()
-    return _sum_at_vertices(
-        tri, [corner_curvatures(kl[a], kl[b], kl[c]) for a, b, c in tri.faces])
+    """L_i = sum over faces at i of the corner total curvature: one
+    value-only face_kernel call over all faces."""
+    return _sum_at_vertices(tri, face_kernel(_face_curvatures(tri, K)).L)
 
 
 def vertex_curvatures(tri: Triangulation, K) -> CurvatureReport:
     """Full report: curvature sums, solved faces, total enclosed area."""
-    k = np.exp(np.asarray(K, dtype=float))
-    if k.shape != (tri.num_vertices,):
-        raise ValueError(f"expected {tri.num_vertices} state entries, got {k.shape}")
-    kl = k.tolist()
-    faces = tuple(solve_face(kl[a], kl[b], kl[c]) for a, b, c in tri.faces)
-    return CurvatureReport(
-        L=_sum_at_vertices(tri, [fg.total_curvature for fg in faces]),
-        faces=faces, total_area=sum((fg.area for fg in faces), 0.0))
+    k = _face_curvatures(tri, K)
+    fa = face_kernel(k)
+    return CurvatureReport(L=_sum_at_vertices(tri, fa.L), faces=tuple(face_records(k, fa)),
+                           total_area=sum(fa.area.tolist(), 0.0))
 
 
-def _sum_at_vertices(tri: Triangulation, corner_values) -> np.ndarray:
-    """Per-vertex sums of per-face corner values (one row per face).
+def _sum_at_vertices(tri: Triangulation, corner_values: np.ndarray) -> np.ndarray:
+    """Per-vertex sums of (F, 3) per-corner values.
 
     np.bincount adds in face order, so the sums equal a loop over faces.
     """
-    return np.bincount(np.array(tri.faces, dtype=np.intp).ravel(),
-                       weights=np.ravel(corner_values), minlength=tri.num_vertices)
+    return np.bincount(tri.face_array.ravel(), weights=corner_values.ravel(),
+                       minlength=tri.num_vertices)
 
 
 def global_jacobian(tri: Triangulation, K) -> np.ndarray:
-    """Hessian M with M[i, j] = dL_i/dK_j, assembled from per-face blocks.
+    """Hessian M with M[i, j] = dL_i/dK_j, assembled from the exact face
+    Jacobians of one face_kernel call over all faces.
 
-    Symmetric (up to finite-difference noise), strictly diagonally
-    dominant with positive diagonal, hence positive definite.  Always a
-    dense n x n ndarray, which costs 8*n^2 bytes: 0.5 MB at 256 vertices,
-    8 MB at 1024.  np.bincount adds the face blocks into each entry in
-    face order.
+    Symmetric to rounding (about 1e-14 relative, so no symmetrization is
+    needed), strictly diagonally dominant with positive diagonal, hence
+    positive definite.  Always a dense n x n ndarray, which costs 8*n^2
+    bytes: 0.5 MB at 256 vertices, 8 MB at 1024.  np.bincount adds the
+    face blocks into each entry in face order.
     """
-    k = np.exp(np.asarray(K, dtype=float))
     n = tri.num_vertices
-    if k.shape != (n,):
-        raise ValueError(f"expected {n} state entries, got {k.shape}")
-    kl = k.tolist()
-    J = np.array([face_jacobian(kl[a], kl[b], kl[c]) for a, b, c in tri.faces])
-    f = np.array(tri.faces, dtype=np.intp).reshape(-1, 3)
-    index = f[:, :, None] * n + f[:, None, :]
-    return np.bincount(index.ravel(), weights=J.ravel(),
+    J = face_kernel(_face_curvatures(tri, K), jac=True).J
+    return np.bincount(tri.corner_pair_index, weights=J.ravel(),
                        minlength=n * n).reshape(n, n)
 
 

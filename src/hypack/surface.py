@@ -53,16 +53,23 @@ class Defect:
 class Triangulation:
     """Closed triangulated surface: vertex count plus face triples.
 
-    Derived incidence structure (edge set, vertex->face lists, degrees)
-    is computed eagerly; construction only rejects structurally
-    malformed input (bad arity, out-of-range indices), while closed-
-    surface violations are reported as data by validate().
+    Derived incidence structure (edge set, vertex->face lists, degrees,
+    the read-only (F, 3) intp face_array and corner_pair_index, the flat
+    index i * n + j of each face's ordered corner pairs, where its 3 x 3
+    block lands in an n x n matrix) is computed eagerly; construction only
+    rejects structurally malformed input (bad arity, out-of-range
+    indices), while closed-surface violations are reported as data by
+    validate(), computed on its first call.  Every attribute is set in
+    __init__, so that instances keep one attribute layout.
     """
 
     num_vertices: int
     faces: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     vertex_faces: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    face_array: np.ndarray = field(init=False, repr=False, compare=False)
+    corner_pair_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _defects: tuple[Defect, ...] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
         if num_vertices <= 0:
@@ -88,13 +95,25 @@ class Triangulation:
                 vf[v].append(fi)
         object.__setattr__(self, "edges", tuple(sorted(edge_set)))
         object.__setattr__(self, "vertex_faces", tuple(tuple(x) for x in vf))
+        f = np.array(self.faces, dtype=np.intp).reshape(-1, 3)
+        index = (f[:, :, None] * num_vertices + f[:, None, :]).ravel()
+        f.flags.writeable = index.flags.writeable = False
+        object.__setattr__(self, "face_array", f)
+        object.__setattr__(self, "corner_pair_index", index)
+        object.__setattr__(self, "_defects", None)
 
     def degree(self, v: int) -> int:
         """Number of faces containing vertex v."""
         return len(self.vertex_faces[v])
 
     def validate(self) -> list[Defect]:
-        """All closed-surface violations, as data (empty list when valid)."""
+        """All closed-surface violations, as data (empty list when valid):
+        found on the first call, a fresh list on every call."""
+        if self._defects is None:
+            object.__setattr__(self, "_defects", self._find_defects())
+        return list(self._defects)
+
+    def _find_defects(self) -> tuple[Defect, ...]:
         defects: list[Defect] = []
         for fi, f in enumerate(self.faces):
             if len(set(f)) != 3:
@@ -117,7 +136,7 @@ class Triangulation:
                 defects.append(d)
         if self.faces:
             defects.extend(self._connectivity_defects())
-        return defects
+        return tuple(defects)
 
     def _link_defect(self, v: int) -> Defect | None:
         """The link of v must be a single closed cycle."""
@@ -215,7 +234,10 @@ def violating_subset(tri: Triangulation, l_hat) -> tuple[int, ...] | None:
 def _max_flow(tri: Triangulation, l_hat):
     """Route the targets by a maximum flow, in which corner c of face f takes
     x[f][c] from its vertex and face f can pass room[f] more to the sink.
-    Returns (x, room, tol, witness, its margin); values within tol of 0 are 0."""
+    Returns (x, room, tol, witness, its margin).  Flows and rooms, which
+    never exceed pi, count as 0 within tol = 1e-12 pi; vertex v is short
+    of its target when more than 1e-12 (pi + Lhat_v) is missing, so that
+    a tiny target next to huge ones still counts."""
     L = np.asarray(l_hat, dtype=float)
     if L.shape != (tri.num_vertices,):
         raise ValueError(f"expected {tri.num_vertices} target entries, got shape {L.shape}")
@@ -223,7 +245,8 @@ def _max_flow(tri: Triangulation, l_hat):
     if not np.all(ok):
         bad = int(np.argmin(ok))
         raise ValueError(f"target curvatures must be positive and finite; entry {bad} is {L[bad]}")
-    tol = 1e-12 * (math.pi + float(L.max()))
+    tol = 1e-12 * math.pi
+    short_tol = [1e-12 * (math.pi + float(v)) for v in L]
     x = [[0.0, 0.0, 0.0] for _ in tri.faces]
     room = [math.pi] * len(tri.faces)
     need = [float(v) for v in L]
@@ -233,9 +256,9 @@ def _max_flow(tri: Triangulation, l_hat):
             room[f] -= x[f][c]
             need[v] -= x[f][c]
     for v in range(tri.num_vertices):
-        if need[v] > tol:
+        if need[v] > short_tol[v]:
             need[v] -= _augment(tri, x, room, v, need[v], tol)
-    short = [v for v in range(tri.num_vertices) if need[v] > tol]
+    short = [v for v in range(tri.num_vertices) if need[v] > short_tol[v]]
     margin = 0.0 - sum(need[v] for v in short)  # the witness's; +0.0 on a tight set
     return x, room, tol, _witness(tri, x, room, short, tol), margin
 

@@ -1,13 +1,17 @@
-"""Single three-circle configurations.
+"""Three-circle configurations, one face or many at once.
 
 Given three positive geodesic curvatures there is a unique (up to
 isometry) configuration of three mutually externally tangent
-circles/horocycles/hypercycles.  This module solves one such face two
-independent ways:
+circles/horocycles/hypercycles.  This module solves faces two ways:
 
-* ``solve_face`` — trigonometric route through the right-angled polygon
-  decompositions (triangle, quadrilateral, pentagon, hexagon, and the
-  ideal-vertex limit when a curvature equals 1);
+* ``face_kernel`` — the trigonometric route through the right-angled
+  polygon decompositions, over an (F, 3) array of faces, grouped by case
+  with masks: triangle, quadrilateral, pentagon, hexagon, and the ideal
+  vertex at a curvature of 1 (through the embedding's chord identities).
+  On request it also returns the exact Jacobian dL/dK, K = ln k, by
+  forward-mode differentiation through the same closed forms.
+  ``solve_face``, ``corner_curvatures`` and ``face_jacobian`` call it on
+  one face;
 * ``realize_face`` — explicit upper half-plane embedding, which doubles
   as the rendering feed and as a numerical oracle (arc lengths by chord
   identities or by adaptive quadrature of ds = |dz|/y).
@@ -19,21 +23,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .hyptrig import (
+    KIND_TOL,
     CurveKind,
     InfeasibleGeometryError,
     classify_curvature,
-    curvature_to_radius,
-    solve_hexagon,
-    solve_pentagon,
-    solve_quadrilateral,
+    hexagon_sides,
+    pentagon_split,
+    quad_split,
+    triangle_angles,
 )
+# not called here: perfbench's tracer wraps these two names in this module
+from .hyptrig import solve_pentagon, solve_quadrilateral  # noqa: F401
 
 __all__ = [
     "FaceGeometry",
+    "FaceArrays",
     "EmbeddedCircle",
     "EmbeddedFace",
+    "face_kernel",
+    "face_records",
     "solve_face",
     "realize_face",
     "face_jacobian",
@@ -41,6 +55,9 @@ __all__ = [
 ]
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+# the kernel's corner kind codes, indexing _KINDS
+_HORO, _CIRC, _HYPER = 0, 1, 2
+_KINDS = (CurveKind.HOROCYCLE, CurveKind.CIRCLE, CurveKind.HYPERCYCLE)
 
 
 @dataclass(frozen=True)
@@ -69,172 +86,274 @@ class FaceGeometry:
     edge_lengths: tuple[float, float, float]
 
 
-def _corner_angles(ks):
-    """Core solver: per-corner (gen_angle, l, L) for curvatures ks.
+class FaceArrays(NamedTuple):
+    """face_kernel's output for F faces, corners in input order: kind
+    codes (_KINDS), FaceGeometry's gen_angle (NaN at a horocycle),
+    arc_length, total_curvature, area and polygon_area (summed in
+    ascending-curvature order, so independent of the corner order), and
+    J[f, i, j] = dL_i/dK_j or None when not requested."""
 
-    Dispatch over the number of circles/hypercycles; any horocycle
-    routes through the half-plane embedding (the polygon degenerates to
-    an ideal vertex there).  ks must be canonically ordered by the
-    caller if exact permutation symmetry is wanted.
-    """
-    kinds = tuple(classify_curvature(k) for k in ks)
-    if CurveKind.HOROCYCLE in kinds:
-        emb = _embed(ks)
-        return tuple(_corner_from_chord(ks[i], kinds[i], _chord_coshm1(emb, i))
-                     for i in range(3)), kinds
-
-    rs = tuple(curvature_to_radius(k) for k in ks)
-    n_circ = sum(1 for kd in kinds if kd is CurveKind.CIRCLE)
-
-    if n_circ == 3:
-        d = (rs[1] + rs[2], rs[0] + rs[2], rs[0] + rs[1])
-        thetas = _triangle_angles_from_radii(rs)
-        out = tuple((th, th * math.sinh(r), th * math.cosh(r))
-                    for th, r in zip(thetas, rs))
-    elif n_circ == 0:
-        d = (rs[1] + rs[2], rs[0] + rs[2], rs[0] + rs[1])
-        ss = solve_hexagon(*d)
-        out = tuple((s, s * math.cosh(r), s * math.sinh(r))
-                    for s, r in zip(ss, rs))
-    elif n_circ == 2:
-        h = kinds.index(CurveKind.HYPERCYCLE)
-        ia, ib = [i for i in range(3) if i != h]
-        if rs[ib] < rs[ia]:
-            ia, ib = ib, ia  # foot of the perpendicular must fall on the longer side
-        vals = _quad_face(rs[h], rs[ia], rs[ib])
-        out = [None] * 3
-        out[h], out[ia], out[ib] = vals
-        out = tuple(out)
-    else:
-        c = kinds.index(CurveKind.CIRCLE)
-        ig, ih = [i for i in range(3) if i != c]
-        vals = _pent_face(rs[c], rs[ig], rs[ih])
-        out = [None] * 3
-        out[c], out[ig], out[ih] = vals
-        out = tuple(out)
-    return out, kinds
+    kind: np.ndarray
+    gen: np.ndarray
+    arc: np.ndarray
+    L: np.ndarray
+    area: np.ndarray
+    polygon_area: np.ndarray
+    J: np.ndarray | None
 
 
-def _triangle_angles_from_radii(rs):
-    """Angles of the triangle with sides r_j + r_k, cancellation-free.
+class _Dual(NDArrayOperatorsMixin):
+    """Values v (n,) with their gradients d (n, 3) along a face's three
+    log-curvatures.  np.* ufuncs apply the chain rule (_PARTIALS), so a
+    closed form written with np.* also yields its exact derivative.
+    Comparisons act on the values."""
 
-    tan(theta_i / 2) = sqrt(sinh r_j sinh r_k / (sinh r_i sinh(r1+r2+r3))).
-    """
-    sh = tuple(math.sinh(r) for r in rs)
-    sp = math.sinh(rs[0] + rs[1] + rs[2])
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        out.append(2.0 * math.atan2(math.sqrt(sh[j] * sh[k]), math.sqrt(sp * sh[i])))
-    return tuple(out)
+    def __init__(self, v, d):
+        self.v = v
+        self.d = d
+
+    def __getitem__(self, rows):
+        return _Dual(self.v[rows], self.d[rows])
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        vals = [x.v if isinstance(x, _Dual) else x for x in inputs]
+        if ufunc in _COMPARISONS:
+            return ufunc(*vals)
+        if ufunc not in _PARTIALS:
+            return NotImplemented
+        y = ufunc(*vals)
+        terms = [x.d * (p[:, None] if np.ndim(p) else p)
+                 for p, x in zip(_PARTIALS[ufunc](y, *vals), inputs)
+                 if isinstance(x, _Dual)]
+        return _Dual(y, sum(terms[1:], terms[0]))
 
 
-def _quad_face(rh, ra, rb):
-    """Quadrilateral case: hypercycle (rh) + circles (ra <= rb).
+_COMPARISONS = {np.greater, np.greater_equal}
+# the partial derivatives of y = f(a) or f(a, b), for each ufunc the kernel uses
+_PARTIALS = {
+    np.add: lambda y, a, b: (1.0, 1.0),
+    np.subtract: lambda y, a, b: (1.0, -1.0),
+    np.multiply: lambda y, a, b: (b, a),
+    np.true_divide: lambda y, a, b: (1.0 / b, -y / b),
+    np.maximum: lambda y, a, b: (a >= b, a < b),
+    np.arctan2: lambda y, a, b: (b / (a * a + b * b), -a / (a * a + b * b)),
+    np.negative: lambda y, a: (-1.0,),
+    np.exp: lambda y, a: (y,),
+    np.log1p: lambda y, a: (1.0 / (1.0 + a),),
+    np.sqrt: lambda y, a: (0.5 / y,),
+    np.sinh: lambda y, a: (np.cosh(a),),
+    np.cosh: lambda y, a: (np.sinh(a),),
+    np.tanh: lambda y, a: (1.0 / np.cosh(a) ** 2,),
+    np.arctan: lambda y, a: (1.0 / (1.0 + a * a),),
+    np.arcsinh: lambda y, a: (1.0 / np.hypot(1.0, a),),
+    np.arccosh: lambda y, a: (1.0 / np.sqrt((a - 1.0) * (a + 1.0)),),
+    np.arctanh: lambda y, a: (1.0 / ((1.0 - a) * (1.0 + a)),),
+}
+
+
+def _value(x):
+    return x.v if isinstance(x, _Dual) else x
+
+
+def _require(x, ok):
+    """x where ok holds and NaN elsewhere, so that the face fails the
+    kernel's finiteness check."""
+    return x * np.where(ok, 1.0, np.nan)
+
+
+def _circle_radius(k):
+    return 0.5 * np.log1p(2.0 / (k - 1.0))  # arccoth k
+
+
+def _circle_corner(theta, r):
+    return theta, theta * np.sinh(r), theta * np.cosh(r)
+
+
+def _hyper_corner(s, r):
+    return s, s * np.cosh(r), s * np.sinh(r)
+
+
+# Each case maps the curvature columns of its faces, in ascending order,
+# to the (gen, l, L) of each corner in that order.
+
+def _triangle(k0, k1, k2):
+    """Three circles: the triangle of their centers."""
+    rs = [_circle_radius(k) for k in (k0, k1, k2)]
+    return [_circle_corner(th, r) for th, r in zip(triangle_angles(*rs), rs)]
+
+
+def _quadrilateral(kh, kb, ka):
+    """A hypercycle (h) and circles a, b with ra <= rb.
 
     Corners A (circle a), B (circle b) and feet P, Q on the hypercycle
     axis, right angles at P and Q; the perpendicular from A onto QB
     (length y, foot at distance x from Q) gives a Lambert quadrilateral
     AXQP and a right triangle AXB, from which all angles follow.
-    Returns ((gen, l, L) for h, a, b).
     """
-    l1 = rh + rb   # Q-B
-    l2 = ra + rb   # A-B
-    l3 = rh + ra   # P-A
-    sol = solve_quadrilateral(l1, l2, l3)
-    x, y = sol.x, sol.y
-    s = math.asinh(math.sinh(y) / math.cosh(l3))  # axis side P-Q
-    th_a = (math.atan(math.tanh(x) / math.sinh(y))
-            + math.atan(math.tanh(s) / math.sinh(l3))
-            + math.atan(math.tanh(l1 - x) / math.sinh(y)))
-    th_b = math.atan(math.tanh(y) / math.sinh(l1 - x))
-    return ((s, s * math.cosh(rh), s * math.sinh(rh)),
-            (th_a, th_a * math.sinh(ra), th_a * math.cosh(ra)),
-            (th_b, th_b * math.sinh(rb), th_b * math.cosh(rb)))
+    rh, rb, ra = np.arctanh(kh), _circle_radius(kb), _circle_radius(ka)
+    l1, l2, l3 = rh + rb, ra + rb, rh + ra   # Q-B, A-B, P-A
+    x, cosh_y = quad_split(l1, l2, l3)
+    y = np.arccosh(_require(cosh_y, cosh_y > 1.0))
+    s = np.arcsinh(np.sinh(y) / np.cosh(l3))  # axis side P-Q
+    th_a = (np.arctan(np.tanh(x) / np.sinh(y))
+            + np.arctan(np.tanh(s) / np.sinh(l3))
+            + np.arctan(np.tanh(l1 - x) / np.sinh(y)))
+    th_b = np.arctan(np.tanh(y) / np.sinh(l1 - x))
+    return [_hyper_corner(s, rh), _circle_corner(th_b, rb), _circle_corner(th_a, ra)]
 
 
-def _pent_face(rc, rg, rh):
-    """Pentagon case: circle (rc) + hypercycles (rg, rh).
+def _pentagon(kg, kh, kc):
+    """Hypercycles g, h and a circle c.
 
     Apex C at the circle center, feet on both axes and the common
     perpendicular between the axes (length rg + rh) as the middle side;
     the perpendicular from C onto the middle side splits the pentagon
-    into two Lambert quadrilaterals.  Returns ((gen, l, L) for c, g, h).
+    into two Lambert quadrilaterals.
     """
-    l1 = rc + rg
-    l2 = rc + rh
-    l3 = rg + rh   # middle side
-    sol = solve_pentagon(l1, l2, l3)
-    x, y = sol.x, sol.y
-    sg = math.asinh(math.sinh(y) / math.cosh(l1))
-    sh = math.asinh(math.sinh(y) / math.cosh(l2))
-    th_c = (math.atan(math.tanh(x) / math.sinh(y))
-            + math.atan(math.tanh(sg) / math.sinh(l1))
-            + math.atan(math.tanh(l3 - x) / math.sinh(y))
-            + math.atan(math.tanh(sh) / math.sinh(l2)))
-    return ((th_c, th_c * math.sinh(rc), th_c * math.cosh(rc)),
-            (sg, sg * math.cosh(rg), sg * math.sinh(rg)),
-            (sh, sh * math.cosh(rh), sh * math.sinh(rh)))
+    rg, rh, rc = np.arctanh(kg), np.arctanh(kh), _circle_radius(kc)
+    l1, l2, l3 = rc + rg, rc + rh, rg + rh
+    x, cosh_y = pentagon_split(l1, l2, l3)
+    y = np.arccosh(_require(cosh_y, cosh_y > 1.0))
+    sg = np.arcsinh(np.sinh(y) / np.cosh(l1))
+    sh = np.arcsinh(np.sinh(y) / np.cosh(l2))
+    th_c = (np.arctan(np.tanh(x) / np.sinh(y))
+            + np.arctan(np.tanh(sg) / np.sinh(l1))
+            + np.arctan(np.tanh(l3 - x) / np.sinh(y))
+            + np.arctan(np.tanh(sh) / np.sinh(l2)))
+    return [_hyper_corner(sg, rg), _hyper_corner(sh, rh), _circle_corner(th_c, rc)]
 
 
-def _canonical_order(ks):
-    """Permutation sorting curvatures ascending (canonical dispatch order)."""
-    return tuple(sorted(range(3), key=lambda i: ks[i]))
+def _hexagon(k0, k1, k2):
+    """Three hypercycles: the right-angled hexagon of their axes."""
+    rs = [np.arctanh(k) for k in (k0, k1, k2)]
+    ss = hexagon_sides(rs[1] + rs[2], rs[0] + rs[2], rs[0] + rs[1])
+    return [_hyper_corner(s, r) for s, r in zip(ss, rs)]
 
 
-def corner_curvatures(k1: float, k2: float, k3: float) -> tuple[float, float, float]:
-    """Total geodesic curvatures (L1, L2, L3) of one face; fast path
-    without the full FaceGeometry record."""
-    ks = (k1, k2, k3)
-    perm = _canonical_order(ks)
-    out, _ = _corner_angles(tuple(ks[p] for p in perm))
-    L = [0.0] * 3
-    for pos, p in enumerate(perm):
-        L[p] = out[pos][2]
-    return tuple(L)
+def _corner_chords(k0, k1, k2):
+    """cosh(chord) - 1 between each corner's two tangency points in the
+    half-plane embedding (the ideal-vertex case)."""
+    _, t = _embedding(k0, k1, k2)
+    return [_chord_coshm1(t[0], t[1]), _chord_coshm1(t[0], t[2]),
+            _chord_coshm1(t[1], t[2])]
+
+
+# the non-ideal cases by their number of hypercycles
+_CASES = (_triangle, _quadrilateral, _pentagon, _hexagon)
+
+
+def _columns(ks, jac: bool):
+    """The three curvature columns of ks; with jac, duals with dk/dK = k."""
+    cols = [np.ascontiguousarray(ks[:, j]) for j in range(3)]
+    return [_Dual(c, c[:, None] * np.eye(3)[j]) for j, c in enumerate(cols)] if jac else cols
+
+
+def face_kernel(k, *, jac: bool = False) -> FaceArrays:
+    """Solve the faces with (F, 3) curvatures k in one pass of array
+    operations, each in ascending curvature order, so that results
+    commute with permuting its corners.  The value-only path carries no
+    derivatives; jac=True adds the exact Jacobian J = dL/dK, K = ln k.
+    Raises ValueError for a curvature that is not positive, and
+    InfeasibleGeometryError naming a face that cannot be evaluated in
+    double precision."""
+    k = np.asarray(k, dtype=float)
+    if not (k > 0.0).all():
+        raise ValueError(f"geodesic curvature must be positive, got {k[~(k > 0.0)][0]}")
+    n = len(k)
+    f = np.arange(n)[:, None]
+    order = np.argsort(k, axis=1, kind="stable")
+    ks = k[f, order]
+    kinds = np.where(np.abs(ks - 1.0) <= KIND_TOL, _HORO, np.where(ks > 1.0, _CIRC, _HYPER))
+    # 0 to 3 hypercycles index _CASES; 4 is the ideal-vertex case
+    case = np.where((kinds == _HORO).any(axis=1), 4, (kinds == _HYPER).sum(axis=1))
+    out = np.full((3, n, 3), np.nan)  # gen, l, L at the sorted corners
+    dL = np.empty((n, 3, 3)) if jac else None
+    with np.errstate(all="ignore"):
+        for c in np.flatnonzero(np.bincount(case, minlength=5)):
+            rows = np.flatnonzero(case == c)
+            cols = _columns(ks[rows], jac)
+            if c < 4:
+                parts = [(rows, i, corner) for i, corner in enumerate(_CASES[c](*cols))]
+            else:  # each corner by its own kind's chord identity
+                parts = []
+                for i, m in enumerate(_corner_chords(*cols)):
+                    codes = kinds[rows, i]
+                    for code in set(codes.tolist()):
+                        sub = np.flatnonzero(codes == code)
+                        parts.append((rows[sub], i, _ARCS[code](cols[i][sub], m[sub])))
+            for r, i, corner in parts:
+                for q, x in enumerate(corner):
+                    if x is not None:
+                        out[q, r, i] = _value(x)
+                if jac:
+                    dL[r, i] = corner[2].d
+        area = np.pi - out[2].sum(axis=1)
+        polygon_area = np.pi - np.where(kinds == _CIRC, out[0], 0.0).sum(axis=1)
+
+    res = np.empty_like(out)
+    res[:, f, order] = out
+    kind = np.empty_like(kinds)
+    kind[f, order] = kinds
+    ok = np.isfinite(res[1:]).all(axis=(0, 2))
+    J = None
+    if jac:
+        J = np.empty_like(dL)
+        J[f[:, :, None], order[:, :, None], order[:, None, :]] = dL
+        ok &= np.isfinite(J).all(axis=(1, 2))
+    if not ok.all():
+        bad = tuple(k[int(np.argmin(ok))].tolist())
+        raise InfeasibleGeometryError(
+            f"face with curvatures {bad} cannot be evaluated in double precision")
+    return FaceArrays(kind, res[0], res[1], res[2], area, polygon_area, J)
+
+
+def face_records(k, fa: FaceArrays) -> list[FaceGeometry]:
+    """FaceGeometry records of the faces with (F, 3) curvatures k, from
+    their face_kernel output fa."""
+    k = np.asarray(k, dtype=float)
+    low = np.flatnonzero(fa.area < -1e-9)
+    if low.size:
+        # true area is positive but can round to ~0 at extreme curvatures
+        raise InfeasibleGeometryError(f"face with curvatures {tuple(k[low[0]].tolist())} "
+                                      "has non-positive enclosed area")
+    with np.errstate(all="ignore"):
+        r = np.where(fa.kind == _CIRC, _circle_radius(k),
+                     np.where(fa.kind == _HYPER, np.arctanh(k), np.inf))
+    edges = r[:, [0, 0, 1]] + r[:, [1, 2, 2]]  # in the order of _PAIRS
+    return [FaceGeometry(curvatures=tuple(ks), kinds=tuple(_KINDS[c] for c in kd),
+                         gen_angle=tuple(None if c == _HORO else g for c, g in zip(kd, gen)),
+                         arc_length=tuple(arc), total_curvature=tuple(L), area=area,
+                         polygon_area=poly, edge_lengths=tuple(e))
+            for ks, kd, gen, arc, L, area, poly, e in zip(
+                k.tolist(), fa.kind.tolist(), fa.gen.tolist(), fa.arc.tolist(),
+                fa.L.tolist(), fa.area.tolist(), fa.polygon_area.tolist(), edges.tolist())]
 
 
 def solve_face(k1: float, k2: float, k3: float) -> FaceGeometry:
-    """Solve the mutually tangent configuration with curvatures k1..k3.
+    """Solve the mutually tangent configuration with curvatures k1..k3
+    (face_kernel on one face).  The output is symmetric under
+    simultaneous permutation of the inputs and corners."""
+    k = np.array([[k1, k2, k3]], dtype=float)
+    return face_records(k, face_kernel(k))[0]
 
-    The output is symmetric under simultaneous permutation of the inputs
-    and corners (the dispatch happens in a canonical order internally).
+
+def corner_curvatures(k1: float, k2: float, k3: float) -> tuple[float, float, float]:
+    """Total geodesic curvatures (L1, L2, L3) of one face, without the
+    full FaceGeometry record."""
+    return tuple(face_kernel([[k1, k2, k3]]).L[0].tolist())
+
+
+def face_jacobian(k1: float, k2: float, k3: float):
+    """3x3 matrix J with J[i][j] = dL_i/dS_j, S = ln k, as nested lists.
+
+    Exact: forward-mode differentiation through face_kernel's closed
+    forms.  J is symmetric (closedness of the curvature form), has
+    positive diagonal, negative off-diagonal, and positive row sums
+    (= -d area/d S_j).
     """
-    ks = (k1, k2, k3)
-    perm = _canonical_order(ks)
-    sorted_ks = tuple(ks[p] for p in perm)
-    out, sorted_kinds = _corner_angles(sorted_ks)
-
-    gen = [None] * 3
-    arc = [0.0] * 3
-    tot = [0.0] * 3
-    kinds = [None] * 3
-    for pos, p in enumerate(perm):
-        g, l, L = out[pos]
-        gen[p] = g
-        arc[p] = l
-        tot[p] = L
-        kinds[p] = sorted_kinds[pos]
-
-    # sum in canonical order: bit-identical across input permutations
-    area = math.pi - out[0][2] - out[1][2] - out[2][2]
-    poly_area = math.pi - sum(out[pos][0] for pos in range(3)
-                              if sorted_kinds[pos] is CurveKind.CIRCLE)
-    if area < -1e-9:
-        # true area is positive but can round to ~0 at extreme curvatures
-        raise InfeasibleGeometryError(
-            f"face with curvatures {ks} has non-positive enclosed area")
-    rs = tuple(curvature_to_radius(k) for k in ks)
-    return FaceGeometry(
-        curvatures=ks,
-        kinds=tuple(kinds),
-        gen_angle=tuple(gen),
-        arc_length=tuple(arc),
-        total_curvature=tuple(tot),
-        area=area,
-        polygon_area=poly_area,
-        edge_lengths=tuple(rs[i] + rs[j] for i, j in _PAIRS),
-    )
+    return face_kernel([[k1, k2, k3]], jac=True).J[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -283,81 +402,96 @@ class EmbeddedFace:
         quadrature (the independent oracle).
         """
         if method == "closed":
-            m = _chord_coshm1(self, i)
-            _, l, _ = _corner_from_chord(self.circles[i].k, classify_curvature(self.circles[i].k), m)
-            return l
+            P, Q, _ = self.arc_endpoints(i)
+            k = self.circles[i].k
+            arc = _ARCS[_KINDS.index(classify_curvature(k))]
+            return float(arc(k, _chord_coshm1(P, Q))[1])
         if method != "quadrature":
             raise ValueError(f"unknown arc-length method {method!r}")
         return _arc_quadrature(self, i)
 
 
-def _embed(ks) -> EmbeddedFace:
-    a = 1.0 / ks[0]
-    b = 1.0 / ks[1]
-    c0 = EmbeddedCircle(-a, 1.0, a, ks[0])
-    c1 = EmbeddedCircle(b, 1.0, b, ks[1])
-    # Third circle: center (u, k3*rho), radius rho, tangent to both.
+def _embedding(k0, k1, k2):
+    """Circles (cx, cy, radius) and the tangency points, in the order of
+    _PAIRS, of the embedded triple (normalization as in EmbeddedFace).
+    np.* only, so it serves floats, arrays and duals; a tangency chain
+    that fails to close gives NaN."""
+    a = 1.0 / k0
+    b = 1.0 / k1
+    # Third circle: center (u, k2*rho), radius rho, tangent to both.
     # Tangency eliminates u = rho (a-b)/(a+b); rho solves A rho^2 + B rho + 1 = 0.
     c = (a - b) / (a + b)
-    k3 = ks[2]
-    A = c * c + k3 * k3 - 1.0
-    B = 2.0 * (a * (c - 1.0) - k3)
+    A = c * c + k2 * k2 - 1.0
+    B = 2.0 * (a * (c - 1.0) - k2)
     disc = B * B - 4.0 * A
-    if disc < 0.0:
-        if disc < -1e-12 * B * B:
-            raise InfeasibleGeometryError(
-                f"tangency chain fails to close for curvatures {tuple(ks)}")
-        disc = 0.0
-    rho = 2.0 / (-B + math.sqrt(disc))  # smaller positive root, stable form
-    c2 = EmbeddedCircle(rho * c, k3 * rho, rho, k3)
-    circles = (c0, c1, c2)
-    tps = []
+    # a discriminant within rounding of zero is zero
+    disc = np.maximum(_require(disc, disc >= -1e-12 * B * B), 0.0)
+    rho = 2.0 / (-B + np.sqrt(disc))  # smaller positive root, stable form
+    circles = ((-a, 1.0, a), (b, 1.0, b), (rho * c, k2 * rho, rho))
+    points = []
     for i, j in _PAIRS:
-        ci, cj = circles[i], circles[j]
-        t = ci.radius / (ci.radius + cj.radius)
-        tps.append((ci.cx + (cj.cx - ci.cx) * t, ci.cy + (cj.cy - ci.cy) * t))
-    return EmbeddedFace(circles=circles, tangency_points=tuple(tps))
+        (xi, yi, ri), (xj, yj, rj) = circles[i], circles[j]
+        t = ri / (ri + rj)
+        points.append((xi + (xj - xi) * t, yi + (yj - yi) * t))
+    return circles, points
 
 
 def realize_face(k1: float, k2: float, k3: float) -> EmbeddedFace:
     """Embed the tangent configuration in the upper half-plane."""
-    for k in (k1, k2, k3):
+    ks = (k1, k2, k3)
+    for k in ks:
         if not k > 0.0:
             raise ValueError(f"geodesic curvature must be positive, got {k}")
-    return _embed((k1, k2, k3))
+    with np.errstate(all="ignore"):
+        circles, points = _embedding(*ks)
+    if not np.all(np.isfinite(circles)):
+        raise InfeasibleGeometryError(f"tangency chain fails to close for curvatures {ks}")
+    return EmbeddedFace(
+        circles=tuple(EmbeddedCircle(float(x), float(y), float(r), k)
+                      for (x, y, r), k in zip(circles, ks)),
+        tangency_points=tuple((float(x), float(y)) for x, y in points))
 
 
-def _chord_coshm1(emb: EmbeddedFace, i: int) -> float:
-    """cosh(chord distance) - 1 between corner i's two tangency points."""
-    P, Q, _ = emb.arc_endpoints(i)
+def _chord_coshm1(P, Q):
+    """cosh(hyperbolic distance) - 1 between half-plane points P and Q."""
     dx = P[0] - Q[0]
     dy = P[1] - Q[1]
     return (dx * dx + dy * dy) / (2.0 * P[1] * Q[1])
 
 
-def _corner_from_chord(k: float, kind: CurveKind, m: float):
-    """(gen_angle, l, L) of a corner from cosh(chord)-1 = m.
+# (gen_angle, l, L) of a corner of curvature k from cosh(chord) - 1 = m,
+# by the chord identities of each kind.
 
-    Chord identities: circle cosh d = cosh^2 r - sinh^2 r cos(theta);
-    horocycle l = 2 sinh(d/2); hypercycle cosh d = cosh^2 r cosh s - sinh^2 r.
-    """
-    if kind is CurveKind.HOROCYCLE:
-        l = math.sqrt(2.0 * m)
-        return None, l, l * k
-    if kind is CurveKind.CIRCLE:
-        sh2 = 1.0 / (k * k - 1.0)          # sinh^2 r
-        u = m / sh2                        # 1 - cos(theta)
-        if u <= 1.0:
-            theta = 2.0 * math.asin(math.sqrt(0.5 * u))
-        else:
-            theta = math.pi - 2.0 * math.asin(math.sqrt(max(0.5 * (2.0 - u), 0.0)))
-        l = theta * math.sqrt(sh2)
-        return theta, l, l * k
-    ch2 = 1.0 / (1.0 - k * k)              # cosh^2 r
-    u = m / ch2                            # cosh s - 1
-    s = math.log1p(u + math.sqrt(u * (2.0 + u)))  # acosh(1 + u), stable near 0
-    l = s * math.sqrt(ch2)
+def _horo_arc(k, m):
+    """Horocycle: l = 2 sinh(d/2); no generalized angle.  The factor is
+    1 at k = 1 and carries the first-order term that the circle and
+    hypercycle identities share near k = 1, l = sqrt(2m) (1 + m (k^2 - 1)
+    / 12 + ...), so that dL/dK is exact there too."""
+    l = np.sqrt(2.0 * m) * (1.0 + m * (k * k - 1.0) / 12.0)
+    return None, l, l * k
+
+
+def _circle_arc(k, m):
+    """Circle: cosh d = cosh^2 r - sinh^2 r cos(theta), so
+    1 - cos(theta) = u = m / sinh^2 r and tan(theta/2) = sqrt(u / (2 - u))."""
+    sh2 = 1.0 / (k * k - 1.0)          # sinh^2 r
+    u = m / sh2
+    theta = 2.0 * np.arctan2(np.sqrt(u), np.sqrt(np.maximum(2.0 - u, 0.0)))
+    l = theta * np.sqrt(sh2)
+    return theta, l, l * k
+
+
+def _hyper_arc(k, m):
+    """Hypercycle: cosh d = cosh^2 r cosh s - sinh^2 r, so
+    cosh s - 1 = u = m / cosh^2 r."""
+    ch2 = 1.0 / (1.0 - k * k)          # cosh^2 r
+    u = m / ch2
+    s = np.log1p(u + np.sqrt(u * (2.0 + u)))  # acosh(1 + u), stable near 0
+    l = s * np.sqrt(ch2)
     return s, l, l * k
+
+
+_ARCS = {_HORO: _horo_arc, _CIRC: _circle_arc, _HYPER: _hyper_arc}
 
 
 def _arc_quadrature(emb: EmbeddedFace, i: int) -> float:
@@ -391,31 +525,3 @@ def _arc_quadrature(emb: EmbeddedFace, i: int) -> float:
         lambda t: circ.radius / (circ.cy + circ.radius * math.sin(t)),
         lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
-
-
-# ---------------------------------------------------------------------------
-# Face Jacobian
-# ---------------------------------------------------------------------------
-
-def face_jacobian(k1: float, k2: float, k3: float):
-    """3x3 matrix J with J[i][j] = dL_i/dS_j, S = ln k.
-
-    Central finite differences on the face solver with step
-    h = 1e-6 * max(1, |S_j|).  J is symmetric (closedness of the
-    curvature form), has positive diagonal, negative off-diagonal, and
-    positive row sums (= -d area/d S_j).
-    """
-    ks = (k1, k2, k3)
-    S = [math.log(k) for k in ks]
-    J = [[0.0] * 3 for _ in range(3)]
-    for j in range(3):
-        h = 1e-6 * max(1.0, abs(S[j]))
-        up = list(ks)
-        dn = list(ks)
-        up[j] = math.exp(S[j] + h)
-        dn[j] = math.exp(S[j] - h)
-        Lu = corner_curvatures(*up)
-        Ld = corner_curvatures(*dn)
-        for i in range(3):
-            J[i][j] = (Lu[i] - Ld[i]) / (2.0 * h)
-    return J

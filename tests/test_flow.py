@@ -124,6 +124,15 @@ class TestSolve:
         # first stage is the current rate and the last one the next rate
         assert calls["L"] == 1 + 6 * calls["step"]
 
+    @pytest.mark.parametrize("target", [[10.0, 1.0, 1.0, 1.0], [3.2] * 4])
+    def test_newton_drift_guard(self, tetrahedron, target):
+        # gate off and Newton from K = 0: the iterates drift, and the guard
+        # ends the solve before exp(K) leaves the kernel's range
+        res = solve(tetrahedron, target,
+                    config=FlowConfig(check_admissibility=False, newton_switch_tol=1e9))
+        assert res.status is SolveStatus.INFEASIBLE and res.witness is None
+        assert res.trace.phase[-1] == "newton"
+
     def test_infeasible_flow_does_not_converge(self, tetrahedron):
         cfg = FlowConfig(check_admissibility=False)
         for target in ([10.0, 1.0, 1.0, 1.0], [3.2] * 4):
@@ -251,13 +260,13 @@ class TestConfigValidation:
 
 
 def test_import_loads_no_scipy():
-    # scipy belongs to the quadrature oracle and the tests; the solve path
-    # must not pull it in at import time
+    # scipy belongs to the quadrature oracle and the tests, and mpmath to the
+    # tests alone; the solve path must not pull either in at import time
     import hypack
     src = os.path.dirname(os.path.dirname(hypack.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import hypack, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import hypack, sys; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'mpmath')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"

@@ -5,17 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypack.hyptrig import (
-    BigonResult,
     CurveKind,
     InfeasibleGeometryError,
-    bigon_kernel,
     classify_curvature,
     curvature_to_radius,
-    solve_hexagon,
+    hexagon_sides,
     solve_pentagon,
     solve_quadrilateral,
+    triangle_angles,
 )
-from hypack.tangency import _triangle_angles_from_radii
 
 HALF_LN3 = 0.5493061443340548  # 0.5 * ln 3
 
@@ -66,26 +64,26 @@ class TestTriangleAngles:
     def test_equilateral_cosh_5_3(self):
         # equal sides with cosh d = 5/3 (tangent circles of curvature 2)
         r = 0.5 * math.acosh(5.0 / 3.0)
-        th = _triangle_angles_from_radii((r, r, r))
+        th = triangle_angles(r, r, r)
         expect = math.acos(5.0 / 8.0)
         for t in th:
             assert t == pytest.approx(expect, abs=1e-14)
 
     def test_symmetry(self):
-        th = _triangle_angles_from_radii((0.65, 0.65, 0.65))
+        th = triangle_angles(0.65, 0.65, 0.65)
         assert th[0] == th[1] == th[2]
 
     def test_thin_triangle_limit(self):
         # sides (25, 30, 30) and (20, 30, 30): the angle opposite the
         # short side collapses as that side grows with the others fixed
-        assert _triangle_angles_from_radii((17.5, 12.5, 12.5))[0] < 1e-6
-        assert (_triangle_angles_from_radii((17.5, 12.5, 12.5))[0]
-                > _triangle_angles_from_radii((20.0, 10.0, 10.0))[0])
+        assert triangle_angles(17.5, 12.5, 12.5)[0] < 1e-6
+        assert (triangle_angles(17.5, 12.5, 12.5)[0]
+                > triangle_angles(20.0, 10.0, 10.0)[0])
 
     @given(st.tuples(*[st.floats(min_value=0.01, max_value=5.0)] * 3))
     @settings(max_examples=100, deadline=None)
     def test_angle_sum_below_pi(self, radii):
-        th = _triangle_angles_from_radii(radii)
+        th = triangle_angles(*radii)
         assert 0.0 < sum(th) < math.pi
 
 
@@ -156,7 +154,7 @@ class TestPentagon:
 
 class TestHexagon:
     def test_golden_111(self):
-        s = solve_hexagon(1.0, 1.0, 1.0)
+        s = hexagon_sides(1.0, 1.0, 1.0)
         expect = (math.cosh(1.0) + math.cosh(1.0) ** 2) / math.sinh(1.0) ** 2
         assert s[0] == pytest.approx(math.acosh(expect), abs=1e-14)
         assert s[0] == pytest.approx(1.7049128323580137, abs=1e-12)
@@ -165,60 +163,13 @@ class TestHexagon:
     def test_symmetric_closed_form(self):
         # equal radii r: cosh s = cosh(2r) / (cosh(2r) - 1)
         for r in (0.2, 0.7, 1.9):
-            s = solve_hexagon(2 * r, 2 * r, 2 * r)[0]
+            s = hexagon_sides(2 * r, 2 * r, 2 * r)[0]
             assert math.cosh(s) == pytest.approx(
                 math.cosh(2 * r) / (math.cosh(2 * r) - 1.0), rel=1e-13)
 
     def test_permutation_equivariance(self):
         d = (0.4, 1.1, 2.3)
-        s = solve_hexagon(*d)
-        s_perm = solve_hexagon(d[2], d[0], d[1])
+        s = hexagon_sides(*d)
+        s_perm = hexagon_sides(d[2], d[0], d[1])
         assert s_perm == (s[2], s[0], s[1])
 
-
-class TestBigon:
-    def test_horocycle_case(self):
-        res = bigon_kernel(1.0, 2.0)
-        assert res.theta1 is None
-        assert res.l1 == pytest.approx(1.0, abs=1e-15)
-        assert res.dl1_dk2 == pytest.approx(-0.5, abs=1e-15)
-        assert res.dl2_dk1 == pytest.approx(-0.5, abs=1e-15)
-
-    @given(st.floats(min_value=0.05, max_value=8.0),
-           st.floats(min_value=1.01, max_value=8.0))
-    @settings(max_examples=100, deadline=None)
-    def test_mixed_partials_agree(self, k1, k2):
-        res = bigon_kernel(k1, k2)
-        assert abs(res.dl1_dk2 - res.dl2_dk1) < 1e-10 * (1.0 + abs(res.dl1_dk2))
-
-    @pytest.mark.parametrize("k1,k2", [(0.3, 1.5), (2.5, 3.0), (1.0, 2.0),
-                                       (0.95, 1.2), (5.0, 1.05)])
-    def test_partials_match_finite_differences(self, k1, k2):
-        res = bigon_kernel(k1, k2)
-        h = 1e-6
-        fd1 = (bigon_kernel(k1, k2 + h).l1 - bigon_kernel(k1, k2 - h).l1) / (2 * h)
-        fd2 = (bigon_kernel(k1 + h, k2).l2 - bigon_kernel(k1 - h, k2).l2) / (2 * h)
-        assert fd1 == pytest.approx(res.dl1_dk2, rel=1e-6)
-        assert fd2 == pytest.approx(res.dl2_dk1, rel=1e-6)
-
-    def test_limit_at_k1_one(self):
-        # dl2/dk1 -> -2/k2^2 from either side
-        k2 = 3.0
-        for k1 in (1.0 - 1e-6, 1.0 + 1e-6):
-            res = bigon_kernel(k1, k2)
-            assert res.dl2_dk1 == pytest.approx(-2.0 / k2 ** 2, rel=1e-5)
-
-    def test_l1_continuous_at_one(self):
-        k2 = 3.0
-        at_one = bigon_kernel(1.0, k2).l1
-        for k1 in (1.0 - 1e-7, 1.0 + 1e-7):
-            assert bigon_kernel(k1, k2).l1 == pytest.approx(at_one, abs=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            bigon_kernel(2.0, 1.0)
-        with pytest.raises(ValueError):
-            bigon_kernel(-1.0, 2.0)
-
-    def test_result_type(self):
-        assert isinstance(bigon_kernel(2.0, 2.0), BigonResult)

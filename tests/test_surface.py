@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ class TestValidate:
                                for f in TETRA_FACES]
         t = Triangulation(7, faces)
         assert any(d.kind == "bad_link" and d.location == (3,) for d in t.validate())
+
+    def test_defects_computed_once(self):
+        t = Triangulation(4, TETRA_FACES[:-1])
+        first = t.validate()
+        assert t.validate() == first and len(first) == 6
+        first.clear()
+        assert len(t.validate()) == 6
+        assert t.validate() is not t.validate()
+        assert t.face_array is t.face_array and not t.face_array.flags.writeable
 
     def test_constructor_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -134,6 +144,20 @@ class TestAdmissible:
                     s = set(adm.witness)
                     fi = sum(1 for f in tri.faces if s.intersection(f))
                     assert sum(L[i] for i in adm.witness) >= math.pi * fi
+
+    def test_tiny_targets_beside_huge_ones(self, tetrahedron, octahedron):
+        # targets log-uniform over a span of 1e14: a vertex whose target is
+        # far below the largest one still belongs to the witness
+        rnd = random.Random(5)
+        lo, hi = math.log(1.5e-8), math.log(1.2e6)
+        for tri in (tetrahedron, octahedron, torus_grid(3, 3)):
+            for _ in range(100):
+                L = [math.exp(rnd.uniform(lo, hi)) for _ in range(tri.num_vertices)]
+                adm = check_admissible(tri, L)
+                worst, witness = brute_force_admissible(tri, L)
+                assert adm.admissible == (worst > 0.0)
+                assert adm.worst_margin == pytest.approx(worst, rel=1e-12, abs=1e-9)
+                assert adm.witness == (None if adm.admissible else witness)
 
     @pytest.mark.parametrize("tri, L, witness", [
         # margin exactly 0 on {0}: one flow alone saturates every vertex

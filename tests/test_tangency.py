@@ -1,14 +1,16 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypack.hyptrig import CurveKind, curvature_to_radius
+from hypack.hyptrig import CurveKind, InfeasibleGeometryError, curvature_to_radius
 from hypack.tangency import (
     corner_curvatures,
     face_jacobian,
+    face_kernel,
     realize_face,
     solve_face,
 )
@@ -298,3 +300,37 @@ class TestFaceJacobian:
             dn[i] = math.exp(S[i] - h)
             darea = (solve_face(*up).area - solve_face(*dn).area) / (2 * h)
             assert sum(J[i][j] for j in range(3)) == pytest.approx(-darea, rel=1e-4)
+
+    def test_exact_on_all_cases(self):
+        # the forward-mode Jacobian, unsymmetrized, against central
+        # differences of L on faces of all five cases
+        rng = np.random.default_rng(6)
+        for signs in FACE_CASES:
+            K = rng.uniform(0.05, 3.0, size=(200, 3)) * np.array(signs)
+            J = face_kernel(np.exp(K), jac=True).J
+            mag = np.abs(J).max(axis=(1, 2))
+            assert np.all(np.abs(J - J.transpose(0, 2, 1)).max(axis=(1, 2))
+                          <= 1e-12 * (1.0 + mag))
+            h = 1e-4
+            for j in range(3):
+                up, dn = K.copy(), K.copy()
+                up[:, j] += h
+                dn[:, j] -= h
+                fd = (face_kernel(np.exp(up)).L - face_kernel(np.exp(dn)).L) / (2 * h)
+                assert np.abs(J[:, :, j] - fd).max() < 1e-7
+            assert face_jacobian(*np.exp(K[0])) == J[0].tolist()
+
+
+class TestFaceKernel:
+    def test_value_path_carries_no_jacobian(self):
+        assert face_kernel([(2.0, 0.5, 1.0)]).J is None
+
+    def test_unevaluable_face_raises(self):
+        # exp(-400) hypercycles: the hexagon's sinh products underflow to 0
+        k = math.exp(-400.0)
+        with pytest.raises(InfeasibleGeometryError, match="curvatures"):
+            face_kernel([(2.0, 2.0, 2.0), (k, k, k)])
+        with pytest.raises(InfeasibleGeometryError, match="curvatures"):
+            face_kernel([(k, k, k)], jac=True)
+        with pytest.raises(ValueError, match="positive"):
+            face_kernel([(2.0, 0.0, 2.0)])
