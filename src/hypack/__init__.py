@@ -20,9 +20,11 @@ from .flow import (
 )
 from .hyptrig import (
     KIND_TOL,
+    BigonResult,
     CurveKind,
     InfeasibleGeometryError,
     PolygonSolution,
+    bigon_kernel,
     classify_curvature,
     curvature_to_radius,
     solve_pentagon,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "KIND_TOL",
     "InfeasibleGeometryError",
     "PolygonSolution",
+    "BigonResult",
     "classify_curvature",
     "curvature_to_radius",
     "solve_quadrilateral",
@@ -37,6 +39,7 @@ __all__ = [
     "quad_split",
     "pentagon_split",
     "hexagon_sides",
+    "bigon_kernel",
 ]
 
 # Inputs with |k - 1| below this are dispatched as horocycles.
@@ -64,6 +67,15 @@ class PolygonSolution:
 
     x: float
     y: float
+
+
+class BigonResult(NamedTuple):
+    theta1: float | None  # generalized angle of arc 1; None when k1 = 1
+    l1: float
+    theta2: float
+    l2: float
+    dl1_dk2: float
+    dl2_dk1: float
 
 
 def classify_curvature(k: float) -> CurveKind:
@@ -173,3 +185,37 @@ def solve_pentagon(l1: float, l2: float, l3: float) -> PolygonSolution:
         raise InfeasibleGeometryError(
             f"pentagon sides {(l1, l2, l3)} admit no perpendicular split")
     return PolygonSolution(x=float(x), y=math.acosh(cosh_y))
+
+
+def bigon_kernel(k1: float, k2: float) -> BigonResult:
+    """Two constant-curvature arcs crossing at right angles.
+
+    Arc 2 is a circle (k2 > 1); arc 1 may be any kind.  Returns the
+    generalized angles, the arc lengths between the intersection points,
+    and the analytic partials d l1/d k2 and d l2/d k1, each from its own
+    branch formula (both equal 2 / (1 - k1^2 - k2^2)).
+    """
+    if not k2 > 1.0:
+        raise ValueError(f"k2 must exceed 1, got {k2}")
+    if not k1 > 0.0:
+        raise ValueError(f"k1 must be positive, got {k1}")
+    w2 = math.sqrt(k2 * k2 - 1.0)  # = 1/sinh r2
+    theta2 = 2.0 * math.atan(w2 / k1)
+    l2 = theta2 / w2
+    dl2_dk1 = 2.0 / (1.0 - k1 * k1 - k2 * k2)
+    kind1 = classify_curvature(k1)
+    if kind1 is CurveKind.HOROCYCLE:
+        theta1 = None
+        l1 = 2.0 / k2
+        dl1_dk2 = -2.0 / (k2 * k2)
+    elif kind1 is CurveKind.CIRCLE:
+        w1 = math.sqrt(k1 * k1 - 1.0)
+        theta1 = 2.0 * math.atan(w1 / k2)
+        l1 = theta1 / w1
+        dl1_dk2 = -2.0 / (k2 * k2 + k1 * k1 - 1.0)
+    else:
+        w1 = math.sqrt(1.0 - k1 * k1)
+        theta1 = 2.0 * math.atanh(w1 / k2)
+        l1 = theta1 / w1
+        dl1_dk2 = -2.0 / (k2 * k2 - (1.0 - k1 * k1))
+    return BigonResult(theta1, l1, theta2, l2, dl1_dk2, dl2_dk1)
