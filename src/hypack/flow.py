@@ -50,6 +50,11 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 # flow step size: first trial, cap, and the floor below which the
 # flow raises StiffnessError
 _INITIAL_STEP = 0.01
+# a flow step is accepted when its error estimate is below both bounds;
+# the relative cap keeps the decaying tail accuracy-limited instead of
+# stability-limited
+_STEP_ERROR_TOL = 1e-8
+_REL_STEP_ERROR = 0.05
 _MAX_STEP = 5.0
 _MIN_STEP = 1e-14
 _NEWTON_DAMPING = 1.0       # first Newton step fraction tried before halving
@@ -79,26 +84,19 @@ class SolveStatus(Enum):
 @dataclass(frozen=True)
 class FlowConfig:
     """Solver knobs.  residual_tol and newton_switch_tol are max-norm
-    bounds on L - Lhat; step_error_tol is the per-step acceptance bound
-    of the adaptive Dormand-Prince 5(4) flow, the only time stepper.
-    With newton on, the flow hands over to Newton once the residual is
-    below newton_switch_tol."""
+    bounds on L - Lhat.  The adaptive Dormand-Prince 5(4) flow is the
+    only time stepper.  With newton on, the flow hands over to Newton
+    once the residual is below newton_switch_tol."""
 
     residual_tol: float = 1e-10
     max_time: float = 1e5
     max_steps: int = 50_000
     newton: bool = True
     newton_switch_tol: float = 1e-3
-    step_error_tol: float = 1e-8
-    # relative cap: a step is also rejected when its error estimate exceeds
-    # this fraction of the current residual, keeping the decaying tail
-    # accuracy-limited instead of stability-limited
-    rel_step_error: float = 0.05
     check_admissibility: bool = True
 
     def __post_init__(self):
-        for name in ("residual_tol", "max_time", "newton_switch_tol",
-                     "step_error_tol"):
+        for name in ("residual_tol", "max_time", "newton_switch_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.newton_switch_tol <= self.residual_tol:
@@ -228,7 +226,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE)
 
         h = min(h, _MAX_STEP, max(cfg.max_time - t, _MIN_STEP))
-        eff_tol = min(cfg.step_error_tol, cfg.rel_step_error * res_max)
+        eff_tol = min(_STEP_ERROR_TOL, _REL_STEP_ERROR * res_max)
         steps += 1
         try:
             K_new, err, rate_new = flow_step(tri, K, target, h, -res)

@@ -4,7 +4,8 @@ Classifies vertices (hypercycle -> geodesic boundary, horocycle -> cusp,
 circle -> cone point), computes cone angles and discrete Gaussian
 curvatures, geodesic boundary lengths, runs the global Gauss-Bonnet
 audit on the realized surface, and renders single faces to SVG in the
-Poincare disk.  Read-only over solved data; thread-safe.
+Poincare disk.  Realization sums the arrays of one face_kernel call
+per vertex, with no per-face records.  Read-only; thread-safe.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyptrig import CurveKind, classify_curvature
-from .packing import CurvatureReport, vertex_curvatures
+from .hyptrig import KIND_TOL, CurveKind, classify_curvature
+from .packing import _sum_at_vertices, vertex_curvatures
 from .surface import Triangulation, euler_characteristic
 from .tangency import EmbeddedFace, realize_face
 
@@ -38,46 +39,28 @@ CLASS_TOL = 1e-9
 
 def classify(k, tol: float = CLASS_TOL):
     """Partition vertices by solved curvature: I1 (k < 1 - tol, boundary),
-    I2 (|k - 1| <= tol, cusp), I3 (k > 1 + tol, cone)."""
+    I2 (|k - 1| <= tol, cusp), I3 (k > 1 + tol, cone).  The face kernel
+    solves |k - 1| <= KIND_TOL as a horocycle, which has no generalized
+    angle, so a tol below KIND_TOL, which would make it a cone, raises
+    ValueError."""
     k = np.asarray(k, dtype=float)
     if not np.all(k > 0.0):
         raise ValueError("curvatures must be positive")
-    i1, i2, i3 = [], [], []
-    for v, kv in enumerate(k):
-        if abs(kv - 1.0) <= tol:
-            i2.append(v)
-        elif kv < 1.0:
-            i1.append(v)
-        else:
-            i3.append(v)
-    return tuple(i1), tuple(i2), tuple(i3)
+    if not tol >= KIND_TOL:
+        raise ValueError(f"class tolerance {tol} is below the face kernel's "
+                         f"horocycle tolerance KIND_TOL = {KIND_TOL}")
+    cusp = np.abs(k - 1.0) <= tol
+    return tuple(tuple(np.flatnonzero(mask).tolist())
+                 for mask in (~cusp & (k < 1.0), cusp, ~cusp & (k > 1.0)))
 
 
-def _corner_sums(tri: Triangulation, rep: CurvatureReport, vertices) -> dict[int, float]:
-    """Per vertex, the sum of its corners' generalized angles over the
-    incident faces: the cone angle at a circle vertex, the boundary length
-    at a hypercycle vertex (its axis segments close up at right angles)."""
-    out: dict[int, float] = {}
-    for v in vertices:
-        total = 0.0
-        for fi in tri.vertex_faces[v]:
-            total += rep.faces[fi].gen_angle[tri.faces[fi].index(v)]
-        out[v] = total
-    return out
-
-
-def gauss_bonnet_audit(tri: Triangulation, K, *, report: CurvatureReport | None = None,
-                       tol: float = CLASS_TOL) -> float:
-    """|sum_f area_f + 2*pi*chi(S_realized) - sum_cones (2*pi - Theta_v)|.
-
-    area_f is the polygon area pi - sum(circle corner angles): right
-    angles at boundary truncations, zero at ideal vertices, hexagon
-    faces exactly pi.  chi of the realized surface is chi(S) - |I1| -
-    |I2|.  Vanishes identically when corner extraction and incidence
-    bookkeeping are consistent.
-    """
-    K = np.asarray(K, dtype=float)
-    return _realize(tri, K, report or vertex_curvatures(tri, K), tol).audit_residual
+def gauss_bonnet_audit(tri: Triangulation, K, *, tol: float = CLASS_TOL) -> float:
+    """realize_metric(tri, K, tol).audit_residual:
+    |sum_f area_f + 2*pi*chi(S_realized) - sum_cones (2*pi - Theta_v)|
+    with area_f the polygon area of face f (FaceGeometry) and
+    chi(S_realized) = chi(S) - |I1| - |I2|.  Vanishes identically when
+    corner extraction and incidence bookkeeping are consistent."""
+    return realize_metric(tri, K, tol).audit_residual
 
 
 @dataclass(frozen=True)
@@ -98,33 +81,31 @@ class RealizedMetric:
 
 
 def realize_metric(tri: Triangulation, K, tol: float = CLASS_TOL) -> RealizedMetric:
+    """Classes, corner sums and the audit from one face_kernel call.  A
+    vertex sums its corners' generalized angles in face order: the cone
+    angle at a circle, the boundary length at a hypercycle (axis segments
+    close up at right angles); horocycle corners add nothing."""
     K = np.asarray(K, dtype=float)
-    return _realize(tri, K, vertex_curvatures(tri, K), tol)
-
-
-def _realize(tri: Triangulation, K: np.ndarray, rep: CurvatureReport,
-             tol: float) -> RealizedMetric:
-    """One pass over the solved faces: classes, corner sums and the audit."""
     k = np.exp(K)
-    i1, i2, i3 = classify(k, tol)
-    classes = ["cone"] * tri.num_vertices
-    for v in i1:
-        classes[v] = "boundary"
-    for v in i2:
-        classes[v] = "cusp"
-    cones = _corner_sums(tri, rep, i3)
-    gaussian = {v: 2.0 * math.pi - th for v, th in cones.items()}
-    total_area = sum(fg.polygon_area for fg in rep.faces)
+    boundary, cusps, cones = classify(k, tol)
+    classes = np.full(len(k), "cone", dtype=object)
+    classes[list(boundary)] = "boundary"
+    classes[list(cusps)] = "cusp"
+    rep = vertex_curvatures(tri, K)
+    gen = _sum_at_vertices(tri, np.nan_to_num(rep.arrays.gen))  # NaN at a horocycle
+    theta = gen[list(cones)]
+    gaussian = dict(zip(cones, (2.0 * math.pi - theta).tolist()))
+    total_area = sum(rep.arrays.polygon_area.tolist(), 0.0)
     chi_surface = euler_characteristic(tri)
-    chi_realized = chi_surface - len(i1) - len(i2)
+    chi_realized = chi_surface - len(boundary) - len(cusps)
     return RealizedMetric(
         k=k,
-        classes=tuple(classes),
+        classes=tuple(classes.tolist()),
         L=rep.L,
-        cone_angles=cones,
+        cone_angles=dict(zip(cones, theta.tolist())),
         gaussian_curvature=gaussian,
-        boundary_lengths=_corner_sums(tri, rep, i1),
-        cusps=i2,
+        boundary_lengths=dict(zip(boundary, gen[list(boundary)].tolist())),
+        cusps=cusps,
         total_area=total_area,
         chi_surface=chi_surface,
         chi_realized=chi_realized,

@@ -48,6 +48,7 @@ __all__ = [
     "EmbeddedFace",
     "face_kernel",
     "face_records",
+    "require_positive_area",
     "solve_face",
     "realize_face",
     "face_jacobian",
@@ -309,15 +310,18 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
     return FaceArrays(kind, res[0], res[1], res[2], area, polygon_area, J)
 
 
+def require_positive_area(k, fa: FaceArrays) -> None:
+    """Raise InfeasibleGeometryError for the first face of k whose area in
+    fa is below -1e-9: true areas are positive but round to ~0 at extremes."""
+    low = np.flatnonzero(fa.area < -1e-9)
+    if low.size:
+        raise InfeasibleGeometryError(f"face with curvatures {tuple(k[low[0]].tolist())} "
+                                      "has non-positive enclosed area")
+
+
 def face_records(k, fa: FaceArrays) -> list[FaceGeometry]:
     """FaceGeometry records of the faces with (F, 3) curvatures k, from
     their face_kernel output fa."""
-    k = np.asarray(k, dtype=float)
-    low = np.flatnonzero(fa.area < -1e-9)
-    if low.size:
-        # true area is positive but can round to ~0 at extreme curvatures
-        raise InfeasibleGeometryError(f"face with curvatures {tuple(k[low[0]].tolist())} "
-                                      "has non-positive enclosed area")
     with np.errstate(all="ignore"):
         r = np.where(fa.kind == _CIRC, _circle_radius(k),
                      np.where(fa.kind == _HYPER, np.arctanh(k), np.inf))
@@ -336,7 +340,9 @@ def solve_face(k1: float, k2: float, k3: float) -> FaceGeometry:
     (face_kernel on one face).  The output is symmetric under
     simultaneous permutation of the inputs and corners."""
     k = np.array([[k1, k2, k3]], dtype=float)
-    return face_records(k, face_kernel(k))[0]
+    fa = face_kernel(k)
+    require_positive_area(k, fa)
+    return face_records(k, fa)[0]
 
 
 def corner_curvatures(k1: float, k2: float, k3: float) -> tuple[float, float, float]:

@@ -214,3 +214,10 @@ class TestClassTolFlag:
                      "--class-tol", "10", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert all(v["class"] == "cusp" for v in doc["vertices"])
+
+    def test_tolerance_below_kind_tol(self, tmp_path, tetra_path, unit_targets, capsys):
+        out = tmp_path / "r.json"
+        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                     "--class-tol", "0", "--out", str(out)]) == 1
+        assert "KIND_TOL" in capsys.readouterr().err
+        assert not out.exists()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from hypack import flow
 from hypack.flow import (
     FlowConfig,
     SolveStatus,
@@ -179,10 +180,11 @@ class TestSolve:
         res = solve(tetrahedron, np.ones(4), config=FlowConfig(max_steps=3))
         assert res.status is SolveStatus.MAX_STEPS_EXCEEDED
 
-    def test_stiffness_error(self, tetrahedron):
-        cfg = FlowConfig(step_error_tol=1e-30, rel_step_error=1e-30)
+    def test_stiffness_error(self, tetrahedron, monkeypatch):
+        monkeypatch.setattr(flow, "_STEP_ERROR_TOL", 1e-30)
+        monkeypatch.setattr(flow, "_REL_STEP_ERROR", 1e-30)
         with pytest.raises(StiffnessError):
-            solve(tetrahedron, np.ones(4), config=cfg)
+            solve(tetrahedron, np.ones(4))
 
     def test_validates_surface(self):
         broken = Triangulation(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])

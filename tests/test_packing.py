@@ -164,6 +164,25 @@ class TestPotential:
             assert via1 == pytest.approx(direct, abs=1e-8)
             assert via2 == pytest.approx(direct, abs=1e-8)
 
+    def test_matches_loop_over_nodes(self, octahedron, rng):
+        # one vertex_curvature_sums call per Gauss-Legendre node
+        K_ref = rng.uniform(-1.0, 1.0, size=6)
+        K = rng.uniform(-1.0, 1.0, size=6)
+        L_hat = rng.uniform(0.5, 2.0, size=6)
+        panels = 8
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        delta = K - K_ref
+        loop = 0.0
+        for p in range(panels):
+            lo, hi = p / panels, (p + 1) / panels
+            for x, w in zip(nodes, weights):
+                t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+                L = vertex_curvature_sums(octahedron, K_ref + t * delta)
+                loop += w * 0.5 * (hi - lo) * float(L @ delta)
+        loop -= float(L_hat @ delta)
+        value = potential_value(octahedron, K, K_ref, L_hat, panels=panels)
+        assert value == pytest.approx(loop, rel=1e-12)
+
     def test_gradient_matches_finite_differences(self, tetrahedron, rng):
         K_ref = np.zeros(4)
         K = rng.uniform(-0.5, 0.5, size=4)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import hypack.packing
 from hypack.flow import solve
-from hypack.hyptrig import curvature_to_radius
+from hypack.hyptrig import KIND_TOL, curvature_to_radius
 from hypack.packing import vertex_curvatures
 from hypack.realize import (
     classify,
@@ -14,9 +15,19 @@ from hypack.realize import (
     render_face_svg,
     report_document,
 )
+from hypack.surface import Triangulation
+
+from conftest import OCTA_FACES, torus_grid
 
 CONE_ALL2 = 2.6869943815735949          # 3 * arccos(5/8)
 BOUNDARY_TETRA = 17.030678280288161     # 3 * s(r*)
+
+
+def _mixed_states(rng):
+    """A mixed octahedron state and a 6x6 torus state with exact cusps."""
+    K_torus = np.where(rng.random(36) < 0.2, 0.0, rng.normal(0.0, 0.7, 36))
+    return [(Triangulation(6, OCTA_FACES), np.log([2.0, 0.5, 1.0, 1.7, 0.3, 3.0])),
+            (torus_grid(6, 6), K_torus)]
 
 
 class TestClassify:
@@ -43,6 +54,16 @@ class TestClassify:
     def test_positive_only(self):
         with pytest.raises(ValueError):
             classify([1.0, -0.5])
+
+    def test_tolerance_below_kernel_horocycle_tolerance(self, tetrahedron):
+        # the face kernel solves |k - 1| <= KIND_TOL as a horocycle, which
+        # has no cone angle, so a class tolerance below it is refused
+        with pytest.raises(ValueError, match=r"0\.0.*1e-12"):
+            classify([1.0 + 1e-13, 2.0], 0.0)
+        K = np.log(np.array([1.0 + 1e-13, 2.0, 1.5, 0.5]))
+        with pytest.raises(ValueError, match="KIND_TOL"):
+            realize_metric(tetrahedron, K, tol=0.0)
+        assert realize_metric(tetrahedron, K, tol=KIND_TOL).cusps == (0,)
 
 
 class TestConeData:
@@ -155,6 +176,33 @@ class TestRealizedMetric:
         assert m.gaussian_curvature[0] == pytest.approx(
             2 * math.pi - m.cone_angles[0], abs=1e-14)
         assert m.audit_residual < 1e-8
+
+    def test_corner_sums_match_loop_over_faces(self, rng):
+        # per-vertex sums of the kernel arrays equal, bit for bit, a loop
+        # over the FaceGeometry records of the incident faces in face order
+        for tri, K in _mixed_states(rng):
+            m = realize_metric(tri, K)
+            assert set(m.classes) == {"cone", "boundary", "cusp"}
+            faces = vertex_curvatures(tri, K).faces
+            sums = {}
+            for v, cls in enumerate(m.classes):
+                if cls != "cusp":
+                    sums[v] = 0.0
+                    for fi in tri.vertex_faces[v]:
+                        sums[v] += faces[fi].gen_angle[tri.faces[fi].index(v)]
+            cones = {v: x for v, x in sums.items() if m.classes[v] == "cone"}
+            lengths = {v: x for v, x in sums.items() if m.classes[v] == "boundary"}
+            assert list(m.cone_angles.items()) == list(cones.items())
+            assert list(m.boundary_lengths.items()) == list(lengths.items())
+            assert m.total_area == sum(fg.polygon_area for fg in faces)
+
+    def test_builds_no_face_records(self, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("face_records called on the realize path")
+        monkeypatch.setattr(hypack.packing, "face_records", refuse)
+        for tri, K in _mixed_states(rng):
+            assert report_document(realize_metric(tri, K))
+            assert gauss_bonnet_audit(tri, K) < 1e-8
 
     def test_report_document(self, tetrahedron):
         res = solve(tetrahedron, np.ones(4))
