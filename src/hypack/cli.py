@@ -18,7 +18,7 @@ import sys
 
 
 from .flow import FlowConfig, SolveStatus, StiffnessError, rate_estimate, solve
-from .realize import CLASS_TOL, realize_metric, render_face_svg, report_document
+from .realize import CLASS_TOL, classify, realize_metric, render_face_svg, report_document
 from .surface import ParseError, check_admissible, load_targets, load_triangulation
 from .tangency import solve_face
 
@@ -100,6 +100,7 @@ def _flow_config(args, file_cfg: dict) -> tuple[FlowConfig, float]:
         kwargs["newton"] = False
     if args.class_tol is not None:
         class_tol = args.class_tol
+    classify((), class_tol)  # rejects a tolerance below KIND_TOL before the solve
     return FlowConfig(**kwargs), class_tol
 
 

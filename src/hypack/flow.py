@@ -60,10 +60,14 @@ _MIN_STEP = 1e-14
 _NEWTON_DAMPING = 1.0       # first Newton step fraction tried before halving
 
 # Guards check_admissibility=False: |K_i| beyond this while the residual
-# stalls ends the flow or Newton as INFEASIBLE.  Below ~36.7, where exp(K)
-# leaves the polygon solvers' double-precision range, so divergence is
-# diagnosed first.  With the gate on, INFEASIBLE always has a witness.
-_DRIFT_LIMIT = 30.0
+# stalls ends the flow or Newton as INFEASIBLE.  The area of a face whose
+# curvatures all grow falls like 0.16 e^(-2K), so from K ~ 17 its L sum
+# to pi to rounding and a drifting Newton iteration stalls instead; at 15
+# the area is still 34 ulps of pi.  The price: with the gate off, an
+# admissible target close to the feasibility bound whose solution lies
+# past 15 is reported INFEASIBLE (on the tetrahedron, [3 pi - 1e-3, 1, 1,
+# 1]).  With the gate on, INFEASIBLE always has a witness.
+_DRIFT_LIMIT = 15.0
 
 
 class StiffnessError(RuntimeError):
@@ -182,7 +186,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
 
     The target is first checked by check_admissible's maximum flow, at
     every size, and an infeasible one is rejected with its witness.  With
-    check_admissibility off, divergence (some K_i beyond +-30 while the
+    check_admissibility off, divergence (some K_i beyond +-15 while the
     residual stalls) ends the solve as INFEASIBLE without a witness.  A
     trial state the face kernel cannot evaluate counts as a failed step.
     On convergence the result is independent of K0 (the packing is unique).

@@ -1,15 +1,14 @@
-"""Hyperbolic-trigonometry kernel.
+"""Hyperbolic-trigonometry helpers.
 
-Curvature/radius conversions and the closed forms that every
-three-circle face computation reduces to: the angles of a triangle given
-by radii, and the right-angled quadrilateral, pentagon and hexagon.  The
-split points are atanh expressions written as log1p of a ratio of
-positive terms, so nothing cancels and no root finder is involved.  The
-closed forms use np.* only and no branches, so they serve floats, arrays
-and the face kernel's forward-mode duals alike; solve_quadrilateral and
-solve_pentagon are validating scalar front ends.  Lengths and angles are
-in hyperbolic units; everything is a pure function, safe to call
-concurrently.
+Curve kinds and curvature/radius conversions, the right-angled
+quadrilateral and pentagon, and the right-angled bigon.  The split
+points are atanh expressions written as log1p of a ratio of positive
+terms, so nothing cancels and no root finder is involved; they use np.*
+only, so they serve floats and arrays alike, and solve_quadrilateral and
+solve_pentagon are validating scalar front ends.  The face kernel
+(tangency.face_kernel) needs none of these polygons: its closed form
+takes the curvatures directly.  Lengths and angles are in hyperbolic
+units; everything is a pure function, safe to call concurrently.
 
 Curvature convention: a curve of constant geodesic curvature k > 0 is a
 circle (k = coth r > 1), a horocycle (k = 1) or a hypercycle at distance
@@ -35,10 +34,8 @@ __all__ = [
     "curvature_to_radius",
     "solve_quadrilateral",
     "solve_pentagon",
-    "triangle_angles",
     "quad_split",
     "pentagon_split",
-    "hexagon_sides",
     "bigon_kernel",
 ]
 
@@ -102,17 +99,6 @@ def curvature_to_radius(k: float) -> float:
     return math.atanh(k)
 
 
-def triangle_angles(r1, r2, r3):
-    """Angles of the triangle with sides r_j + r_k, the angle at center i
-    opposite side r_j + r_k; cancellation-free:
-    tan(theta_i / 2) = sqrt(sinh r_j sinh r_k / (sinh r_i sinh(r1+r2+r3))).
-    """
-    sh = (np.sinh(r1), np.sinh(r2), np.sinh(r3))
-    sp = np.sinh(r1 + r2 + r3)
-    return tuple(2.0 * np.arctan2(np.sqrt(sh[(i + 1) % 3] * sh[(i + 2) % 3]),
-                                  np.sqrt(sp * sh[i])) for i in range(3))
-
-
 def quad_split(la, l2, lc):
     """(x, cosh y) of the quadrilateral split along the side la >= lc:
     sinh lc = sinh x cosh y and cosh l2 = cosh(la - x) cosh y.
@@ -135,16 +121,6 @@ def pentagon_split(l1, l2, l3):
     s1 = np.sinh(l1)
     x = 0.5 * np.log1p(2.0 * s1 * np.sinh(l3) / (np.sinh(l2) + s1 * np.exp(-l3)))
     return x, s1 / np.sinh(x)
-
-
-def hexagon_sides(d1, d2, d3):
-    """Sides (s1, s2, s3) of the right-angled hexagon with alternating
-    sides s1, d3, s2, d1, s3, d2, which exists for every positive d:
-    cosh s_i = (cosh d_i + cosh d_j cosh d_k) / (sinh d_j sinh d_k)."""
-    cd = (np.cosh(d1), np.cosh(d2), np.cosh(d3))
-    sd = (np.sinh(d1), np.sinh(d2), np.sinh(d3))
-    return tuple(np.arccosh((cd[i] + cd[(i + 1) % 3] * cd[(i + 2) % 3])
-                            / (sd[(i + 1) % 3] * sd[(i + 2) % 3])) for i in range(3))
 
 
 def solve_quadrilateral(l1: float, l2: float, l3: float) -> PolygonSolution:

@@ -4,12 +4,11 @@ Given three positive geodesic curvatures there is a unique (up to
 isometry) configuration of three mutually externally tangent
 circles/horocycles/hypercycles.  This module solves faces two ways:
 
-* ``face_kernel`` — the trigonometric route through the right-angled
-  polygon decompositions, over an (F, 3) array of faces, grouped by case
-  with masks: triangle, quadrilateral, pentagon, hexagon, and the ideal
-  vertex at a curvature of 1 (through the embedding's chord identities).
-  On request it also returns the exact Jacobian dL/dK, K = ln k, by
-  forward-mode differentiation through the same closed forms.
+* ``face_kernel`` — one closed form for every corner of every face,
+  over an (F, 3) array of faces: the chord between a corner's two
+  tangency points depends on the curvatures alone, and with it the
+  corner's generalized angle, arc length and total curvature, and the
+  exact Jacobian dL/dK, K = ln k, by the derivative of the same formula.
   ``solve_face``, ``corner_curvatures`` and ``face_jacobian`` call it on
   one face;
 * ``realize_face`` — explicit upper half-plane embedding, which doubles
@@ -26,18 +25,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.mixins import NDArrayOperatorsMixin
+from numpy.polynomial.polynomial import polyval
 
-from .hyptrig import (
-    KIND_TOL,
-    CurveKind,
-    InfeasibleGeometryError,
-    classify_curvature,
-    hexagon_sides,
-    pentagon_split,
-    quad_split,
-    triangle_angles,
-)
+from .hyptrig import KIND_TOL, CurveKind, InfeasibleGeometryError, classify_curvature
 # not called here: perfbench's tracer wraps these two names in this module
 from .hyptrig import solve_pentagon, solve_quadrilateral  # noqa: F401
 
@@ -89,10 +79,11 @@ class FaceGeometry:
 
 class FaceArrays(NamedTuple):
     """face_kernel's output for F faces, corners in input order: kind
-    codes (_KINDS), FaceGeometry's gen_angle (NaN at a horocycle),
-    arc_length, total_curvature, area and polygon_area (summed in
-    ascending-curvature order, so independent of the corner order), and
-    J[f, i, j] = dL_i/dK_j or None when not requested."""
+    codes (_KINDS, a horocycle within KIND_TOL of k = 1), FaceGeometry's
+    gen_angle (NaN at a horocycle), arc_length, total_curvature, area and
+    polygon_area (summed in ascending order, so independent of the corner
+    order), and J[f, i, j] = dL_i/dK_j, exactly symmetric, or None when
+    not requested."""
 
     kind: np.ndarray
     gen: np.ndarray
@@ -103,64 +94,8 @@ class FaceArrays(NamedTuple):
     J: np.ndarray | None
 
 
-class _Dual(NDArrayOperatorsMixin):
-    """Values v (n,) with their gradients d (n, 3) along a face's three
-    log-curvatures.  np.* ufuncs apply the chain rule (_PARTIALS), so a
-    closed form written with np.* also yields its exact derivative.
-    Comparisons act on the values."""
-
-    def __init__(self, v, d):
-        self.v = v
-        self.d = d
-
-    def __getitem__(self, rows):
-        return _Dual(self.v[rows], self.d[rows])
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs:
-            return NotImplemented
-        vals = [x.v if isinstance(x, _Dual) else x for x in inputs]
-        if ufunc in _COMPARISONS:
-            return ufunc(*vals)
-        if ufunc not in _PARTIALS:
-            return NotImplemented
-        y = ufunc(*vals)
-        terms = [x.d * (p[:, None] if np.ndim(p) else p)
-                 for p, x in zip(_PARTIALS[ufunc](y, *vals), inputs)
-                 if isinstance(x, _Dual)]
-        return _Dual(y, sum(terms[1:], terms[0]))
-
-
-_COMPARISONS = {np.greater, np.greater_equal}
-# the partial derivatives of y = f(a) or f(a, b), for each ufunc the kernel uses
-_PARTIALS = {
-    np.add: lambda y, a, b: (1.0, 1.0),
-    np.subtract: lambda y, a, b: (1.0, -1.0),
-    np.multiply: lambda y, a, b: (b, a),
-    np.true_divide: lambda y, a, b: (1.0 / b, -y / b),
-    np.maximum: lambda y, a, b: (a >= b, a < b),
-    np.arctan2: lambda y, a, b: (b / (a * a + b * b), -a / (a * a + b * b)),
-    np.negative: lambda y, a: (-1.0,),
-    np.exp: lambda y, a: (y,),
-    np.log1p: lambda y, a: (1.0 / (1.0 + a),),
-    np.sqrt: lambda y, a: (0.5 / y,),
-    np.sinh: lambda y, a: (np.cosh(a),),
-    np.cosh: lambda y, a: (np.sinh(a),),
-    np.tanh: lambda y, a: (1.0 / np.cosh(a) ** 2,),
-    np.arctan: lambda y, a: (1.0 / (1.0 + a * a),),
-    np.arcsinh: lambda y, a: (1.0 / np.hypot(1.0, a),),
-    np.arccosh: lambda y, a: (1.0 / np.sqrt((a - 1.0) * (a + 1.0)),),
-    np.arctanh: lambda y, a: (1.0 / ((1.0 - a) * (1.0 + a)),),
-}
-
-
-def _value(x):
-    return x.v if isinstance(x, _Dual) else x
-
-
 def _require(x, ok):
-    """x where ok holds and NaN elsewhere, so that the face fails the
-    kernel's finiteness check."""
+    """x where ok holds and NaN elsewhere."""
     return x * np.where(ok, 1.0, np.nan)
 
 
@@ -168,146 +103,88 @@ def _circle_radius(k):
     return 0.5 * np.log1p(2.0 / (k - 1.0))  # arccoth k
 
 
-def _circle_corner(theta, r):
-    return theta, theta * np.sinh(r), theta * np.cosh(r)
+# below this |x| the closed forms of G and H cancel; their Taylor series
+# G = sum (-x)^n / (2n + 1) and H = sum_{n>=1} (-1)^n 2n x^(n-1) / (2n + 1)
+# to these orders are exact to rounding there
+_SERIES_X = 1e-3
+_G_SERIES = [(-1) ** n / (2 * n + 1) for n in range(8)]
+_H_SERIES = [(-1) ** (n + 1) * 2 * (n + 1) / (2 * n + 3) for n in range(8)]
 
 
-def _hyper_corner(s, r):
-    return s, s * np.cosh(r), s * np.sinh(r)
-
-
-# Each case maps the curvature columns of its faces, in ascending order,
-# to the (gen, l, L) of each corner in that order.
-
-def _triangle(k0, k1, k2):
-    """Three circles: the triangle of their centers."""
-    rs = [_circle_radius(k) for k in (k0, k1, k2)]
-    return [_circle_corner(th, r) for th, r in zip(triangle_angles(*rs), rs)]
-
-
-def _quadrilateral(kh, kb, ka):
-    """A hypercycle (h) and circles a, b with ra <= rb.
-
-    Corners A (circle a), B (circle b) and feet P, Q on the hypercycle
-    axis, right angles at P and Q; the perpendicular from A onto QB
-    (length y, foot at distance x from Q) gives a Lambert quadrilateral
-    AXQP and a right triangle AXB, from which all angles follow.
-    """
-    rh, rb, ra = np.arctanh(kh), _circle_radius(kb), _circle_radius(ka)
-    l1, l2, l3 = rh + rb, ra + rb, rh + ra   # Q-B, A-B, P-A
-    x, cosh_y = quad_split(l1, l2, l3)
-    y = np.arccosh(_require(cosh_y, cosh_y > 1.0))
-    s = np.arcsinh(np.sinh(y) / np.cosh(l3))  # axis side P-Q
-    th_a = (np.arctan(np.tanh(x) / np.sinh(y))
-            + np.arctan(np.tanh(s) / np.sinh(l3))
-            + np.arctan(np.tanh(l1 - x) / np.sinh(y)))
-    th_b = np.arctan(np.tanh(y) / np.sinh(l1 - x))
-    return [_hyper_corner(s, rh), _circle_corner(th_b, rb), _circle_corner(th_a, ra)]
-
-
-def _pentagon(kg, kh, kc):
-    """Hypercycles g, h and a circle c.
-
-    Apex C at the circle center, feet on both axes and the common
-    perpendicular between the axes (length rg + rh) as the middle side;
-    the perpendicular from C onto the middle side splits the pentagon
-    into two Lambert quadrilaterals.
-    """
-    rg, rh, rc = np.arctanh(kg), np.arctanh(kh), _circle_radius(kc)
-    l1, l2, l3 = rc + rg, rc + rh, rg + rh
-    x, cosh_y = pentagon_split(l1, l2, l3)
-    y = np.arccosh(_require(cosh_y, cosh_y > 1.0))
-    sg = np.arcsinh(np.sinh(y) / np.cosh(l1))
-    sh = np.arcsinh(np.sinh(y) / np.cosh(l2))
-    th_c = (np.arctan(np.tanh(x) / np.sinh(y))
-            + np.arctan(np.tanh(sg) / np.sinh(l1))
-            + np.arctan(np.tanh(l3 - x) / np.sinh(y))
-            + np.arctan(np.tanh(sh) / np.sinh(l2)))
-    return [_hyper_corner(sg, rg), _hyper_corner(sh, rh), _circle_corner(th_c, rc)]
-
-
-def _hexagon(k0, k1, k2):
-    """Three hypercycles: the right-angled hexagon of their axes."""
-    rs = [np.arctanh(k) for k in (k0, k1, k2)]
-    ss = hexagon_sides(rs[1] + rs[2], rs[0] + rs[2], rs[0] + rs[1])
-    return [_hyper_corner(s, r) for s, r in zip(ss, rs)]
-
-
-def _corner_chords(k0, k1, k2):
-    """cosh(chord) - 1 between each corner's two tangency points in the
-    half-plane embedding (the ideal-vertex case)."""
-    _, t = _embedding(k0, k1, k2)
-    return [_chord_coshm1(t[0], t[1]), _chord_coshm1(t[0], t[2]),
-            _chord_coshm1(t[1], t[2])]
-
-
-# the non-ideal cases by their number of hypercycles
-_CASES = (_triangle, _quadrilateral, _pentagon, _hexagon)
-
-
-def _columns(ks, jac: bool):
-    """The three curvature columns of ks; with jac, duals with dk/dK = k."""
-    cols = [np.ascontiguousarray(ks[:, j]) for j in range(3)]
-    return [_Dual(c, c[:, None] * np.eye(3)[j]) for j, c in enumerate(cols)] if jac else cols
+def _ascending(a):
+    """The three columns of (F, 3) a, sorted along each row by comparisons
+    alone: a sum over them does not depend on the order of the columns."""
+    x, y, z = a.T
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    return np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
 
 
 def face_kernel(k, *, jac: bool = False) -> FaceArrays:
     """Solve the faces with (F, 3) curvatures k in one pass of array
-    operations, each in ascending curvature order, so that results
-    commute with permuting its corners.  The value-only path carries no
-    derivatives; jac=True adds the exact Jacobian J = dL/dK, K = ln k.
-    Raises ValueError for a curvature that is not positive, and
-    InfeasibleGeometryError naming a face that cannot be evaluated in
-    double precision."""
+    operations over all corners.
+
+    Corner i of a face with the other corners j and m: curves i and j
+    touch on the segment between their Euclidean centers at weight
+    r_i/(r_i + r_j), and each center has height k r, so in
+    cosh d - 1 = |P - Q|^2 / (2 y_P y_Q) every radius cancels and the
+    chord between the corner's two tangency points has
+    cosh d - 1 = 2 / ((k_i + k_j)(k_i + k_m)).  With
+    D = 1 + k1 k2 + k1 k3 + k2 k3 and x = (k_i^2 - 1) / D,
+      l_i = 2 G(x) / sqrt(D),  L_i = k_i l_i,  gen_i = 2 sqrt|x| G(x),
+    G(x) = atan(sqrt x)/sqrt x at a circle (x > 0), atanh(sqrt -x)/sqrt -x
+    at a hypercycle (x < 0) and 1 at a horocycle: tan(theta/2) = sqrt x
+    for the angle theta, tanh(s/2) = sqrt -x for the axis segment s.
+    jac=True adds the exact Jacobian J = dL/dK, K = ln k, the derivative
+    of the same formula with G'(x) = H(x)/2:
+      J_ij = -k_i k_j / (sqrt(D) (k_i + k_j))   (i != j),
+      J_ii = L_i - k_i^2 (k_j + k_m) / (sqrt(D) (k_i + k_j)(k_i + k_m))
+             + 2 k_i^3 H(x) / D^1.5,   H(x) = (1/(1 + x) - G(x)) / x.
+    D and the face sums are formed in ascending order, so that results
+    commute with permuting a face's corners.  Raises ValueError for a
+    curvature that is not positive, and InfeasibleGeometryError naming a
+    face that cannot be evaluated in double precision."""
     k = np.asarray(k, dtype=float)
     if not (k > 0.0).all():
         raise ValueError(f"geodesic curvature must be positive, got {k[~(k > 0.0)][0]}")
-    n = len(k)
-    f = np.arange(n)[:, None]
-    order = np.argsort(k, axis=1, kind="stable")
-    ks = k[f, order]
-    kinds = np.where(np.abs(ks - 1.0) <= KIND_TOL, _HORO, np.where(ks > 1.0, _CIRC, _HYPER))
-    # 0 to 3 hypercycles index _CASES; 4 is the ideal-vertex case
-    case = np.where((kinds == _HORO).any(axis=1), 4, (kinds == _HYPER).sum(axis=1))
-    out = np.full((3, n, 3), np.nan)  # gen, l, L at the sorted corners
-    dL = np.empty((n, 3, 3)) if jac else None
+    kinds = np.where(np.abs(k - 1.0) <= KIND_TOL, _HORO, np.where(k > 1.0, _CIRC, _HYPER))
     with np.errstate(all="ignore"):
-        for c in np.flatnonzero(np.bincount(case, minlength=5)):
-            rows = np.flatnonzero(case == c)
-            cols = _columns(ks[rows], jac)
-            if c < 4:
-                parts = [(rows, i, corner) for i, corner in enumerate(_CASES[c](*cols))]
-            else:  # each corner by its own kind's chord identity
-                parts = []
-                for i, m in enumerate(_corner_chords(*cols)):
-                    codes = kinds[rows, i]
-                    for code in set(codes.tolist()):
-                        sub = np.flatnonzero(codes == code)
-                        parts.append((rows[sub], i, _ARCS[code](cols[i][sub], m[sub])))
-            for r, i, corner in parts:
-                for q, x in enumerate(corner):
-                    if x is not None:
-                        out[q, r, i] = _value(x)
-                if jac:
-                    dL[r, i] = corner[2].d
-        area = np.pi - out[2].sum(axis=1)
-        polygon_area = np.pi - np.where(kinds == _CIRC, out[0], 0.0).sum(axis=1)
+        a, b, c = _ascending(k)
+        D = (1.0 + a * b + a * c + b * c)[:, None]
+        sqrt_d = np.sqrt(D)
+        kj, km = k[:, [1, 0, 0]], k[:, [2, 2, 1]]  # each corner's other two
+        P = (k + kj) * (k + km)
+        x = (k - 1.0) * (k + 1.0) / D
+        xp1 = P / D  # 1 + x, without the cancellation of adding
+        w = np.sqrt(np.abs(x))
+        # atanh w = log1p(w) - log(1 - w^2)/2, with 1 - w^2 = 1 + x, so
+        # that w rounding to 1 does not matter
+        G = np.where(x > 0.0, np.arctan(w), np.log1p(w) - 0.5 * np.log(xp1)) / w
+        small = np.abs(x) < _SERIES_X
+        G[small] = polyval(x[small], _G_SERIES)
+        arc = 2.0 * G / sqrt_d
+        L = k * arc
+        gen = np.where(kinds == _HORO, np.nan, 2.0 * w * G)
+        J = None
+        if jac:
+            H = (1.0 / xp1 - G) / x
+            H[small] = polyval(x[small], _H_SERIES)
+            J = np.empty(k.shape + (3,))
+            kn = k[:, [1, 2, 0]]  # the pairs (0, 1), (1, 2), (2, 0)
+            J[:, [0, 1, 2], [1, 2, 0]] = J[:, [1, 2, 0], [0, 1, 2]] = (
+                -(k * kn) / (sqrt_d * (k + kn)))
+            J[:, [0, 1, 2], [0, 1, 2]] = (L - k * k * (kj + km) / (sqrt_d * P)
+                                          + 2.0 * k * k * k * H / (D * sqrt_d))
+        area = np.pi - sum(_ascending(L))
+        polygon_area = np.pi - sum(_ascending(np.where(kinds == _CIRC, gen, 0.0)))
 
-    res = np.empty_like(out)
-    res[:, f, order] = out
-    kind = np.empty_like(kinds)
-    kind[f, order] = kinds
-    ok = np.isfinite(res[1:]).all(axis=(0, 2))
-    J = None
+    ok = np.isfinite(area)  # exactly where the face's three L are finite
     if jac:
-        J = np.empty_like(dL)
-        J[f[:, :, None], order[:, :, None], order[:, None, :]] = dL
         ok &= np.isfinite(J).all(axis=(1, 2))
     if not ok.all():
         bad = tuple(k[int(np.argmin(ok))].tolist())
         raise InfeasibleGeometryError(
             f"face with curvatures {bad} cannot be evaluated in double precision")
-    return FaceArrays(kind, res[0], res[1], res[2], area, polygon_area, J)
+    return FaceArrays(kinds, gen, arc, L, area, polygon_area, J)
 
 
 def require_positive_area(k, fa: FaceArrays) -> None:
@@ -354,8 +231,8 @@ def corner_curvatures(k1: float, k2: float, k3: float) -> tuple[float, float, fl
 def face_jacobian(k1: float, k2: float, k3: float):
     """3x3 matrix J with J[i][j] = dL_i/dS_j, S = ln k, as nested lists.
 
-    Exact: forward-mode differentiation through face_kernel's closed
-    forms.  J is symmetric (closedness of the curvature form), has
+    Exact: the derivative of face_kernel's closed form.  J is symmetric
+    (closedness of the curvature form), has
     positive diagonal, negative off-diagonal, and positive row sums
     (= -d area/d S_j).
     """
@@ -420,8 +297,8 @@ class EmbeddedFace:
 def _embedding(k0, k1, k2):
     """Circles (cx, cy, radius) and the tangency points, in the order of
     _PAIRS, of the embedded triple (normalization as in EmbeddedFace).
-    np.* only, so it serves floats, arrays and duals; a tangency chain
-    that fails to close gives NaN."""
+    np.* only, so it serves floats and arrays; a tangency chain that
+    fails to close gives NaN."""
     a = 1.0 / k0
     b = 1.0 / k1
     # Third circle: center (u, k2*rho), radius rho, tangent to both.
@@ -472,7 +349,7 @@ def _horo_arc(k, m):
     """Horocycle: l = 2 sinh(d/2); no generalized angle.  The factor is
     1 at k = 1 and carries the first-order term that the circle and
     hypercycle identities share near k = 1, l = sqrt(2m) (1 + m (k^2 - 1)
-    / 12 + ...), so that dL/dK is exact there too."""
+    / 12 + ...), for the curvatures within KIND_TOL of 1."""
     l = np.sqrt(2.0 * m) * (1.0 + m * (k * k - 1.0) / 12.0)
     return None, l, l * k
 

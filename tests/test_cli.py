@@ -1,9 +1,10 @@
 import json
-import math
 
 import pytest
 
 from hypack.cli import main
+from hypack.hyptrig import InfeasibleGeometryError
+from hypack.packing import vertex_curvature_sums
 
 TETRA = {"num_vertices": 4, "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
 OCTA = {"num_vertices": 6, "faces": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
@@ -131,10 +132,21 @@ class TestSolve:
                      "--config", cfg]) == 1
         assert field in capsys.readouterr().err
 
-    def test_stalled_solver_exit(self, tmp_path, tetra_path, capsys):
-        near_tight = write(tmp_path, "t.json",
-                           {"L_hat": [3 * math.pi - 1e-6, 1.0, 1.0, 1.0]})
-        assert main(["solve", "--tri", tetra_path, "--targets", near_tight]) == 3
+    def test_stalled_solver_exit(self, tmp_path, tetra_path, unit_targets, capsys,
+                                 monkeypatch):
+        # every Newton trial is unevaluable, so backtracking stalls
+        calls = []
+
+        def first_call_only(tri, K):
+            calls.append(K)
+            if len(calls) > 1:
+                raise InfeasibleGeometryError("unevaluable trial")
+            return vertex_curvature_sums(tri, K)
+
+        monkeypatch.setattr("hypack.flow.vertex_curvature_sums", first_call_only)
+        cfg = write(tmp_path, "cfg.json", {"newton_switch_tol": 1e9})
+        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                     "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "backtracking stalled" in err and "Traceback" not in err
 
@@ -215,9 +227,17 @@ class TestClassTolFlag:
         doc = json.loads(out.read_text())
         assert all(v["class"] == "cusp" for v in doc["vertices"])
 
-    def test_tolerance_below_kind_tol(self, tmp_path, tetra_path, unit_targets, capsys):
+    def test_tolerance_below_kind_tol(self, tmp_path, tetra_path, unit_targets, capsys,
+                                      monkeypatch):
+        # rejected before the solve, from the flag and from the config file
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr("hypack.cli.solve", no_solve)
         out = tmp_path / "r.json"
-        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
-                     "--class-tol", "0", "--out", str(out)]) == 1
-        assert "KIND_TOL" in capsys.readouterr().err
-        assert not out.exists()
+        cfg = write(tmp_path, "cfg.json", {"class_tol": 0.0})
+        for opts in (["--class-tol", "0"], ["--config", cfg]):
+            assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                         *opts, "--out", str(out)]) == 1
+            assert "KIND_TOL" in capsys.readouterr().err
+            assert not out.exists()

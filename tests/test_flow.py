@@ -16,10 +16,12 @@ from hypack.flow import (
     rate_estimate,
     solve,
 )
+from hypack.hyptrig import InfeasibleGeometryError
 from hypack.packing import vertex_curvature_sums
 from hypack.surface import Triangulation
 
 from conftest import TETRA_FACES, torus_grid
+from test_oracle import oracle_face
 
 # symmetric tetrahedron solution for unit targets, frozen from the
 # scalar equation s(r) sinh r = 1/3, cosh s(r) = cosh 2r / (cosh 2r - 1)
@@ -100,11 +102,33 @@ class TestSolve:
         assert res.status is SolveStatus.INFEASIBLE
         assert res.witness == witness
 
-    def test_unevaluable_trial_fails_the_step(self, tetrahedron):
-        # admissible by 1e-6; a Newton trial underflows exp(K) to 0, which
-        # the face kernel rejects, so backtracking shortens it until it stalls
+    def test_near_tight_target_converges(self, tetrahedron):
+        # admissible by 1e-6: the solution has K_0 ~ 31.9, and its
+        # curvature sums match the 120-digit oracle
+        target = [3 * math.pi - 1e-6, 1.0, 1.0, 1.0]
+        res = solve(tetrahedron, target)
+        assert res.status is SolveStatus.CONVERGED and res.K[0] > 30.0
+        k = np.exp(res.K)
+        L = np.zeros(4)
+        for face in TETRA_FACES:
+            for v, (_, Lv) in zip(face, oracle_face(k[list(face)], dps=120)):
+                L[v] += float(Lv)
+        assert np.max(np.abs(L - target)) < 1e-9
+
+    def test_unevaluable_trial_fails_the_step(self, tetrahedron, monkeypatch):
+        # every trial after the starting residual is unevaluable, so Newton
+        # backtracking shortens the step until it stalls
+        calls = []
+
+        def first_call_only(tri, K):
+            calls.append(K)
+            if len(calls) > 1:
+                raise InfeasibleGeometryError("unevaluable trial")
+            return vertex_curvature_sums(tri, K)
+
+        monkeypatch.setattr(flow, "vertex_curvature_sums", first_call_only)
         with pytest.raises(StiffnessError, match="backtracking stalled"):
-            solve(tetrahedron, [3 * math.pi - 1e-6, 1.0, 1.0, 1.0])
+            solve(tetrahedron, np.ones(4), config=FlowConfig(newton_switch_tol=1e9))
 
     def test_six_curvature_evaluations_per_flow_step(self, tetrahedron, monkeypatch):
         import hypack.flow as flow_module
@@ -181,8 +205,9 @@ class TestSolve:
         assert res.status is SolveStatus.MAX_STEPS_EXCEEDED
 
     def test_stiffness_error(self, tetrahedron, monkeypatch):
-        monkeypatch.setattr(flow, "_STEP_ERROR_TOL", 1e-30)
-        monkeypatch.setattr(flow, "_REL_STEP_ERROR", 1e-30)
+        # no error estimate is below 0, so every step is rejected
+        monkeypatch.setattr(flow, "_STEP_ERROR_TOL", 0.0)
+        monkeypatch.setattr(flow, "_REL_STEP_ERROR", 0.0)
         with pytest.raises(StiffnessError):
             solve(tetrahedron, np.ones(4))
 

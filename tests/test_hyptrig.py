@@ -11,10 +11,8 @@ from hypack.hyptrig import (
     bigon_kernel,
     classify_curvature,
     curvature_to_radius,
-    hexagon_sides,
     solve_pentagon,
     solve_quadrilateral,
-    triangle_angles,
 )
 
 HALF_LN3 = 0.5493061443340548  # 0.5 * ln 3
@@ -57,36 +55,6 @@ class TestCurvatureRadius:
             r = curvature_to_radius(k)
             back = 1.0 / math.tanh(r) if kind is CurveKind.CIRCLE else math.tanh(r)
             assert abs(back - k) <= 1e-14 * k
-
-
-class TestTriangleAngles:
-    """The three-circle kernel: angles of the triangle with sides
-    r_j + r_k, the angle at center i opposite side r_j + r_k."""
-
-    def test_equilateral_cosh_5_3(self):
-        # equal sides with cosh d = 5/3 (tangent circles of curvature 2)
-        r = 0.5 * math.acosh(5.0 / 3.0)
-        th = triangle_angles(r, r, r)
-        expect = math.acos(5.0 / 8.0)
-        for t in th:
-            assert t == pytest.approx(expect, abs=1e-14)
-
-    def test_symmetry(self):
-        th = triangle_angles(0.65, 0.65, 0.65)
-        assert th[0] == th[1] == th[2]
-
-    def test_thin_triangle_limit(self):
-        # sides (25, 30, 30) and (20, 30, 30): the angle opposite the
-        # short side collapses as that side grows with the others fixed
-        assert triangle_angles(17.5, 12.5, 12.5)[0] < 1e-6
-        assert (triangle_angles(17.5, 12.5, 12.5)[0]
-                > triangle_angles(20.0, 10.0, 10.0)[0])
-
-    @given(st.tuples(*[st.floats(min_value=0.01, max_value=5.0)] * 3))
-    @settings(max_examples=100, deadline=None)
-    def test_angle_sum_below_pi(self, radii):
-        th = triangle_angles(*radii)
-        assert 0.0 < sum(th) < math.pi
 
 
 class TestQuadrilateral:
@@ -152,28 +120,6 @@ class TestPentagon:
         # l3 >= l1 + l2 corresponds to a non-positive circle radius
         with pytest.raises(InfeasibleGeometryError):
             solve_pentagon(0.1, 0.1, 5.0)
-
-
-class TestHexagon:
-    def test_golden_111(self):
-        s = hexagon_sides(1.0, 1.0, 1.0)
-        expect = (math.cosh(1.0) + math.cosh(1.0) ** 2) / math.sinh(1.0) ** 2
-        assert s[0] == pytest.approx(math.acosh(expect), abs=1e-14)
-        assert s[0] == pytest.approx(1.7049128323580137, abs=1e-12)
-        assert s[0] == s[1] == s[2]
-
-    def test_symmetric_closed_form(self):
-        # equal radii r: cosh s = cosh(2r) / (cosh(2r) - 1)
-        for r in (0.2, 0.7, 1.9):
-            s = hexagon_sides(2 * r, 2 * r, 2 * r)[0]
-            assert math.cosh(s) == pytest.approx(
-                math.cosh(2 * r) / (math.cosh(2 * r) - 1.0), rel=1e-13)
-
-    def test_permutation_equivariance(self):
-        d = (0.4, 1.1, 2.3)
-        s = hexagon_sides(*d)
-        s_perm = hexagon_sides(d[2], d[0], d[1])
-        assert s_perm == (s[2], s[0], s[1])
 
 
 class TestBigon:

@@ -1,15 +1,19 @@
-"""The face kernel against a 50-digit half-plane embedding.
+"""The face kernel against a high-precision half-plane embedding.
 
 The oracle places the three curves in the upper half-plane with mpmath at
-50 significant digits, so that none of the cancellations the kernel's
-closed forms avoid can matter, and reads each corner's arc off the chord
-between its two tangency points.  mpmath is a test-only dependency.
+50 or more significant digits, so that none of the cancellations the
+kernel's closed form avoids can matter, and reads each corner's arc off
+the chord between its two tangency points.  It takes log-curvatures and
+forms k^2 - 1 as expm1(2 ln k), so that it stays accurate, and
+differentiable by mp.diff, across k = 1.  mpmath is a test-only
+dependency.
 """
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from hypack.hyptrig import KIND_TOL
 from hypack.tangency import face_kernel
 
 from test_tangency import FACE_CASES
@@ -17,74 +21,113 @@ from test_tangency import FACE_CASES
 REL_TOL = 1e-10
 
 
-def oracle_face(ks):
-    """(gen, L) per corner at 50 digits: gen is the angle at a circle, the
-    axis segment at a hypercycle and None at a horocycle (k exactly 1)."""
-    with mp.workdps(50):
-        k = [mp.mpf(float(x)) for x in ks]
-        # curves 0 and 1 touch at i with a vertical tangent; curve 2 has
-        # center (u, k2 rho) and Euclidean radius rho, tangent to both
-        a, b = 1 / k[0], 1 / k[1]
-        c = (a - b) / (a + b)
-        A = c * c + k[2] ** 2 - 1
-        B = 2 * (a * (c - 1) - k[2])
-        rho = (-B - mp.sqrt(B * B - 4 * A)) / (2 * A) if A != 0 else -1 / B
-        circles = [(-a, mp.mpf(1), a), (b, mp.mpf(1), b), (rho * c, k[2] * rho, rho)]
-        pts = {}
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            (xi, yi, ri), (xj, yj, rj) = circles[i], circles[j]
-            t = ri / (ri + rj)
-            pts[i, j] = (xi + (xj - xi) * t, yi + (yj - yi) * t)
-        out = []
-        for i, (p, q) in enumerate((((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)))):
-            P, Q = pts[p], pts[q]
-            d = mp.acosh(1 + ((P[0] - Q[0]) ** 2 + (P[1] - Q[1]) ** 2) / (2 * P[1] * Q[1]))
-            if k[i] == 1:
-                gen, length = None, 2 * mp.sinh(d / 2)
-            elif k[i] > 1:  # cosh d = cosh^2 r - sinh^2 r cos(theta), sinh r = 1/sqrt(k^2-1)
-                sh2 = 1 / (k[i] ** 2 - 1)
-                gen = mp.acos(1 - (mp.cosh(d) - 1) / sh2)
-                length = gen * mp.sqrt(sh2)
-            else:  # cosh d = cosh^2 r cosh s - sinh^2 r, cosh r = 1/sqrt(1-k^2)
-                ch2 = 1 / (1 - k[i] ** 2)
-                gen = mp.acosh(1 + (mp.cosh(d) - 1) / ch2)
-                length = gen * mp.sqrt(ch2)
-            out.append((gen, length * k[i]))
-        return out
+def oracle_corners(K):
+    """(gen, L) per corner of the face with mpf log-curvatures K, at the
+    working precision: gen is the angle at a circle, the axis segment at a
+    hypercycle and None at a horocycle (K exactly 0)."""
+    k = [mp.exp(x) for x in K]
+    km = [mp.expm1(2 * x) for x in K]  # k^2 - 1
+    # curves 0 and 1 touch at i with a vertical tangent; curve 2 has
+    # center (u, k2 rho) and Euclidean radius rho, tangent to both:
+    # A rho^2 + B rho + 1 = 0, smaller positive root in its stable form
+    a, b = 1 / k[0], 1 / k[1]
+    c = (a - b) / (a + b)
+    A = c * c + km[2]
+    B = 2 * (a * (c - 1) - k[2])
+    rho = 2 / (-B + mp.sqrt(B * B - 4 * A))
+    circles = [(-a, mp.mpf(1), a), (b, mp.mpf(1), b), (rho * c, k[2] * rho, rho)]
+    pts = {}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        (xi, yi, ri), (xj, yj, rj) = circles[i], circles[j]
+        t = ri / (ri + rj)
+        pts[i, j] = (xi + (xj - xi) * t, yi + (yj - yi) * t)
+    out = []
+    for i, (p, q) in enumerate((((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)))):
+        P, Q = pts[p], pts[q]
+        # u = sinh(d/2) for the chord d; u = sinh r sin(theta/2) at a
+        # circle (sinh r = 1/sqrt(k^2 - 1)), u = cosh r sinh(s/2) at a
+        # hypercycle (cosh r = 1/sqrt(1 - k^2)), and l = 2u at a horocycle
+        u = mp.sqrt(((P[0] - Q[0]) ** 2 + (P[1] - Q[1]) ** 2) / (4 * P[1] * Q[1]))
+        if km[i] > 0:
+            gen = 2 * mp.asin(u * mp.sqrt(km[i]))
+            length = gen / mp.sqrt(km[i])
+        elif km[i] < 0:
+            gen = 2 * mp.asinh(u * mp.sqrt(-km[i]))
+            length = gen / mp.sqrt(-km[i])
+        else:
+            gen, length = None, 2 * u
+        out.append((gen, length * k[i]))
+    return out
 
 
-def sample_faces(seed, per_case):
-    """Faces of all five cases with |ln k| in [1e-4, 5] (so |k - 1| >= 1e-4)
-    at circle and hypercycle corners and k = 1 exactly at a horocycle."""
+def oracle_face(ks, dps=50):
+    """oracle_corners of the face with float curvatures ks, at dps digits."""
+    with mp.workdps(dps):
+        return oracle_corners([mp.log(mp.mpf(float(x))) for x in ks])
+
+
+def sample_faces(seed, per_case, lo=1e-4, hi=5.0):
+    """Faces of all five cases with |ln k| log-uniform in [lo, hi] at
+    circle and hypercycle corners and k = 1 exactly at a horocycle."""
     rng = np.random.default_rng(seed)
     faces = []
     for signs in FACE_CASES:
-        mags = np.exp(rng.uniform(np.log(1e-4), np.log(5.0), size=(per_case, 3)))
+        mags = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(per_case, 3)))
         K = mags * np.array(signs)
         faces.extend(rng.permutation(row) for row in np.exp(K))
     return np.array(faces)
 
 
-def test_matches_oracle_on_all_cases():
-    k = sample_faces(11, 60)
+def assert_matches_oracle(k, rel_tol, dps=50):
     fa = face_kernel(k)
     for f in range(len(k)):
-        for i, (gen, L) in enumerate(oracle_face(k[f])):
-            assert abs(fa.L[f, i] - float(L)) <= REL_TOL * abs(float(L))
-            if gen is None:
-                assert k[f, i] == 1.0 and np.isnan(fa.gen[f, i])
+        for i, (gen, L) in enumerate(oracle_face(k[f], dps)):
+            assert abs(fa.L[f, i] - float(L)) <= rel_tol * abs(float(L))
+            if abs(k[f, i] - 1.0) <= KIND_TOL:  # a horocycle corner
+                assert np.isnan(fa.gen[f, i])
             else:
-                assert abs(fa.gen[f, i] - float(gen)) <= REL_TOL * abs(float(gen))
+                assert abs(fa.gen[f, i] - float(gen)) <= rel_tol * abs(float(gen))
+
+
+def test_matches_oracle_on_all_cases():
+    assert_matches_oracle(sample_faces(11, 60), REL_TOL)
+
+
+def test_matches_oracle_over_the_solver_range():
+    # |ln k| up to 30, past where the solver's iterates can drift, and
+    # |k - 1| down to 1e-15; 50 digits do not cover the embedding's
+    # cancellations past |ln k| ~ 15
+    assert_matches_oracle(sample_faces(12, 40, lo=1e-15, hi=30.0), 1e-12, dps=120)
 
 
 @pytest.mark.parametrize("ks", [
     (2.0, 2.0, 2.0), (1.0, 1.0, 1.0), (np.e ** 5, np.e ** 5, np.e ** -5),
     (np.e ** -5, np.e ** -5, np.e ** -5), (1.0, np.e ** 5, np.e ** -5),
     (1.0001, 0.9999, 1.0), (np.e ** 5, 1.0001, 0.9999),
+    (np.e ** -30, np.e ** -30, np.e ** -30), (np.e ** -20, np.e ** -25, np.e ** -30),
 ])
 def test_matches_oracle_at_the_range_edges(ks):
     fa = face_kernel([ks])
-    for i, (gen, L) in enumerate(oracle_face(ks)):
+    for i, (gen, L) in enumerate(oracle_face(ks, dps=120)):
         assert abs(fa.L[0, i] - float(L)) <= REL_TOL * abs(float(L))
         if gen is not None:
             assert abs(fa.gen[0, i] - float(gen)) <= REL_TOL * abs(float(gen))
+
+
+def test_jacobian_matches_oracle_derivative():
+    # J[i, j] = dL_i/dK_j against mp.diff of the oracle's L_i in K_j, on
+    # faces near k = 1 and on tiny hypercycles, where 1 + x ~ 1e-26
+    edges = [(1 + 1e-9, 2.0, 0.5), (1 - 1e-9, 1 + 1e-9, 1.0),
+             (1 + 1e-13, 1 - 1e-13, 0.3), (1 - 1e-6, 1 - 1e-6, 1 - 1e-6),
+             (np.e ** -30, np.e ** -30, np.e ** -30)]
+    k = np.vstack([sample_faces(13, 10, lo=1e-3, hi=10.0), edges])
+    J = face_kernel(k, jac=True).J
+    with mp.workdps(60):
+        for f in range(len(k)):
+            K = [mp.log(mp.mpf(float(x))) for x in k[f]]
+            for i in range(3):
+                for j in range(3):
+                    def L_i(t):
+                        return oracle_corners([t if m == j else K[m] for m in range(3)])[i][1]
+                    want = float(mp.diff(L_i, K[j]))
+                    assert abs(J[f, i, j] - want) <= 1e-10 * abs(want)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,24 @@ from hypack.packing import (
 )
 from hypack.tangency import corner_curvatures, face_jacobian
 
+from conftest import torus_grid
+
 VERTEX_L_ALL2 = 3.1026738590250541  # 3 * face(2,2,2) corner value
+
+
+def potential_by_node(tri, K, K_ref, L_hat, panels):
+    """potential_value with one vertex_curvature_sums call per
+    Gauss-Legendre node."""
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    delta = K - K_ref
+    loop = 0.0
+    for p in range(panels):
+        lo, hi = p / panels, (p + 1) / panels
+        for x, w in zip(nodes, weights):
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+            L = vertex_curvature_sums(tri, K_ref + t * delta)
+            loop += w * 0.5 * (hi - lo) * float(L @ delta)
+    return loop - float(L_hat @ delta)
 
 
 class TestVertexCurvatures:
@@ -165,23 +183,37 @@ class TestPotential:
             assert via2 == pytest.approx(direct, abs=1e-8)
 
     def test_matches_loop_over_nodes(self, octahedron, rng):
-        # one vertex_curvature_sums call per Gauss-Legendre node
         K_ref = rng.uniform(-1.0, 1.0, size=6)
         K = rng.uniform(-1.0, 1.0, size=6)
         L_hat = rng.uniform(0.5, 2.0, size=6)
-        panels = 8
-        nodes, weights = np.polynomial.legendre.leggauss(4)
-        delta = K - K_ref
-        loop = 0.0
-        for p in range(panels):
-            lo, hi = p / panels, (p + 1) / panels
-            for x, w in zip(nodes, weights):
-                t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-                L = vertex_curvature_sums(octahedron, K_ref + t * delta)
-                loop += w * 0.5 * (hi - lo) * float(L @ delta)
-        loop -= float(L_hat @ delta)
-        value = potential_value(octahedron, K, K_ref, L_hat, panels=panels)
-        assert value == pytest.approx(loop, rel=1e-12)
+        value = potential_value(octahedron, K, K_ref, L_hat, panels=8)
+        assert value == pytest.approx(potential_by_node(octahedron, K, K_ref, L_hat, 8),
+                                      rel=1e-12)
+
+    def test_chunked_nodes_match_loop_over_nodes(self, rng):
+        # 512 faces: the 32 nodes take more than one face_kernel call
+        tri = torus_grid(16, 16)
+        K_ref, K = rng.normal(0.0, 0.7, size=(2, 256))
+        L_hat = rng.uniform(0.5, 3.0, size=256)
+        value = potential_value(tri, K, K_ref, L_hat, panels=8)
+        assert value == pytest.approx(potential_by_node(tri, K, K_ref, L_hat, 8), rel=1e-12)
+
+    def test_memory_does_not_grow_with_nodes(self, rng):
+        # all 256 nodes' faces at once took 44 MB here
+        tri = torus_grid(16, 16)
+        K_ref, K = rng.normal(0.0, 0.7, size=(2, 256))
+        tracemalloc.start()
+        try:
+            potential_value(tri, K, K_ref, np.ones(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("panels", [0, -1])
+    def test_rejects_no_panels(self, tetrahedron, panels):
+        with pytest.raises(ValueError, match="panels"):
+            potential_value(tetrahedron, np.ones(4), np.zeros(4), np.ones(4), panels=panels)
 
     def test_gradient_matches_finite_differences(self, tetrahedron, rng):
         K_ref = np.zeros(4)

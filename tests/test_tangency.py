@@ -232,7 +232,7 @@ class TestRealizeFace:
 
 # Signs of ln k per corner for the five face cases: three circles
 # (triangle), one hypercycle (quadrilateral), two (pentagon), three
-# (hexagon), and a horocycle (ideal vertex, through the embedding).
+# (hexagon), and a horocycle (ideal vertex).
 FACE_CASES = ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1), (0, 1, -1))
 
 
@@ -326,7 +326,7 @@ class TestFaceKernel:
         assert face_kernel([(2.0, 0.5, 1.0)]).J is None
 
     def test_unevaluable_face_raises(self):
-        # exp(-400) hypercycles: the hexagon's sinh products underflow to 0
+        # exp(-400) hypercycles: (k_i + k_j)(k_i + k_m) underflows to 0, so L = inf
         k = math.exp(-400.0)
         with pytest.raises(InfeasibleGeometryError, match="curvatures"):
             face_kernel([(2.0, 2.0, 2.0), (k, k, k)])
