@@ -13,13 +13,12 @@ Exit codes: 0 success/admissible, 1 usage, parse or validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 
 from .flow import FlowConfig, SolveStatus, StiffnessError, rate_estimate, solve
 from .realize import CLASS_TOL, classify, realize_metric, render_face_svg, report_document
-from .surface import ParseError, check_admissible, load_targets, load_triangulation
+from .surface import ParseError, _load_json, check_admissible, load_targets, load_triangulation
 from .tangency import solve_face
 
 EXIT_OK = 0
@@ -68,13 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_TYPES))

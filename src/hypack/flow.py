@@ -60,13 +60,11 @@ _MIN_STEP = 1e-14
 _NEWTON_DAMPING = 1.0       # first Newton step fraction tried before halving
 
 # Guards check_admissibility=False: |K_i| beyond this while the residual
-# stalls ends the flow or Newton as INFEASIBLE.  The area of a face whose
+# stalls runs the feasibility check once, which ends the flow or Newton
+# as INFEASIBLE if it finds a witness.  The area of a face whose
 # curvatures all grow falls like 0.16 e^(-2K), so from K ~ 17 its L sum
 # to pi to rounding and a drifting Newton iteration stalls instead; at 15
-# the area is still 34 ulps of pi.  The price: with the gate off, an
-# admissible target close to the feasibility bound whose solution lies
-# past 15 is reported INFEASIBLE (on the tetrahedron, [3 pi - 1e-3, 1, 1,
-# 1]).  With the gate on, INFEASIBLE always has a witness.
+# the area is still 34 ulps of pi.
 _DRIFT_LIMIT = 15.0
 
 
@@ -175,9 +173,8 @@ def _newton_direction(tri, K, res):
 
 
 def _drifted(K, res_max: float, cfg: FlowConfig) -> bool:
-    """Gate off, some |K_i| beyond _DRIFT_LIMIT and the residual not small."""
-    return (not cfg.check_admissibility and res_max > cfg.residual_tol * 10
-            and float(np.max(np.abs(K))) > _DRIFT_LIMIT)
+    """Some |K_i| beyond _DRIFT_LIMIT and the residual not small."""
+    return res_max > cfg.residual_tol * 10 and float(np.max(np.abs(K))) > _DRIFT_LIMIT
 
 
 def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) -> SolveResult:
@@ -186,8 +183,9 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
 
     The target is first checked by check_admissible's maximum flow, at
     every size, and an infeasible one is rejected with its witness.  With
-    check_admissibility off, divergence (some K_i beyond +-15 while the
-    residual stalls) ends the solve as INFEASIBLE without a witness.  A
+    check_admissibility off, the first divergence (some K_i beyond +-15
+    while the residual stalls) runs that check instead, so INFEASIBLE
+    always comes with a witness; an admissible target solves on.  A
     trial state the face kernel cannot evaluate counts as a failed step.
     On convergence the result is independent of K0 (the packing is unique).
     """
@@ -203,7 +201,9 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
         raise ValueError("target curvatures must be positive and finite")
 
     trace = FlowTrace(config=cfg)
-    if cfg.check_admissibility:
+    # with the gate off, the same check runs once, at the first drift
+    checked = cfg.check_admissibility
+    if checked:
         witness = violating_subset(tri, target)
         if witness is not None:
             return SolveResult(K=np.zeros(tri.num_vertices), trace=trace,
@@ -226,8 +226,12 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             break
         if steps >= cfg.max_steps or t >= cfg.max_time:
             return SolveResult(K=K, trace=trace, status=SolveStatus.MAX_STEPS_EXCEEDED)
-        if _drifted(K, res_max, cfg):
-            return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE)
+        if not checked and _drifted(K, res_max, cfg):
+            checked = True
+            witness = violating_subset(tri, target)
+            if witness is not None:
+                return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE,
+                                   witness=witness)
 
         h = min(h, _MAX_STEP, max(cfg.max_time - t, _MIN_STEP))
         eff_tol = min(_STEP_ERROR_TOL, _REL_STEP_ERROR * res_max)
@@ -260,8 +264,12 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             return SolveResult(K=K, trace=trace, status=SolveStatus.CONVERGED)
         if steps >= cfg.max_steps:
             return SolveResult(K=K, trace=trace, status=SolveStatus.MAX_STEPS_EXCEEDED)
-        if _drifted(K, res_max, cfg):
-            return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE)
+        if not checked and _drifted(K, res_max, cfg):
+            checked = True
+            witness = violating_subset(tri, target)
+            if witness is not None:
+                return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE,
+                                   witness=witness)
         direction = _newton_direction(tri, K, res)
         alpha = _NEWTON_DAMPING
         while True:

@@ -3,23 +3,24 @@
 Classifies vertices (hypercycle -> geodesic boundary, horocycle -> cusp,
 circle -> cone point), computes cone angles and discrete Gaussian
 curvatures, geodesic boundary lengths, runs the global Gauss-Bonnet
-audit on the realized surface, and renders single faces to SVG in the
-Poincare disk.  Realization sums the arrays of one face_kernel call
-per vertex, with no per-face records.  Read-only; thread-safe.
+audit on the realized surface, and renders single faces to SVG from a
+closed-form picture in the Poincare disk.  Realization sums the arrays
+of one face_kernel call per vertex, with no per-face records.
+Read-only; thread-safe.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hyptrig import KIND_TOL, CurveKind, classify_curvature
+from .hyptrig import KIND_TOL, CurveKind, InfeasibleGeometryError, classify_curvature
 from .packing import _sum_at_vertices, vertex_curvatures
 from .surface import Triangulation, euler_characteristic
-from .tangency import EmbeddedFace, realize_face
 
 __all__ = [
     "CLASS_TOL",
@@ -145,35 +146,24 @@ def report_document(metric: RealizedMetric, *, schema_version: int = 1) -> str:
 # SVG rendering (Poincare disk)
 # ---------------------------------------------------------------------------
 
-def _half_plane_to_disk_circle(cx: float, cy: float, radius: float):
-    """Image disk of a Euclidean circle under w = i (z - i)/(z + i).
-
-    The map sends the upper half-plane to the unit disk with the point
-    (0, 1) at the origin and vertical directions there staying vertical.
-    Mobius maps send circles to circles; the image is recovered from
-    three mapped sample points (the pole z = -i never lies on a curve
-    with cy >= 0).
-    """
-    pts = []
-    for t in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0):
-        z = complex(cx + radius * math.cos(t), cy + radius * math.sin(t))
-        w = 1j * (z - 1j) / (z + 1j)
-        pts.append(w)
-    return _circle_through(pts[0], pts[1], pts[2])
-
-
-def _circle_through(a: complex, b: complex, c: complex):
-    """Center and radius of the circle through three points."""
-    d = 2.0 * ((a.real - c.real) * (b.imag - c.imag)
-               - (b.real - c.real) * (a.imag - c.imag))
-    if abs(d) < 1e-30:
-        raise ValueError("degenerate circle: collinear sample points")
-    ha = abs(a) ** 2 - abs(c) ** 2
-    hb = abs(b) ** 2 - abs(c) ** 2
-    ux = (ha * (b.imag - c.imag) - hb * (a.imag - c.imag)) / d
-    uy = (hb * (a.real - c.real) - ha * (b.real - c.real)) / d
-    center = complex(ux, uy)
-    return center, abs(a - center)
+def _disk_picture(k0: float, k1: float, k2: float):
+    """Centers, radii and origin powers |c|^2 - r^2 of the three curves,
+    and the tangency points in the pair order (0,1), (0,2), (1,2), in the
+    Poincare disk: the closed-form image under w = i (z - i)/(z + i) of
+    the half-plane embedding with curves 0 and 1 touching at i with a
+    vertical common tangent, so that they touch at the origin.  With
+    s = k0 + k1, q = 1 + k2 s and D = 1 + k0 k1 + k0 k2 + k1 k2, curve 2
+    has radius s/(2q), center ((k1 - k0) - 2i sqrt(D))/(2q) and origin
+    power 1/q, curves 0 and 1 pass through the origin, and curve 2 touches
+    them at -(k0 + i sqrt(D))/(D + k0^2) and (k1 - i sqrt(D))/(D + k1^2)."""
+    s = k0 + k1
+    q = 1.0 + k2 * s
+    d = 1.0 + k0 * k1 + k0 * k2 + k1 * k2
+    sqrt_d = math.sqrt(d)
+    centers = (complex(-0.5 / k0), complex(0.5 / k1), complex(0.5 * (k1 - k0), -sqrt_d) / q)
+    radii = (0.5 / k0, 0.5 / k1, 0.5 * s / q)
+    points = (0j, -complex(k0, sqrt_d) / (d + k0 * k0), complex(k1, -sqrt_d) / (d + k1 * k1))
+    return centers, radii, (0.0, 0.0, 1.0 / q), points
 
 
 def _fmt(x: float) -> str:
@@ -193,7 +183,11 @@ def render_face_svg(k1: float, k2: float, k3: float, *, size: int = 400) -> str:
     point of the first two curves sits at the disk origin with a
     vertical common tangent.
     """
-    emb: EmbeddedFace = realize_face(k1, k2, k3)
+    kinds = [classify_curvature(k) for k in (k1, k2, k3)]
+    centers, radii, powers, points = _disk_picture(k1, k2, k3)
+    if not all(map(cmath.isfinite, centers + radii + points)):
+        raise InfeasibleGeometryError(
+            f"face with curvatures {(k1, k2, k3)} cannot be drawn in double precision")
     half = size / 2.0
     scale = size / 2.4  # disk of radius 1 inside a 2.4-wide viewport
 
@@ -207,30 +201,28 @@ def render_face_svg(k1: float, k2: float, k3: float, *, size: int = 400) -> str:
         f'<circle cx="{_fmt(half)}" cy="{_fmt(half)}" r="{_fmt(scale)}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
-    for idx, circ in enumerate(emb.circles):
-        center, rad = _half_plane_to_disk_circle(circ.cx, circ.cy, circ.radius)
-        color = _CURVE_COLORS[idx]
-        kind = classify_curvature(circ.k)
+    for center, rad, power, kind, color in zip(centers, radii, powers, kinds, _CURVE_COLORS):
         cx_px, cy_px = to_px(center.real, center.imag)
         if kind is CurveKind.HYPERCYCLE:
-            lines.append(_arc_path(center, rad, to_px, scale, color))
+            lines.append(_arc_path(center, rad, power, to_px, scale, color))
         else:
             lines.append(
                 f'<circle cx="{_fmt(cx_px)}" cy="{_fmt(cy_px)}" r="{_fmt(scale * rad)}" '
                 f'fill="none" stroke="{color}" stroke-width="1.5"/>')
-    for (x, y) in emb.tangency_points:
-        w = 1j * (complex(x, y) - 1j) / (complex(x, y) + 1j)
+    for w in points:
         px, py = to_px(w.real, w.imag)
         lines.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#000000"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _arc_path(center: complex, rad: float, to_px, scale: float, color: str) -> str:
-    """Arc of the image circle clipped to the unit disk (hypercycles)."""
+def _arc_path(center: complex, rad: float, power: float, to_px, scale: float,
+              color: str) -> str:
+    """Arc of the image circle clipped to the unit disk (hypercycles);
+    power is the origin's power |center|^2 - rad^2."""
     d = abs(center)
     # intersection of |w| = 1 and |w - center| = rad
-    a = (1.0 + d * d - rad * rad) / (2.0 * d)
+    a = (1.0 + power) / (2.0 * d)
     h2 = 1.0 - a * a
     if h2 <= 0.0:  # numerically tangent: draw the full circle
         cx_px, cy_px = to_px(center.real, center.imag)

@@ -11,9 +11,9 @@ circles/horocycles/hypercycles.  This module solves faces two ways:
   exact Jacobian dL/dK, K = ln k, by the derivative of the same formula.
   ``solve_face``, ``corner_curvatures`` and ``face_jacobian`` call it on
   one face;
-* ``realize_face`` — explicit upper half-plane embedding, which doubles
-  as the rendering feed and as a numerical oracle (arc lengths by chord
-  identities or by adaptive quadrature of ds = |dz|/y).
+* ``realize_face`` — explicit upper half-plane embedding, the
+  quadrature oracle: its arc lengths integrate ds = |dz|/y along the
+  embedded arcs, independently of the kernel's closed form.
 
 Everything is value-in/value-out and thread-safe.
 """
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .hyptrig import KIND_TOL, CurveKind, InfeasibleGeometryError, classify_curvature
+from .hyptrig import KIND_TOL, CurveKind, InfeasibleGeometryError
 # not called here: perfbench's tracer wraps these two names in this module
 from .hyptrig import solve_pentagon, solve_quadrilateral  # noqa: F401
 
@@ -92,11 +92,6 @@ class FaceArrays(NamedTuple):
     area: np.ndarray
     polygon_area: np.ndarray
     J: np.ndarray | None
-
-
-def _require(x, ok):
-    """x where ok holds and NaN elsewhere."""
-    return x * np.where(ok, 1.0, np.nan)
 
 
 def _circle_radius(k):
@@ -277,18 +272,10 @@ class EmbeddedFace:
         other = next(self.tangency_points[m] for m, pr in enumerate(_PAIRS) if i not in pr)
         return mine[0], mine[1], other
 
-    def arc_length(self, i: int, *, method: str = "closed") -> float:
-        """Hyperbolic length of curve i's arc between its tangency points.
-
-        method="closed" uses chord identities; method="quadrature"
-        integrates ds = |dz|/y along the embedded arc with adaptive
-        quadrature (the independent oracle).
-        """
-        if method == "closed":
-            P, Q, _ = self.arc_endpoints(i)
-            k = self.circles[i].k
-            arc = _ARCS[_KINDS.index(classify_curvature(k))]
-            return float(arc(k, _chord_coshm1(P, Q))[1])
+    def arc_length(self, i: int, *, method: str = "quadrature") -> float:
+        """Hyperbolic length of curve i's arc between its tangency points,
+        by adaptive quadrature of ds = |dz|/y along the embedded arc (the
+        independent oracle; "quadrature" is the only method)."""
         if method != "quadrature":
             raise ValueError(f"unknown arc-length method {method!r}")
         return _arc_quadrature(self, i)
@@ -297,20 +284,14 @@ class EmbeddedFace:
 def _embedding(k0, k1, k2):
     """Circles (cx, cy, radius) and the tangency points, in the order of
     _PAIRS, of the embedded triple (normalization as in EmbeddedFace).
-    np.* only, so it serves floats and arrays; a tangency chain that
-    fails to close gives NaN."""
-    a = 1.0 / k0
-    b = 1.0 / k1
-    # Third circle: center (u, k2*rho), radius rho, tangent to both.
-    # Tangency eliminates u = rho (a-b)/(a+b); rho solves A rho^2 + B rho + 1 = 0.
-    c = (a - b) / (a + b)
-    A = c * c + k2 * k2 - 1.0
-    B = 2.0 * (a * (c - 1.0) - k2)
-    disc = B * B - 4.0 * A
-    # a discriminant within rounding of zero is zero
-    disc = np.maximum(_require(disc, disc >= -1e-12 * B * B), 0.0)
-    rho = 2.0 / (-B + np.sqrt(disc))  # smaller positive root, stable form
-    circles = ((-a, 1.0, a), (b, 1.0, b), (rho * c, k2 * rho, rho))
+    Curve 2 has center (rho (k1 - k0)/s, k2 rho) and radius rho, with
+    s = k0 + k1, rho = s/(2 + k2 s + 2 sqrt(D)) and D = 1 + k0 k1 + k0 k2
+    + k1 k2: the smaller root of its tangency quadratic, whose
+    discriminant is 16 D/s^2."""
+    s = k0 + k1
+    rho = s / (2.0 + k2 * s + 2.0 * math.sqrt(1.0 + k0 * k1 + k0 * k2 + k1 * k2))
+    circles = ((-1.0 / k0, 1.0, 1.0 / k0), (1.0 / k1, 1.0, 1.0 / k1),
+               (rho * (k1 - k0) / s, k2 * rho, rho))
     points = []
     for i, j in _PAIRS:
         (xi, yi, ri), (xj, yj, rj) = circles[i], circles[j]
@@ -325,56 +306,13 @@ def realize_face(k1: float, k2: float, k3: float) -> EmbeddedFace:
     for k in ks:
         if not k > 0.0:
             raise ValueError(f"geodesic curvature must be positive, got {k}")
-    with np.errstate(all="ignore"):
-        circles, points = _embedding(*ks)
+    circles, points = _embedding(*ks)
     if not np.all(np.isfinite(circles)):
-        raise InfeasibleGeometryError(f"tangency chain fails to close for curvatures {ks}")
+        raise InfeasibleGeometryError(f"curvatures {ks} cannot be embedded in double precision")
     return EmbeddedFace(
         circles=tuple(EmbeddedCircle(float(x), float(y), float(r), k)
                       for (x, y, r), k in zip(circles, ks)),
         tangency_points=tuple((float(x), float(y)) for x, y in points))
-
-
-def _chord_coshm1(P, Q):
-    """cosh(hyperbolic distance) - 1 between half-plane points P and Q."""
-    dx = P[0] - Q[0]
-    dy = P[1] - Q[1]
-    return (dx * dx + dy * dy) / (2.0 * P[1] * Q[1])
-
-
-# (gen_angle, l, L) of a corner of curvature k from cosh(chord) - 1 = m,
-# by the chord identities of each kind.
-
-def _horo_arc(k, m):
-    """Horocycle: l = 2 sinh(d/2); no generalized angle.  The factor is
-    1 at k = 1 and carries the first-order term that the circle and
-    hypercycle identities share near k = 1, l = sqrt(2m) (1 + m (k^2 - 1)
-    / 12 + ...), for the curvatures within KIND_TOL of 1."""
-    l = np.sqrt(2.0 * m) * (1.0 + m * (k * k - 1.0) / 12.0)
-    return None, l, l * k
-
-
-def _circle_arc(k, m):
-    """Circle: cosh d = cosh^2 r - sinh^2 r cos(theta), so
-    1 - cos(theta) = u = m / sinh^2 r and tan(theta/2) = sqrt(u / (2 - u))."""
-    sh2 = 1.0 / (k * k - 1.0)          # sinh^2 r
-    u = m / sh2
-    theta = 2.0 * np.arctan2(np.sqrt(u), np.sqrt(np.maximum(2.0 - u, 0.0)))
-    l = theta * np.sqrt(sh2)
-    return theta, l, l * k
-
-
-def _hyper_arc(k, m):
-    """Hypercycle: cosh d = cosh^2 r cosh s - sinh^2 r, so
-    cosh s - 1 = u = m / cosh^2 r."""
-    ch2 = 1.0 / (1.0 - k * k)          # cosh^2 r
-    u = m / ch2
-    s = np.log1p(u + np.sqrt(u * (2.0 + u)))  # acosh(1 + u), stable near 0
-    l = s * np.sqrt(ch2)
-    return s, l, l * k
-
-
-_ARCS = {_HORO: _horo_arc, _CIRC: _circle_arc, _HYPER: _hyper_arc}
 
 
 def _arc_quadrature(emb: EmbeddedFace, i: int) -> float:

@@ -119,6 +119,16 @@ class TestSolve:
                      "--config", cfg]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_unreadable_config_file(self, tmp_path, tetra_path, unit_targets, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{\n  oops")
+        for cfg, message in ((str(bad), ": line 2 column 3: "),
+                             (str(tmp_path / "missing.json"), "No such file")):
+            assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                         "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert cfg + ":" in err and message in err
+
     @pytest.mark.parametrize("field, value", [
         ("residual_tol", "1e-10"),
         ("max_steps", "abc"),

@@ -149,14 +149,26 @@ class TestSolve:
         # first stage is the current rate and the last one the next rate
         assert calls["L"] == 1 + 6 * calls["step"]
 
-    @pytest.mark.parametrize("target", [[10.0, 1.0, 1.0, 1.0], [3.2] * 4])
-    def test_newton_drift_guard(self, tetrahedron, target):
+    @pytest.mark.parametrize("target, witness", [([10.0, 1.0, 1.0, 1.0], (0,)),
+                                                 ([3.2] * 4, (0, 1, 2, 3))])
+    def test_newton_drift_guard(self, tetrahedron, target, witness):
         # gate off and Newton from K = 0: the iterates drift, and the guard
-        # ends the solve before exp(K) leaves the kernel's range
+        # ends the solve with the feasibility check's witness before exp(K)
+        # leaves the kernel's range
         res = solve(tetrahedron, target,
                     config=FlowConfig(check_admissibility=False, newton_switch_tol=1e9))
-        assert res.status is SolveStatus.INFEASIBLE and res.witness is None
+        assert res.status is SolveStatus.INFEASIBLE and res.witness == witness
         assert res.trace.phase[-1] == "newton"
+
+    @pytest.mark.parametrize("newton_switch_tol", [1e-3, 1e9])
+    def test_gate_off_near_tight_target_converges(self, tetrahedron, newton_switch_tol):
+        # admissible by 1e-3 with the solution at K_0 ~ 18.09, past the
+        # drift limit: the drift check finds no witness and the solve goes on
+        res = solve(tetrahedron, [3 * math.pi - 1e-3, 1.0, 1.0, 1.0],
+                    config=FlowConfig(check_admissibility=False,
+                                      newton_switch_tol=newton_switch_tol))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.K[0] == pytest.approx(18.088, abs=1e-3)
 
     def test_infeasible_flow_does_not_converge(self, tetrahedron):
         cfg = FlowConfig(check_admissibility=False)

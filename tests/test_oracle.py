@@ -1,4 +1,5 @@
-"""The face kernel against a high-precision half-plane embedding.
+"""The face kernel and the rendered disk picture against a
+high-precision half-plane embedding.
 
 The oracle places the three curves in the upper half-plane with mpmath at
 50 or more significant digits, so that none of the cancellations the
@@ -21,18 +22,17 @@ from test_tangency import FACE_CASES
 REL_TOL = 1e-10
 
 
-def oracle_corners(K):
-    """(gen, L) per corner of the face with mpf log-curvatures K, at the
-    working precision: gen is the angle at a circle, the axis segment at a
-    hypercycle and None at a horocycle (K exactly 0)."""
+def oracle_embedding(K):
+    """Circles (x, y, r) and tangency points {(i, j): (x, y)} in the upper
+    half-plane of the face with mpf log-curvatures K, at the working
+    precision."""
     k = [mp.exp(x) for x in K]
-    km = [mp.expm1(2 * x) for x in K]  # k^2 - 1
     # curves 0 and 1 touch at i with a vertical tangent; curve 2 has
     # center (u, k2 rho) and Euclidean radius rho, tangent to both:
     # A rho^2 + B rho + 1 = 0, smaller positive root in its stable form
     a, b = 1 / k[0], 1 / k[1]
     c = (a - b) / (a + b)
-    A = c * c + km[2]
+    A = c * c + mp.expm1(2 * K[2])  # c^2 + k2^2 - 1
     B = 2 * (a * (c - 1) - k[2])
     rho = 2 / (-B + mp.sqrt(B * B - 4 * A))
     circles = [(-a, mp.mpf(1), a), (b, mp.mpf(1), b), (rho * c, k[2] * rho, rho)]
@@ -41,6 +41,16 @@ def oracle_corners(K):
         (xi, yi, ri), (xj, yj, rj) = circles[i], circles[j]
         t = ri / (ri + rj)
         pts[i, j] = (xi + (xj - xi) * t, yi + (yj - yi) * t)
+    return circles, pts
+
+
+def oracle_corners(K):
+    """(gen, L) per corner of the face with mpf log-curvatures K, at the
+    working precision: gen is the angle at a circle, the axis segment at a
+    hypercycle and None at a horocycle (K exactly 0)."""
+    k = [mp.exp(x) for x in K]
+    km = [mp.expm1(2 * x) for x in K]  # k^2 - 1
+    _, pts = oracle_embedding(K)
     out = []
     for i, (p, q) in enumerate((((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)))):
         P, Q = pts[p], pts[q]
@@ -131,3 +141,37 @@ def test_jacobian_matches_oracle_derivative():
                         return oracle_corners([t if m == j else K[m] for m in range(3)])[i][1]
                     want = float(mp.diff(L_i, K[j]))
                     assert abs(J[f, i, j] - want) <= 1e-10 * abs(want)
+
+
+def _circle_through(a, b, c):
+    """Center and radius of the circle through three complex points."""
+    d = 2 * ((a.real - c.real) * (b.imag - c.imag) - (b.real - c.real) * (a.imag - c.imag))
+    ha, hb = abs(a) ** 2 - abs(c) ** 2, abs(b) ** 2 - abs(c) ** 2
+    center = mp.mpc((ha * (b.imag - c.imag) - hb * (a.imag - c.imag)) / d,
+                    (hb * (a.real - c.real) - ha * (b.real - c.real)) / d)
+    return center, abs(a - center)
+
+
+def test_disk_picture_matches_oracle():
+    # the closed-form disk picture that render_face_svg draws against the
+    # oracle's embedding mapped by w = i (z - i)/(z + i), each image circle
+    # fitted through three mapped points, over |ln k| <= 15
+    from hypack.realize import _disk_picture
+
+    rng = np.random.default_rng(14)
+    for ks in np.exp(rng.uniform(-15.0, 15.0, size=(300, 3))):
+        centers, radii, powers, points = _disk_picture(*ks.tolist())
+        with mp.workdps(50):
+            circles, pts = oracle_embedding([mp.log(mp.mpf(float(x))) for x in ks])
+
+            def to_disk(z):
+                return 1j * (z - 1j) / (z + 1j)
+
+            for (x, y, r), c, rad, power in zip(circles, centers, radii, powers):
+                oc, orad = _circle_through(*(to_disk(mp.mpc(x + r * mp.cos(t), y + r * mp.sin(t)))
+                                             for t in (0, 2 * mp.pi / 3, 4 * mp.pi / 3)))
+                scale = max(1.0, float(orad))
+                assert abs(c - oc) <= 1e-12 * scale and abs(rad - orad) <= 1e-12 * scale
+                assert abs(power - (abs(oc) ** 2 - orad ** 2)) <= 1e-12 * scale
+            for w, (x, y) in zip(points, pts.values()):
+                assert abs(w - to_disk(mp.mpc(x, y))) <= 1e-12

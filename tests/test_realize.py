@@ -257,3 +257,16 @@ class TestRenderSvg:
         # curves are circles[1:4]; all three congruent by symmetry
         radii = [float(r) for r in circles[1:4]]
         assert radii[0] == pytest.approx(radii[1], abs=2e-6)
+
+    def test_extreme_faces_render_finite(self, rng):
+        # |ln k| up to 30 and far below 1: every coordinate is a finite number
+        faces = [tuple(np.exp(rng.uniform(-30.0, 30.0, size=3)).tolist()) for _ in range(500)]
+        for ks in faces + [(1e-14,) * 3]:
+            svg = render_face_svg(*ks)
+            assert "nan" not in svg and "inf" not in svg
+
+    @pytest.mark.parametrize("ks", [(math.inf, 1.0, 1.0), (1e300,) * 3, (0.0, 1.0, 1.0),
+                                    (math.nan, 1.0, 1.0)])
+    def test_unrepresentable_face_raises(self, ks):
+        with pytest.raises(ValueError):
+            render_face_svg(*ks)
