@@ -28,7 +28,7 @@ EXIT_NO_CONVERGENCE = 3
 
 # config file field -> its type; a float field also takes a JSON integer
 _CONFIG_TYPES = {"residual_tol": float, "newton_switch_tol": float,
-                 "max_steps": int, "max_time": float, "newton": bool,
+                 "max_steps": int, "newton": bool,
                  "class_tol": float}
 
 

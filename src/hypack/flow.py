@@ -3,10 +3,10 @@
 The flow is the negative gradient flow of a smooth strictly convex
 potential, so for admissible targets it converges exponentially to the
 unique log-curvature vector realizing the prescribed per-vertex total
-geodesic curvatures.  Time integration uses an embedded Dormand-Prince
-5(4) pair with per-step error control; once the residual is small a
-Newton iteration on the same gradient, with one dense symmetric solve
-per step and a backtracking line search, finishes the job.
+geodesic curvatures.  One loop integrates it with an embedded
+Dormand-Prince 5(4) pair under per-step error control and, once the
+residual is small, takes Newton steps on the same gradient instead: one
+dense solve each, halved from the full step until the residual falls.
 """
 
 from __future__ import annotations
@@ -47,17 +47,15 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
-# flow step size: first trial, cap, and the floor below which the
-# flow raises StiffnessError
+# flow step size: first trial, cap, and the floor that raises StiffnessError
 _INITIAL_STEP = 0.01
+_MAX_STEP = 5.0
+_MIN_STEP = 1e-14
 # a flow step is accepted when its error estimate is below both bounds;
 # the relative cap keeps the decaying tail accuracy-limited instead of
 # stability-limited
 _STEP_ERROR_TOL = 1e-8
 _REL_STEP_ERROR = 0.05
-_MAX_STEP = 5.0
-_MIN_STEP = 1e-14
-_NEWTON_DAMPING = 1.0       # first Newton step fraction tried before halving
 
 # Guards check_admissibility=False: |K_i| beyond this while the residual
 # stalls runs the feasibility check once, which ends the flow or Newton
@@ -69,7 +67,7 @@ _DRIFT_LIMIT = 15.0
 
 
 class StiffnessError(RuntimeError):
-    """Step size underflowed while the error estimate stayed too large."""
+    """The flow's step size or Newton's step fraction underflowed."""
 
     def __init__(self, message, K=None, t=None):
         super().__init__(message)
@@ -87,18 +85,18 @@ class SolveStatus(Enum):
 class FlowConfig:
     """Solver knobs.  residual_tol and newton_switch_tol are max-norm
     bounds on L - Lhat.  The adaptive Dormand-Prince 5(4) flow is the
-    only time stepper.  With newton on, the flow hands over to Newton
-    once the residual is below newton_switch_tol."""
+    only time stepper.  With newton on, the flow hands over to Newton for
+    good once the residual is below newton_switch_tol.  max_steps, the
+    only budget, counts flow step attempts and Newton steps alike."""
 
     residual_tol: float = 1e-10
-    max_time: float = 1e5
     max_steps: int = 50_000
     newton: bool = True
     newton_switch_tol: float = 1e-3
     check_admissibility: bool = True
 
     def __post_init__(self):
-        for name in ("residual_tol", "max_time", "newton_switch_tol"):
+        for name in ("residual_tol", "newton_switch_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.newton_switch_tol <= self.residual_tol:
@@ -167,14 +165,24 @@ def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
     return K5, float(np.max(np.abs(K5 - K4))), ks[6]
 
 
-def _newton_direction(tri, K, res):
-    # M is SPD at every state and symmetric to rounding: one dense solve
-    return np.linalg.solve(global_jacobian(tri, K), res)
-
-
-def _drifted(K, res_max: float, cfg: FlowConfig) -> bool:
-    """Some |K_i| beyond _DRIFT_LIMIT and the residual not small."""
-    return res_max > cfg.residual_tol * 10 and float(np.max(np.abs(K))) > _DRIFT_LIMIT
+def _newton_step(tri: Triangulation, K, res, target):
+    """One Newton step on L(K) = Lhat: a dense solve with the Jacobian (SPD,
+    symmetric to rounding), then alpha halved from 1 until the residual
+    2-norm falls.  Returns (K', residual at K', alpha); raises
+    StiffnessError once alpha is below 1e-12."""
+    direction = np.linalg.solve(global_jacobian(tri, K), res)
+    res_norm = float(np.linalg.norm(res))
+    alpha = 1.0
+    while alpha >= 1e-12:
+        K_try = K - alpha * direction
+        try:
+            res_try = vertex_curvature_sums(tri, K_try) - target
+        except ValueError:  # the trial left the range the face kernel can evaluate
+            res_try = None
+        if res_try is not None and float(np.linalg.norm(res_try)) < res_norm:
+            return K_try, res_try, alpha
+        alpha *= 0.5
+    raise StiffnessError("Newton backtracking stalled", K=K)
 
 
 def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) -> SolveResult:
@@ -185,8 +193,9 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     every size, and an infeasible one is rejected with its witness.  With
     check_admissibility off, the first divergence (some K_i beyond +-15
     while the residual stalls) runs that check instead, so INFEASIBLE
-    always comes with a witness; an admissible target solves on.  A
-    trial state the face kernel cannot evaluate counts as a failed step.
+    always comes with a witness; an admissible target solves on.  Each
+    pass takes a flow step or, once newton_switch_tol is reached, a Newton
+    step; max_steps counts both.  A trial the kernel cannot evaluate fails.
     On convergence the result is independent of K0 (the packing is unique).
     """
     cfg = config or FlowConfig()
@@ -216,80 +225,43 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     res = vertex_curvature_sums(tri, K) - target
     trace.append(t, K, res, "flow")
     steps = 0
+    newton = False  # once on, it stays on
 
-    # ---- flow phase ----
     while True:
-        res_max = float(np.max(np.abs(res)))
-        if res_max < cfg.residual_tol:
-            return SolveResult(K=K, trace=trace, status=SolveStatus.CONVERGED)
-        if cfg.newton and res_max < cfg.newton_switch_tol:
-            break
-        if steps >= cfg.max_steps or t >= cfg.max_time:
-            return SolveResult(K=K, trace=trace, status=SolveStatus.MAX_STEPS_EXCEEDED)
-        if not checked and _drifted(K, res_max, cfg):
-            checked = True
-            witness = violating_subset(tri, target)
-            if witness is not None:
-                return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE,
-                                   witness=witness)
-
-        h = min(h, _MAX_STEP, max(cfg.max_time - t, _MIN_STEP))
-        eff_tol = min(_STEP_ERROR_TOL, _REL_STEP_ERROR * res_max)
-        steps += 1
-        try:
-            K_new, err, rate_new = flow_step(tri, K, target, h, -res)
-        except ValueError:  # a stage left the range the face kernel can evaluate
-            err = math.inf
-        if err < eff_tol:
-            t += h
-            K = K_new
-            res = -rate_new
-            trace.append(t, K, res, "flow")
-            if err > 0.0:
-                h = min(_MAX_STEP, h * min(5.0, 0.9 * (eff_tol / err) ** 0.2))
-            else:
-                h = min(_MAX_STEP, 5.0 * h)
-        else:
-            h *= 0.5
-            if h < _MIN_STEP:
-                raise StiffnessError(
-                    f"step size underflowed at t={t} (residual {res_max:.3e})",
-                    K=K, t=t)
-
-    # ---- Newton phase ----
-    res_norm = float(np.linalg.norm(res))
-    for _ in range(200):
         res_max = float(np.max(np.abs(res)))
         if res_max < cfg.residual_tol:
             return SolveResult(K=K, trace=trace, status=SolveStatus.CONVERGED)
         if steps >= cfg.max_steps:
             return SolveResult(K=K, trace=trace, status=SolveStatus.MAX_STEPS_EXCEEDED)
-        if not checked and _drifted(K, res_max, cfg):
+        if (not checked and res_max > cfg.residual_tol * 10
+                and float(np.max(np.abs(K))) > _DRIFT_LIMIT):
             checked = True
             witness = violating_subset(tri, target)
             if witness is not None:
                 return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE,
                                    witness=witness)
-        direction = _newton_direction(tri, K, res)
-        alpha = _NEWTON_DAMPING
-        while True:
-            K_try = K - alpha * direction
-            try:
-                res_try = vertex_curvature_sums(tri, K_try) - target
-            except ValueError:  # the trial left the range the face kernel can evaluate
-                res_try = None
-            if res_try is not None and float(np.linalg.norm(res_try)) < res_norm:
-                break
-            alpha *= 0.5
-            if alpha < 1e-12:
-                raise StiffnessError("Newton backtracking stalled", K=K, t=t)
-        K = K_try
-        res = res_try
-        res_norm = float(np.linalg.norm(res))
-        t += alpha
         steps += 1
-        trace.append(t, K, res, "newton")
-    return SolveResult(K=K, trace=trace, status=SolveStatus.MAX_STEPS_EXCEEDED)
+        newton = newton or (cfg.newton and res_max < cfg.newton_switch_tol)
+        if newton:
+            K, res, alpha = _newton_step(tri, K, res, target)
+            t += alpha
+            trace.append(t, K, res, "newton")
+            continue
+        h = min(h, _MAX_STEP)
+        eff_tol = min(_STEP_ERROR_TOL, _REL_STEP_ERROR * res_max)
+        try:
+            K_new, err, rate_new = flow_step(tri, K, target, h, -res)
+        except ValueError:  # a stage left the range the face kernel can evaluate
+            err = math.inf
+        if err < eff_tol:
+            t, K, res = t + h, K_new, -rate_new
+            trace.append(t, K, res, "flow")
+            h *= min(5.0, 0.9 * (eff_tol / err) ** 0.2) if err > 0.0 else 5.0
+        else:
+            h *= 0.5
+            if h < _MIN_STEP:
+                raise StiffnessError(f"step size underflowed at t={t} "
+                                     f"(residual {res_max:.3e})", K=K, t=t)
 
 
 @dataclass(frozen=True)

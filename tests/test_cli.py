@@ -114,10 +114,12 @@ class TestSolve:
         assert abs(k - 0.05861660657695536) < 1e-8
 
     def test_unknown_config_key(self, tmp_path, tetra_path, unit_targets, capsys):
-        cfg = write(tmp_path, "cfg.json", {"bogus": 1})
-        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
-                     "--config", cfg]) == 1
-        assert "bogus" in capsys.readouterr().err
+        # max_steps is the only budget, so max_time is an unknown key
+        for doc in ({"bogus": 1}, {"max_time": 1e5}):
+            cfg = write(tmp_path, "cfg.json", doc)
+            assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                         "--config", cfg]) == 1
+            assert next(iter(doc)) in capsys.readouterr().err
 
     def test_unreadable_config_file(self, tmp_path, tetra_path, unit_targets, capsys):
         bad = tmp_path / "bad.json"
@@ -132,7 +134,7 @@ class TestSolve:
     @pytest.mark.parametrize("field, value", [
         ("residual_tol", "1e-10"),
         ("max_steps", "abc"),
-        ("max_time", None),
+        ("newton_switch_tol", None),
         ("newton", "no"),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, tetra_path, unit_targets,

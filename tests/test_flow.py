@@ -216,6 +216,13 @@ class TestSolve:
         res = solve(tetrahedron, np.ones(4), config=FlowConfig(max_steps=3))
         assert res.status is SolveStatus.MAX_STEPS_EXCEEDED
 
+    def test_max_steps_is_the_newton_budget(self):
+        # Newton from the first step; this target takes 7 Newton steps
+        res = solve(torus_grid(8, 8), [0.5] * 64,
+                    config=FlowConfig(max_steps=2, newton_switch_tol=1e9))
+        assert res.status is SolveStatus.MAX_STEPS_EXCEEDED
+        assert res.trace.phase == ["flow", "newton", "newton"]
+
     def test_stiffness_error(self, tetrahedron, monkeypatch):
         # no error estimate is below 0, so every step is rejected
         monkeypatch.setattr(flow, "_STEP_ERROR_TOL", 0.0)

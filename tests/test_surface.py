@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from hypack.packing import vertex_curvature_sums
 from hypack.surface import (
     ParseError,
     Triangulation,
@@ -158,6 +159,22 @@ class TestAdmissible:
                 assert adm.admissible == (worst > 0.0)
                 assert adm.worst_margin == pytest.approx(worst, rel=1e-12, abs=1e-9)
                 assert adm.witness == (None if adm.admissible else witness)
+
+    def test_margin_search_on_admissible_targets(self, rng):
+        # the search takes each vertex out of the one flow after its turn,
+        # so each set's margin is found from its smallest vertex
+        tri = torus_grid(3, 4)
+        planted = [vertex_curvature_sums(tri, rng.normal(0.0, 0.7, 12)) for _ in range(10)]
+        drawn = [rng.uniform(0.1, 10.0, size=12) for _ in range(40)]
+        admissible = 0
+        for L in planted + drawn:
+            worst, _ = brute_force_admissible(tri, L)
+            if worst > 0.0:
+                admissible += 1
+                adm = check_admissible(tri, L)
+                assert adm.admissible and adm.witness is None
+                assert adm.worst_margin == pytest.approx(worst, rel=1e-9)
+        assert admissible >= 20
 
     @pytest.mark.parametrize("tri, L, witness", [
         # margin exactly 0 on {0}: one flow alone saturates every vertex
