@@ -20,6 +20,7 @@ import numpy as np
 from .packing import global_jacobian, vertex_curvature_sums
 # check_admissible stays importable from here, where perfbench's tracer wraps it
 from .surface import Triangulation, check_admissible, violating_subset  # noqa: F401
+from .surface import _checked_targets
 
 __all__ = [
     "FlowConfig",
@@ -87,7 +88,8 @@ class FlowConfig:
     bounds on L - Lhat.  The adaptive Dormand-Prince 5(4) flow is the
     only time stepper.  With newton on, the flow hands over to Newton for
     good once the residual is below newton_switch_tol.  max_steps, the
-    only budget, counts flow step attempts and Newton steps alike."""
+    only budget, counts flow step attempts and Newton steps alike; at 0
+    the solve only evaluates the residual at K0."""
 
     residual_tol: float = 1e-10
     max_steps: int = 50_000
@@ -99,6 +101,8 @@ class FlowConfig:
         for name in ("residual_tol", "newton_switch_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         if self.newton_switch_tol <= self.residual_tol:
             raise ValueError("newton_switch_tol must exceed residual_tol")
 
@@ -203,11 +207,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     if defects:
         raise ValueError("triangulation is not a closed surface: "
                          + "; ".join(str(d) for d in defects[:5]))
-    target = np.asarray(l_hat, dtype=float)
-    if target.shape != (tri.num_vertices,):
-        raise ValueError(f"expected {tri.num_vertices} targets, got {target.shape}")
-    if not np.all((target > 0.0) & (target < math.inf)):
-        raise ValueError("target curvatures must be positive and finite")
+    target = _checked_targets(tri, l_hat)
 
     trace = FlowTrace(config=cfg)
     # with the gate off, the same check runs once, at the first drift

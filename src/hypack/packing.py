@@ -21,7 +21,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .surface import Triangulation
 from .tangency import FaceArrays, FaceGeometry, face_kernel, face_records
-from .tangency import require_positive_area
 # not called here: perfbench's tracer wraps these names in this module
 from .tangency import corner_curvatures, face_jacobian, solve_face  # noqa: F401
 
@@ -69,10 +68,10 @@ def vertex_curvature_sums(tri: Triangulation, K) -> np.ndarray:
 
 def vertex_curvatures(tri: Triangulation, K) -> CurvatureReport:
     """Full report from one face_kernel call: curvature sums and the
-    solved faces.  Raises InfeasibleGeometryError for a non-positive area."""
+    solved faces.  Raises InfeasibleGeometryError, from the kernel, for a
+    face that cannot be evaluated in double precision."""
     k = _face_curvatures(tri, K)
     fa = face_kernel(k)
-    require_positive_area(k, fa)
     return CurvatureReport(L=_sum_at_vertices(tri, fa.L), total_area=sum(fa.area.tolist(), 0.0),
                            arrays=fa, k=k)
 
@@ -94,11 +93,13 @@ def global_jacobian(tri: Triangulation, K) -> np.ndarray:
     needed), strictly diagonally dominant with positive diagonal, hence
     positive definite.  Always a dense n x n ndarray, which costs 8*n^2
     bytes: 0.5 MB at 256 vertices, 8 MB at 1024.  np.bincount adds the
-    face blocks into each entry in face order.
+    face blocks into each entry in face order, block entry (i, j) of
+    face f at the flat index f_i * n + f_j.
     """
     n = tri.num_vertices
+    f = tri.face_array
     J = face_kernel(_face_curvatures(tri, K), jac=True).J
-    return np.bincount(tri.corner_pair_index, weights=J.ravel(),
+    return np.bincount((f[:, :, None] * n + f[:, None, :]).ravel(), weights=J.ravel(),
                        minlength=n * n).reshape(n, n)
 
 

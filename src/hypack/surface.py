@@ -54,13 +54,11 @@ class Triangulation:
     """Closed triangulated surface: vertex count plus face triples.
 
     Derived incidence structure (edge set, vertex->face lists, degrees,
-    the read-only (F, 3) intp face_array and corner_pair_index, the flat
-    index i * n + j of each face's ordered corner pairs, where its 3 x 3
-    block lands in an n x n matrix) is computed eagerly; construction only
-    rejects structurally malformed input (bad arity, out-of-range
-    indices), while closed-surface violations are reported as data by
-    validate(), computed on its first call.  Every attribute is set in
-    __init__, so that instances keep one attribute layout.
+    the read-only (F, 3) intp face_array) is computed eagerly;
+    construction only rejects structurally malformed input (bad arity,
+    out-of-range indices), while closed-surface violations are reported
+    as data by validate(), computed on its first call.  Every attribute
+    is set in __init__, so that instances keep one attribute layout.
     """
 
     num_vertices: int
@@ -68,7 +66,6 @@ class Triangulation:
     edges: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     vertex_faces: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     face_array: np.ndarray = field(init=False, repr=False, compare=False)
-    corner_pair_index: np.ndarray = field(init=False, repr=False, compare=False)
     _defects: tuple[Defect, ...] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
@@ -96,10 +93,8 @@ class Triangulation:
         object.__setattr__(self, "edges", tuple(sorted(edge_set)))
         object.__setattr__(self, "vertex_faces", tuple(tuple(x) for x in vf))
         f = np.array(self.faces, dtype=np.intp).reshape(-1, 3)
-        index = (f[:, :, None] * num_vertices + f[:, None, :]).ravel()
-        f.flags.writeable = index.flags.writeable = False
+        f.flags.writeable = False
         object.__setattr__(self, "face_array", f)
-        object.__setattr__(self, "corner_pair_index", index)
         object.__setattr__(self, "_defects", None)
 
     def degree(self, v: int) -> int:
@@ -233,13 +228,9 @@ def violating_subset(tri: Triangulation, l_hat) -> tuple[int, ...] | None:
     return _max_flow(tri, l_hat)[3]
 
 
-def _max_flow(tri: Triangulation, l_hat):
-    """Route the targets by a maximum flow, in which corner c of face f takes
-    x[f][c] from its vertex and face f can pass room[f] more to the sink.
-    Returns (x, room, tol, witness, its margin).  Flows and rooms, which
-    never exceed pi, count as 0 within tol = 1e-12 pi; vertex v is short
-    of its target when more than 1e-12 (pi + Lhat_v) is missing, so that
-    a tiny target next to huge ones still counts."""
+def _checked_targets(tri: Triangulation, l_hat) -> np.ndarray:
+    """l_hat as a float array, or ValueError naming the first entry that is
+    not positive and finite, or the wrong shape."""
     L = np.asarray(l_hat, dtype=float)
     if L.shape != (tri.num_vertices,):
         raise ValueError(f"expected {tri.num_vertices} target entries, got shape {L.shape}")
@@ -247,6 +238,17 @@ def _max_flow(tri: Triangulation, l_hat):
     if not np.all(ok):
         bad = int(np.argmin(ok))
         raise ValueError(f"target curvatures must be positive and finite; entry {bad} is {L[bad]}")
+    return L
+
+
+def _max_flow(tri: Triangulation, l_hat):
+    """Route the targets by a maximum flow, in which corner c of face f takes
+    x[f][c] from its vertex and face f can pass room[f] more to the sink.
+    Returns (x, room, tol, witness, its margin).  Flows and rooms, which
+    never exceed pi, count as 0 within tol = 1e-12 pi; vertex v is short
+    of its target when more than 1e-12 (pi + Lhat_v) is missing, so that
+    a tiny target next to huge ones still counts."""
+    L = _checked_targets(tri, l_hat)
     tol = 1e-12 * math.pi
     short_tol = [1e-12 * (math.pi + float(v)) for v in L]
     x = [[0.0, 0.0, 0.0] for _ in tri.faces]

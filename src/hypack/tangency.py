@@ -38,7 +38,6 @@ __all__ = [
     "EmbeddedFace",
     "face_kernel",
     "face_records",
-    "require_positive_area",
     "solve_face",
     "realize_face",
     "face_jacobian",
@@ -98,11 +97,9 @@ def _circle_radius(k):
     return 0.5 * np.log1p(2.0 / (k - 1.0))  # arccoth k
 
 
-# below this |x| the closed forms of G and H cancel; their Taylor series
-# G = sum (-x)^n / (2n + 1) and H = sum_{n>=1} (-1)^n 2n x^(n-1) / (2n + 1)
-# to these orders are exact to rounding there
+# below this |x| the closed form of H cancels; its Taylor series
+# H = sum_{n>=1} (-1)^n 2n x^(n-1) / (2n + 1) to this order is exact there
 _SERIES_X = 1e-3
-_G_SERIES = [(-1) ** n / (2 * n + 1) for n in range(8)]
 _H_SERIES = [(-1) ** (n + 1) * 2 * (n + 1) / (2 * n + 3) for n in range(8)]
 
 
@@ -125,19 +122,21 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
     chord between the corner's two tangency points has
     cosh d - 1 = 2 / ((k_i + k_j)(k_i + k_m)).  With
     D = 1 + k1 k2 + k1 k3 + k2 k3 and x = (k_i^2 - 1) / D,
-      l_i = 2 G(x) / sqrt(D),  L_i = k_i l_i,  gen_i = 2 sqrt|x| G(x),
-    G(x) = atan(sqrt x)/sqrt x at a circle (x > 0), atanh(sqrt -x)/sqrt -x
-    at a hypercycle (x < 0) and 1 at a horocycle: tan(theta/2) = sqrt x
-    for the angle theta, tanh(s/2) = sqrt -x for the axis segment s.
-    jac=True adds the exact Jacobian J = dL/dK, K = ln k, the derivative
-    of the same formula with G'(x) = H(x)/2:
+      l_i = 2 G(x) / sqrt(D),  L_i = k_i l_i,  gen_i = 2 w G(x),  w = sqrt|x|,
+    G = atan(w)/w at a circle (x > 0), atanh(w)/w at a hypercycle (x < 0)
+    and 1 only where w == 0: tan(theta/2) = w for the angle theta,
+    tanh(s/2) = w for the axis segment s.  jac=True adds the exact
+    Jacobian J = dL/dK, K = ln k, the derivative of the same formula with
+    G'(x) = H(x)/2:
       J_ij = -k_i k_j / (sqrt(D) (k_i + k_j))   (i != j),
       J_ii = L_i - k_i^2 (k_j + k_m) / (sqrt(D) (k_i + k_j)(k_i + k_m))
-             + 2 k_i^3 H(x) / D^1.5,   H(x) = (1/(1 + x) - G(x)) / x.
+             + 2 k_i^3 H(x) / D^1.5,   H(x) = (1/(1 + x) - G(x)) / x,
+    H from its series at |x| < _SERIES_X, where that difference cancels.
     D and the face sums are formed in ascending order, so that results
     commute with permuting a face's corners.  Raises ValueError for a
     curvature that is not positive, and InfeasibleGeometryError naming a
-    face that cannot be evaluated in double precision."""
+    face that cannot be evaluated in double precision, the one per-face
+    check: a finite face's area is non-negative to rounding."""
     k = np.asarray(k, dtype=float)
     if not (k > 0.0).all():
         raise ValueError(f"geodesic curvature must be positive, got {k[~(k > 0.0)][0]}")
@@ -151,17 +150,17 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
         x = (k - 1.0) * (k + 1.0) / D
         xp1 = P / D  # 1 + x, without the cancellation of adding
         w = np.sqrt(np.abs(x))
-        # atanh w = log1p(w) - log(1 - w^2)/2, with 1 - w^2 = 1 + x, so
-        # that w rounding to 1 does not matter
-        G = np.where(x > 0.0, np.arctan(w), np.log1p(w) - 0.5 * np.log(xp1)) / w
-        small = np.abs(x) < _SERIES_X
-        G[small] = polyval(x[small], _G_SERIES)
+        # atanh w = log1p(2w/(1 - w))/2 with 1 - w = (1 + x)/(1 + w): no
+        # series, as nothing cancels near w = 0 or w = 1
+        G = np.where(x > 0.0, np.arctan(w), 0.5 * np.log1p(2.0 * w * (1.0 + w) / xp1)) / w
+        G[w == 0.0] = 1.0
         arc = 2.0 * G / sqrt_d
         L = k * arc
         gen = np.where(kinds == _HORO, np.nan, 2.0 * w * G)
         J = None
         if jac:
             H = (1.0 / xp1 - G) / x
+            small = np.abs(x) < _SERIES_X
             H[small] = polyval(x[small], _H_SERIES)
             J = np.empty(k.shape + (3,))
             kn = k[:, [1, 2, 0]]  # the pairs (0, 1), (1, 2), (2, 0)
@@ -180,15 +179,6 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
         raise InfeasibleGeometryError(
             f"face with curvatures {bad} cannot be evaluated in double precision")
     return FaceArrays(kinds, gen, arc, L, area, polygon_area, J)
-
-
-def require_positive_area(k, fa: FaceArrays) -> None:
-    """Raise InfeasibleGeometryError for the first face of k whose area in
-    fa is below -1e-9: true areas are positive but round to ~0 at extremes."""
-    low = np.flatnonzero(fa.area < -1e-9)
-    if low.size:
-        raise InfeasibleGeometryError(f"face with curvatures {tuple(k[low[0]].tolist())} "
-                                      "has non-positive enclosed area")
 
 
 def face_records(k, fa: FaceArrays) -> list[FaceGeometry]:
@@ -212,9 +202,7 @@ def solve_face(k1: float, k2: float, k3: float) -> FaceGeometry:
     (face_kernel on one face).  The output is symmetric under
     simultaneous permutation of the inputs and corners."""
     k = np.array([[k1, k2, k3]], dtype=float)
-    fa = face_kernel(k)
-    require_positive_area(k, fa)
-    return face_records(k, fa)[0]
+    return face_records(k, face_kernel(k))[0]
 
 
 def corner_curvatures(k1: float, k2: float, k3: float) -> tuple[float, float, float]:
@@ -275,7 +263,9 @@ class EmbeddedFace:
     def arc_length(self, i: int, *, method: str = "quadrature") -> float:
         """Hyperbolic length of curve i's arc between its tangency points,
         by adaptive quadrature of ds = |dz|/y along the embedded arc (the
-        independent oracle; "quadrature" is the only method)."""
+        independent oracle; "quadrature" is the only method).  The one
+        user of scipy in the package, which it imports on first call:
+        scipy is in the test extra, not in the install dependencies."""
         if method != "quadrature":
             raise ValueError(f"unknown arc-length method {method!r}")
         return _arc_quadrature(self, i)

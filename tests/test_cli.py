@@ -134,6 +134,7 @@ class TestSolve:
     @pytest.mark.parametrize("field, value", [
         ("residual_tol", "1e-10"),
         ("max_steps", "abc"),
+        ("max_steps", -5),
         ("newton_switch_tol", None),
         ("newton", "no"),
     ])

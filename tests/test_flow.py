@@ -303,6 +303,8 @@ class TestConfigValidation:
             FlowConfig(residual_tol=-1.0)
         with pytest.raises(ValueError):
             FlowConfig(newton_switch_tol=1e-12)  # below residual_tol
+        with pytest.raises(ValueError, match="max_steps"):
+            FlowConfig(max_steps=-5)
 
 
 def test_import_loads_no_scipy():

@@ -110,6 +110,17 @@ def test_matches_oracle_over_the_solver_range():
     assert_matches_oracle(sample_faces(12, 40, lo=1e-15, hi=30.0), 1e-12, dps=120)
 
 
+@pytest.mark.parametrize("seed, lo, hi", [(21, 1e-15, 30.0), (22, 1e-4, 5.0)])
+def test_total_curvature_to_a_few_ulps(seed, lo, hi):
+    # one closed form per corner kind: G = atan(w)/w at a circle and
+    # log1p(2w (1 + w)/(1 + x))/(2w) at a hypercycle leave L within a few
+    # ulps of the oracle, with k = 1 and |k - 1| down to 1e-15 included
+    k = sample_faces(seed, 40, lo=lo, hi=hi)
+    L = face_kernel(k).L
+    want = np.array([[float(L_i) for _, L_i in oracle_face(ks, dps=120)] for ks in k])
+    assert np.max(np.abs(L - want) / want) <= 2e-15
+
+
 @pytest.mark.parametrize("ks", [
     (2.0, 2.0, 2.0), (1.0, 1.0, 1.0), (np.e ** 5, np.e ** 5, np.e ** -5),
     (np.e ** -5, np.e ** -5, np.e ** -5), (1.0, np.e ** 5, np.e ** -5),

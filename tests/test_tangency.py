@@ -335,3 +335,16 @@ class TestFaceKernel:
             face_kernel([(k, k, k)], jac=True)
         with pytest.raises(ValueError, match="positive"):
             face_kernel([(2.0, 0.0, 2.0)])
+
+    def test_area_is_nonnegative_to_rounding(self):
+        # the area pi - sum L of every finite face is >= 0 up to rounding,
+        # so the kernel's finiteness check is the only per-face check: 4000
+        # faces per corner mix, |ln k| uniform or log-uniform down to 1e-15
+        # on [0, 35], with k = 1 exactly at the horocycle corners
+        rng = np.random.default_rng(15)
+        n = 4000
+        for signs in FACE_CASES:
+            mags = np.where(rng.random((n, 3)) < 0.5, rng.uniform(0.0, 35.0, (n, 3)),
+                            np.exp(rng.uniform(math.log(1e-15), math.log(35.0), (n, 3))))
+            K = rng.permuted(mags * np.array(signs), axis=1)
+            assert face_kernel(np.exp(K)).area.min() >= -1e-14
