@@ -2,9 +2,10 @@
 
 Given a closed triangulated surface and a prescribed positive total
 geodesic curvature per vertex, decide feasibility, compute the unique
-packing metric (circles, horocycles, hypercycles) by curvature flow
-and/or Newton iteration, and realize the resulting geometry (cone
-angles, cusps, geodesic boundary lengths) with a Gauss-Bonnet audit.
+packing metric (circles, horocycles, hypercycles) by damped Newton
+on the curvature flow's convex potential (or by the flow itself), and
+realize the resulting geometry (cone angles, cusps, geodesic boundary
+lengths) with a Gauss-Bonnet audit.
 """
 
 from .flow import (

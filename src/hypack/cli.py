@@ -2,7 +2,7 @@
 
 Subcommands:
   check   validate a triangulation and test target feasibility
-  solve   run the curvature flow and write the realization report
+  solve   solve for the packing and write the realization report
   face    solve a single three-circle face and print its geometry
   render  write the Poincare-disk SVG of a single face
 
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", help="write the solve report here (default stdout)")
     ps.add_argument("--trajectory", help="write accepted-step CSV here")
     ps.add_argument("--class-tol", type=float, help="vertex classification tolerance")
-    ps.add_argument("--no-newton", action="store_true", help="disable Newton finish")
+    ps.add_argument("--no-newton", action="store_true", help="flow only, no Newton steps")
 
     pf = sub.add_parser("face", help="solve one three-circle configuration")
     pf.add_argument("--k", nargs=3, type=float, required=True, metavar=("K1", "K2", "K3"))
@@ -140,11 +140,15 @@ def _cmd_solve(args) -> int:
             fh.write(doc)
     else:
         sys.stdout.write(doc)
+    # the trace's first row is the starting state, not a step
+    phases = result.trace.phase[1:]
+    flow_steps, newton_steps = phases.count("flow"), phases.count("newton")
+    line = (f"converged in {len(phases)} steps "
+            f"({flow_steps} flow, {newton_steps} Newton)")
     rate = rate_estimate(result.trace)
     if rate is not None:
-        print(f"converged in {len(result.trace.ts)} accepted steps; "
-              f"rate estimate {rate.lam:.6g} (R^2 {rate.r_squared:.6g})",
-              file=sys.stderr)
+        line += f"; rate estimate {rate.lam:.6g} (R^2 {rate.r_squared:.6g})"
+    print(line, file=sys.stderr)
     return EXIT_OK
 
 

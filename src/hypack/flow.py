@@ -1,12 +1,15 @@
-"""Curvature flow dK_i/dt = -(L_i - Lhat_i) and its Newton accelerator.
+"""Newton's method and the curvature flow dK_i/dt = -(L_i - Lhat_i).
 
 The flow is the negative gradient flow of a smooth strictly convex
 potential, so for admissible targets it converges exponentially to the
 unique log-curvature vector realizing the prescribed per-vertex total
-geodesic curvatures.  One loop integrates it with an embedded
-Dormand-Prince 5(4) pair under per-step error control and, once the
-residual is small, takes Newton steps on the same gradient instead: one
-dense solve each, halved from the full step until the residual falls.
+geodesic curvatures.  The same convexity makes damped Newton on that
+gradient converge from any start.  One loop takes Newton steps from K0
+by default: one dense solve each, halved from the full step until the
+residual falls.  With newton=False it integrates the flow instead, with
+an embedded Dormand-Prince 5(4) pair under per-step error control; with
+a finite newton_switch_tol it integrates the flow until the residual is
+below that bound and takes Newton steps from there on.
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ _REL_STEP_ERROR = 0.05
 # the area is still 34 ulps of pi.
 _DRIFT_LIMIT = 15.0
 
+# rate_estimate fits residuals below this: the flow's exponential tail,
+# past the transient of its first steps
+_RATE_WINDOW_TOP = 1e-3
+
 
 class StiffnessError(RuntimeError):
     """The flow's step size or Newton's step fraction underflowed."""
@@ -85,16 +92,18 @@ class SolveStatus(Enum):
 @dataclass(frozen=True)
 class FlowConfig:
     """Solver knobs.  residual_tol and newton_switch_tol are max-norm
-    bounds on L - Lhat.  The adaptive Dormand-Prince 5(4) flow is the
-    only time stepper.  With newton on, the flow hands over to Newton for
-    good once the residual is below newton_switch_tol.  max_steps, the
-    only budget, counts flow step attempts and Newton steps alike; at 0
-    the solve only evaluates the residual at K0."""
+    bounds on L - Lhat.  By default (newton on, newton_switch_tol
+    infinite) every step is a Newton step from K0.  With newton off every
+    step is a step of the adaptive Dormand-Prince 5(4) flow, the only
+    time stepper; with a finite newton_switch_tol the flow hands over to
+    Newton for good once the residual is below it.  max_steps, the only
+    budget, counts flow step attempts and Newton steps alike; at 0 the
+    solve only evaluates the residual at K0."""
 
     residual_tol: float = 1e-10
     max_steps: int = 50_000
     newton: bool = True
-    newton_switch_tol: float = 1e-3
+    newton_switch_tol: float = math.inf
     check_admissibility: bool = True
 
     def __post_init__(self):
@@ -190,17 +199,17 @@ def _newton_step(tri: Triangulation, K, res, target):
 
 
 def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) -> SolveResult:
-    """Drive the flow (plus optional Newton finish) to the packing with
-    prescribed total geodesic curvatures.
+    """Take Newton steps from K0 (by default) or flow steps to the packing
+    with prescribed total geodesic curvatures.
 
     The target is first checked by check_admissible's maximum flow, at
     every size, and an infeasible one is rejected with its witness.  With
     check_admissibility off, the first divergence (some K_i beyond +-15
     while the residual stalls) runs that check instead, so INFEASIBLE
     always comes with a witness; an admissible target solves on.  Each
-    pass takes a flow step or, once newton_switch_tol is reached, a Newton
-    step; max_steps counts both.  A trial the kernel cannot evaluate fails.
-    On convergence the result is independent of K0 (the packing is unique).
+    pass takes a Newton step or, with newton off or until a finite
+    newton_switch_tol is reached, a flow step; max_steps counts both.  A
+    trial the kernel cannot evaluate fails.  On convergence the result is independent of K0 (the packing is unique).
     """
     cfg = config or FlowConfig()
     defects = tri.validate()
@@ -272,15 +281,16 @@ class RateEstimate:
 
 
 def rate_estimate(trace: FlowTrace) -> RateEstimate | None:
-    """Exponential decay rate of the residual over the pure-flow window.
+    """Exponential decay rate of the residual over the flow's tail.
 
     Least-squares slope of ln(residual 2-norm) against t over flow-phase
-    samples with residual in (10 * residual_tol, newton_switch_tol);
-    None when fewer than 10 samples land in the window.
+    samples with residual in (10 * residual_tol, _RATE_WINDOW_TOP);
+    None when fewer than 10 samples land in the window, as after a solve
+    that took only Newton steps.
     """
     cfg = trace.config or FlowConfig()
     lo = 10.0 * cfg.residual_tol
-    hi = cfg.newton_switch_tol
+    hi = _RATE_WINDOW_TOP
     ts, ys = [], []
     for t, r2, ph in zip(trace.ts, trace.residual_2norm, trace.phase):
         if ph == "flow" and lo < r2 < hi:

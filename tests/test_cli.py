@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -169,6 +170,18 @@ class TestSolve:
                      "--no-newton", "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert "rate estimate" in err
+        assert re.search(r"converged in (\d+) steps \(\1 flow, 0 Newton\); rate", err)
+
+    def test_default_solve_reports_its_steps(self, tmp_path, tetra_path,
+                                              unit_targets, capsys):
+        # Newton from K = 0: the step line is printed without a rate estimate
+        out = tmp_path / "r.json"
+        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        m = re.search(r"converged in (\d+) steps \(0 flow, (\d+) Newton\)\n", err)
+        assert m and m.group(1) == m.group(2) and int(m.group(1)) > 0
+        assert "rate estimate" not in err
 
 
 class TestUsage:

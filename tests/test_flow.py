@@ -20,7 +20,7 @@ from hypack.hyptrig import InfeasibleGeometryError
 from hypack.packing import vertex_curvature_sums
 from hypack.surface import Triangulation
 
-from conftest import TETRA_FACES, torus_grid
+from conftest import TETRA_FACES, genus2, torus_grid
 from test_oracle import oracle_face
 
 # symmetric tetrahedron solution for unit targets, frozen from the
@@ -228,7 +228,24 @@ class TestSolve:
         monkeypatch.setattr(flow, "_STEP_ERROR_TOL", 0.0)
         monkeypatch.setattr(flow, "_REL_STEP_ERROR", 0.0)
         with pytest.raises(StiffnessError):
-            solve(tetrahedron, np.ones(4))
+            solve(tetrahedron, np.ones(4), config=FlowConfig(newton=False))
+
+    @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(8, 8)],
+                             ids=["genus2", "torus8x8"])
+    def test_default_solve_is_newton_from_the_start(self, surface):
+        tri = surface()
+        K_star = np.random.default_rng(1).normal(0.0, 0.7, tri.num_vertices)
+        target = vertex_curvature_sums(tri, K_star)
+        res = solve(tri, target)
+        assert res.status is SolveStatus.CONVERGED
+        # the first row is the starting state; every step after it is Newton
+        steps = res.trace.phase[1:]
+        assert steps and set(steps) == {"newton"} and len(steps) <= 8
+        flowed = solve(tri, target, config=FlowConfig(newton=False))
+        assert flowed.status is SolveStatus.CONVERGED
+        assert "newton" not in flowed.trace.phase
+        assert np.max(np.abs(res.K - flowed.K)) < 1e-9
+        assert np.max(np.abs(res.K - K_star)) < 1e-9
 
     def test_validates_surface(self):
         broken = Triangulation(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
@@ -270,6 +287,17 @@ class TestRateEstimate:
         assert est.lam > 0.0
         assert est.r_squared > 0.99
         assert est.n_samples >= 10
+
+    def test_rate_is_pinned(self, tetrahedron):
+        # the fit window's top is a constant, so newton_switch_tol does
+        # not move the rate of the flow on unit targets
+        for switch in (1e-2, math.inf):
+            est = rate_estimate(solve(tetrahedron, np.ones(4),
+                                      config=FlowConfig(newton=False,
+                                                        newton_switch_tol=switch)).trace)
+            assert est.lam == pytest.approx(0.6464068075858324, rel=1e-6)
+            assert est.r_squared == pytest.approx(0.9999477805109847, rel=1e-6)
+            assert est.n_samples == 16
 
     def test_insufficient_samples(self, tetrahedron):
         res = solve(tetrahedron, [10.0, 1, 1, 1],
