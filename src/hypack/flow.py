@@ -209,7 +209,8 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     always comes with a witness; an admissible target solves on.  Each
     pass takes a Newton step or, with newton off or until a finite
     newton_switch_tol is reached, a flow step; max_steps counts both.  A
-    trial the kernel cannot evaluate fails.  On convergence the result is independent of K0 (the packing is unique).
+    trial the kernel cannot evaluate fails.  On convergence the result is
+    independent of K0 (the packing is unique).
     """
     cfg = config or FlowConfig()
     defects = tri.validate()

@@ -115,31 +115,40 @@ def realize_metric(tri: Triangulation, K, tol: float = CLASS_TOL) -> RealizedMet
     )
 
 
+def _record(cls: str, *keys: str) -> str:
+    """Template of one vertex record, keys in sorted order, %s per number."""
+    fixed = {"class": f'"{cls}"', "cusp": "true"}
+    return "{\n%s\n    }" % ",\n".join(f'      "{key}": {fixed.get(key, "%s")}'
+                                        for key in sorted(("L", "class", "index", "k") + keys))
+
+
+_RECORDS = {"boundary": _record("boundary", "boundary_length"),
+            "cone": _record("cone", "cone_angle", "gaussian_curvature"),
+            "cusp": _record("cusp", "cusp")}
+_HEAD = ('{\n  "global": {\n    "audit_residual": %s,\n    "chi_S": %s,\n'
+         '    "chi_realized": %s,\n    "total_area": %s\n  },\n'
+         '  "schema_version": %s,\n  "vertices": [')
+
+
 def report_document(metric: RealizedMetric, *, schema_version: int = 1) -> str:
-    """Machine-readable solve report; byte-identical for identical inputs."""
-    vertices = []
-    for v in range(len(metric.k)):
-        rec = {"index": v, "k": float(metric.k[v]),
-               "class": metric.classes[v], "L": float(metric.L[v])}
-        if metric.classes[v] == "cone":
-            rec["cone_angle"] = metric.cone_angles[v]
-            rec["gaussian_curvature"] = metric.gaussian_curvature[v]
-        elif metric.classes[v] == "boundary":
-            rec["boundary_length"] = metric.boundary_lengths[v]
+    """Machine-readable solve report; byte-identical for identical inputs.
+    Keys sorted, two-space indent, numbers spelled as json.dumps spells
+    them (shortest round-trip floats, NaN and Infinity), trailing newline."""
+    values = [metric.audit_residual, metric.chi_surface, metric.chi_realized,
+              metric.total_area, schema_version]
+    records = []
+    for v, (cls, L, k) in enumerate(zip(metric.classes, np.asarray(metric.L, float).tolist(),
+                                        np.asarray(metric.k, float).tolist())):
+        records.append(_RECORDS[cls])
+        if cls == "cone":  # values in the record's key order
+            values += (L, metric.cone_angles[v], metric.gaussian_curvature[v], v, k)
+        elif cls == "boundary":
+            values += (L, metric.boundary_lengths[v], v, k)
         else:
-            rec["cusp"] = True
-        vertices.append(rec)
-    doc = {
-        "schema_version": schema_version,
-        "vertices": vertices,
-        "global": {
-            "chi_S": metric.chi_surface,
-            "chi_realized": metric.chi_realized,
-            "total_area": metric.total_area,
-            "audit_residual": metric.audit_residual,
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            values += (L, v, k)
+    body = "\n    " + ",\n    ".join(records) + "\n  " if records else ""
+    # one C-encoder call spells every value; all are numbers, split by ", "
+    return (_HEAD + body + "]\n}\n") % tuple(json.dumps(values)[1:-1].split(", "))
 
 
 # ---------------------------------------------------------------------------

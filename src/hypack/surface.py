@@ -177,8 +177,8 @@ class Triangulation:
             seen.add(f)
             stack.extend(adj[f] - seen)
         if len(seen) != len(self.faces):
-            return [Defect("disconnected", (),
-                           f"face-adjacency graph splits ({len(seen)} of {len(self.faces)} reachable)")]
+            return [Defect("disconnected", (), f"face-adjacency graph splits "
+                           f"({len(seen)} of {len(self.faces)} reachable)")]
         return []
 
 
@@ -207,8 +207,7 @@ def check_admissible(tri: Triangulation, l_hat) -> Admissibility:
     holding the vertex set I costs sum(Lhat) + margin(I).  The worst
     margin over the sets holding v is the extra flow v can still send.
     The search runs on the one flow: after its turn v leaves the network,
-    so each set is searched once, from its smallest vertex; it takes
-    about 0.1 s at 1024 vertices."""
+    so each set is searched once, from its smallest vertex."""
     x, room, tol, witness, margin = _max_flow(tri, l_hat)
     if witness is not None:
         return Admissibility(admissible=False, worst_margin=margin, witness=witness)

@@ -3,9 +3,12 @@ import re
 
 import pytest
 
+import hypack.cli
 from hypack.cli import main
 from hypack.hyptrig import InfeasibleGeometryError
 from hypack.packing import vertex_curvature_sums
+from hypack.realize import realize_metric, report_document
+from hypack.surface import Triangulation
 
 TETRA = {"num_vertices": 4, "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
 OCTA = {"num_vertices": 6, "faces": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
@@ -97,6 +100,30 @@ class TestSolve:
         targets = write(tmp_path, "t.json", {"L_hat": [2.0] * 6})
         assert main(["solve", "--tri", tri, "--targets", targets,
                      "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_printed_report_is_written_report(self, tmp_path, capsys, monkeypatch):
+        # a cone and five boundaries: stdout and --out carry the same bytes,
+        # which are report_document of the solved K
+        results, solve = [], hypack.cli.solve
+
+        def recording_solve(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(hypack.cli, "solve", recording_solve)
+        tri = write(tmp_path, "octa.json", OCTA)
+        targets = write(tmp_path, "t.json", {"L_hat": [12.0, 1, 1, 1, 1, 1]})
+        out = tmp_path / "r.json"
+        assert main(["solve", "--tri", tri, "--targets", targets]) == 0
+        printed = capsys.readouterr().out
+        assert main(["solve", "--tri", tri, "--targets", targets, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")
+        assert results[0].K.tolist() == results[1].K.tolist()
+        octa = Triangulation(OCTA["num_vertices"], [tuple(f) for f in OCTA["faces"]])
+        assert printed == report_document(realize_metric(octa, results[0].K))
+        classes = [v["class"] for v in json.loads(printed)["vertices"]]
+        assert classes == ["cone"] + ["boundary"] * 5
 
     def test_deterministic_reports(self, tmp_path, tetra_path, unit_targets):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -9,6 +9,7 @@ from hypack.flow import solve
 from hypack.hyptrig import KIND_TOL, curvature_to_radius
 from hypack.packing import vertex_curvatures
 from hypack.realize import (
+    RealizedMetric,
     classify,
     gauss_bonnet_audit,
     realize_metric,
@@ -28,6 +29,38 @@ def _mixed_states(rng):
     K_torus = np.where(rng.random(36) < 0.2, 0.0, rng.normal(0.0, 0.7, 36))
     return [(Triangulation(6, OCTA_FACES), np.log([2.0, 0.5, 1.0, 1.7, 0.3, 3.0])),
             (torus_grid(6, 6), K_torus)]
+
+
+def _json_report(metric, schema_version):
+    """The report as a dict through json.dumps: the byte oracle of report_document."""
+    vertices = []
+    for v in range(len(metric.k)):
+        rec = {"index": v, "k": float(metric.k[v]),
+               "class": metric.classes[v], "L": float(metric.L[v])}
+        if metric.classes[v] == "cone":
+            rec["cone_angle"] = metric.cone_angles[v]
+            rec["gaussian_curvature"] = metric.gaussian_curvature[v]
+        elif metric.classes[v] == "boundary":
+            rec["boundary_length"] = metric.boundary_lengths[v]
+        else:
+            rec["cusp"] = True
+        vertices.append(rec)
+    doc = {
+        "schema_version": schema_version,
+        "vertices": vertices,
+        "global": {
+            "chi_S": metric.chi_surface,
+            "chi_realized": metric.chi_realized,
+            "total_area": metric.total_area,
+            "audit_residual": metric.audit_residual,
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _torus32_with_cusps(rng):
+    K = np.where(rng.random(1024) < 0.2, 0.0, rng.normal(0.0, 0.7, 1024))
+    return torus_grid(32, 32), K
 
 
 class TestClassify:
@@ -218,6 +251,64 @@ class TestRealizedMetric:
         assert "boundary_length" in rec
         assert parsed["global"]["chi_realized"] == -2
         assert parsed["global"]["audit_residual"] < 1e-10
+
+
+class TestReportBytes:
+    """report_document against the json.dumps oracle, byte for byte."""
+
+    def test_mixed_states(self, rng):
+        for tri, K in _mixed_states(rng):
+            m = realize_metric(tri, K)
+            assert set(m.classes) == {"cone", "boundary", "cusp"}
+            assert report_document(m) == _json_report(m, 1)
+
+    def test_torus32_with_cusps(self, rng):
+        m = realize_metric(*_torus32_with_cusps(rng))
+        assert 150 < len(m.cusps) < 260
+        assert len(m.cone_angles) > 100 and len(m.boundary_lengths) > 100
+        assert report_document(m) == _json_report(m, 1)
+
+    @pytest.mark.parametrize("schema_version", [2, True])
+    def test_special_values(self, schema_version):
+        # numpy scalars in the dicts, non-finite numbers, signed zero,
+        # the smallest subnormal and a huge value all keep json's spelling
+        f64 = np.float64
+        m = RealizedMetric(
+            k=np.array([1e300, 5e-324, 1.0, -0.0, math.nan]),
+            classes=("cone", "boundary", "cusp", "cone", "boundary"),
+            L=np.array([math.inf, -math.inf, 0.1, -0.0, 1.0 / 3.0]),
+            cone_angles={0: f64(math.nan), 3: f64(-0.0)},
+            gaussian_curvature={0: f64(math.inf), 3: 5e-324},
+            boundary_lengths={1: f64(-math.inf), 4: 1e300},
+            cusps=(2,),
+            total_area=f64(2.5e-310),
+            chi_surface=2,
+            chi_realized=-1,
+            audit_residual=f64(math.nan),
+        )
+        doc = report_document(m, schema_version=schema_version)
+        assert doc == _json_report(m, schema_version)
+        for word in ("NaN", "-Infinity", "-0.0", "5e-324", "1e+300"):
+            assert word in doc
+        assert "np.float64" not in doc
+
+    def test_no_vertices(self):
+        m = RealizedMetric(k=np.zeros(0), classes=(), L=np.zeros(0), cone_angles={},
+                           gaussian_curvature={}, boundary_lengths={}, cusps=(),
+                           total_area=0.0, chi_surface=0, chi_realized=0,
+                           audit_residual=0.0)
+        doc = report_document(m)
+        assert doc == _json_report(m, 1)
+        assert '"vertices": []' in doc
+
+    def test_skips_the_pure_python_encoder(self, monkeypatch, rng):
+        # json's pure-Python encoder runs whenever json.dumps is given an indent
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python json encoder on the report path")
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps([1.0], indent=2)
+        assert report_document(realize_metric(*_torus32_with_cusps(rng)))
 
 
 class TestRenderSvg:
