@@ -21,15 +21,9 @@ from .flow import (
 )
 from .hyptrig import (
     KIND_TOL,
-    BigonResult,
     CurveKind,
     InfeasibleGeometryError,
-    PolygonSolution,
-    bigon_kernel,
     classify_curvature,
-    curvature_to_radius,
-    solve_pentagon,
-    solve_quadrilateral,
 )
 from .packing import (
     CurvatureReport,
@@ -57,11 +51,8 @@ from .surface import (
     load_triangulation,
 )
 from .tangency import (
-    EmbeddedCircle,
-    EmbeddedFace,
     FaceGeometry,
     face_jacobian,
-    realize_face,
     solve_face,
 )
 

@@ -1,7 +1,8 @@
 """Combinatorial model of a closed triangulated surface.
 
-Validation (every edge in two faces, single-cycle vertex links,
-connectivity), Euler characteristic, and the feasibility test for
+Validation (no repeated vertex in a face, every edge in two faces,
+single-cycle vertex links, connectivity, all read from one edge ->
+faces table), Euler characteristic, and the feasibility test for
 prescribed total geodesic curvatures: a positive target vector Lhat is
 admissible iff
 
@@ -15,9 +16,9 @@ read-only.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,12 +54,13 @@ class Defect:
 class Triangulation:
     """Closed triangulated surface: vertex count plus face triples.
 
-    Derived incidence structure (edge set, vertex->face lists, degrees,
-    the read-only (F, 3) intp face_array) is computed eagerly;
-    construction only rejects structurally malformed input (bad arity,
-    out-of-range indices), while closed-surface violations are reported
-    as data by validate(), computed on its first call.  Every attribute
-    is set in __init__, so that instances keep one attribute layout.
+    Derived incidence structure (the edge -> faces table, the edge set,
+    vertex->face lists, the read-only (F, 3) intp face_array) is computed
+    eagerly; construction only rejects structurally malformed input (bad
+    arity, vertex ids that are not integers or out of range), while
+    closed-surface violations are reported as data by validate(),
+    computed on its first call from the edge table.  Every attribute is
+    set in __init__, so that instances keep one attribute layout.
     """
 
     num_vertices: int
@@ -66,6 +68,9 @@ class Triangulation:
     edges: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     vertex_faces: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     face_array: np.ndarray = field(init=False, repr=False, compare=False)
+    # edge (u, w), u <= w -> the face of each side on it, in face order (a
+    # face with a repeated vertex may appear twice); a (u, u) key only links faces
+    _edge_faces: dict[tuple[int, int], list[int]] = field(init=False, repr=False, compare=False)
     _defects: tuple[Defect, ...] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
@@ -73,28 +78,31 @@ class Triangulation:
             raise ValueError(f"num_vertices must be positive, got {num_vertices}")
         norm = []
         for fi, f in enumerate(faces):
-            t = tuple(int(v) for v in f)
+            try:
+                t = tuple(map(operator.index, f))
+            except TypeError:
+                raise ValueError(f"face {fi} vertex ids must be integers, got {f!r}") from None
             if len(t) != 3:
                 raise ValueError(f"face {fi} must have 3 vertices, got {len(t)}")
             for v in t:
                 if not 0 <= v < num_vertices:
                     raise ValueError(f"face {fi} vertex {v} out of range [0, {num_vertices})")
             norm.append(t)
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "faces", tuple(norm))
-        edge_set = set()
+        table: dict[tuple[int, int], list[int]] = {}
         vf = [[] for _ in range(num_vertices)]
-        for fi, (a, b, c) in enumerate(self.faces):
-            for u, v in ((a, b), (b, c), (a, c)):
-                if u != v:
-                    edge_set.add((min(u, v), max(u, v)))
+        for fi, (a, b, c) in enumerate(norm):
+            for u, w in ((a, b), (b, c), (a, c)):
+                table.setdefault((u, w) if u < w else (w, u), []).append(fi)
             for v in set((a, b, c)):
                 vf[v].append(fi)
-        object.__setattr__(self, "edges", tuple(sorted(edge_set)))
-        object.__setattr__(self, "vertex_faces", tuple(tuple(x) for x in vf))
-        f = np.array(self.faces, dtype=np.intp).reshape(-1, 3)
+        f = np.array(norm, dtype=np.intp).reshape(-1, 3)
         f.flags.writeable = False
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "faces", tuple(norm))
+        object.__setattr__(self, "edges", tuple(sorted(e for e in table if e[0] != e[1])))
+        object.__setattr__(self, "vertex_faces", tuple(tuple(x) for x in vf))
         object.__setattr__(self, "face_array", f)
+        object.__setattr__(self, "_edge_faces", table)
         object.__setattr__(self, "_defects", None)
 
     def degree(self, v: int) -> int:
@@ -109,77 +117,61 @@ class Triangulation:
         return list(self._defects)
 
     def _find_defects(self) -> tuple[Defect, ...]:
-        defects: list[Defect] = []
-        for fi, f in enumerate(self.faces):
-            if len(set(f)) != 3:
-                defects.append(Defect("repeated_vertex", (fi,),
-                                      f"face {fi} = {f} has a repeated vertex"))
-        # edge -> the faces along it; a repeated vertex's (u, u) key only
-        # links its faces for the connectivity check
-        by_edge: dict[tuple[int, int], list[int]] = {}
-        for fi, (a, b, c) in enumerate(self.faces):
-            for u, v in ((a, b), (b, c), (a, c)):
-                by_edge.setdefault((min(u, v), max(u, v)), []).append(fi)
-        for e, fs in sorted(by_edge.items()):
-            if e[0] != e[1] and len(fs) != 2:
-                defects.append(Defect("edge_face_count", e,
-                                      f"edge {e} lies in {len(fs)} faces, expected 2"))
-        for v in range(self.num_vertices):
-            d = self._link_defect(v)
-            if d is not None:
-                defects.append(d)
-        if self.faces:
-            defects.extend(self._connectivity_defects(by_edge))
+        table, faces = self._edge_faces, self.faces
+        defects = [Defect("repeated_vertex", (fi,), f"face {fi} = {f} has a repeated vertex")
+                   for fi, f in enumerate(faces) if len(set(f)) != 3]
+        defects += [Defect("edge_face_count", e,
+                           f"edge {e} lies in {len(table[e])} faces, expected 2")
+                    for e in self.edges if len(table[e]) != 2]
+        defects += filter(None, map(self._link_defect, range(self.num_vertices)))
+
+        def across(fi):  # the faces that share an edge table entry with face fi
+            a, b, c = faces[fi]
+            return [g for u, w in ((a, b), (b, c), (a, c))
+                    for g in table[(u, w) if u < w else (w, u)]]
+
+        reached = len(_reach([0], across)) if faces else 0
+        if reached != len(faces):
+            defects.append(Defect("disconnected", (), f"face-adjacency graph splits "
+                                  f"({reached} of {len(faces)} reachable)"))
         return tuple(defects)
 
     def _link_defect(self, v: int) -> Defect | None:
-        """The link of v must be a single closed cycle."""
-        opposite = []
-        for fi in self.vertex_faces[v]:
-            rest = [u for u in self.faces[fi] if u != v]
-            if len(rest) != 2:
-                return Defect("bad_link", (v,), f"vertex {v} lies twice in face {fi}")
-            opposite.append(tuple(rest))
-        if not opposite:
+        """The link of v must be a single closed cycle: every edge at v lies
+        in two faces, and the walk around v, face to face across those
+        edges, comes back to its first face through every face at v."""
+        at_v, faces, table = self.vertex_faces[v], self.faces, self._edge_faces
+        if not at_v:
             return Defect("isolated_vertex", (v,), f"vertex {v} lies in no face")
-        neigh: dict[int, list[int]] = {}
-        for a, b in opposite:
-            neigh.setdefault(a, []).append(b)
-            neigh.setdefault(b, []).append(a)
-        if any(len(nb) != 2 for nb in neigh.values()):
+        for fi in at_v:
+            if faces[fi].count(v) != 1:
+                return Defect("bad_link", (v,), f"vertex {v} lies twice in face {fi}")
+        if any(len(table[(u, v) if u < v else (v, u)]) != 2
+               for fi in at_v for u in faces[fi] if u != v):
             return Defect("bad_link", (v,), f"link of vertex {v} is not a closed cycle")
-        # connected 2-regular graph with |edges| = |vertices| is one cycle
-        start = opposite[0][0]
-        seen = {start}
-        prev, cur = None, start
-        for _ in range(len(neigh)):
-            nxt = [u for u in neigh[cur] if u != prev]
-            if not nxt:
+        f = at_v[0]
+        u = next(w for w in faces[f] if w != v)
+        for walked in range(1, len(at_v) + 1):
+            g, h = table[(u, v) if u < v else (v, u)]
+            f = h if g == f else g
+            if f == at_v[0]:
                 break
-            prev, cur = cur, nxt[0]
-            seen.add(cur)
-        if len(seen) != len(neigh):
+            u = next(w for w in faces[f] if w != v and w != u)
+        if walked != len(at_v):
             return Defect("bad_link", (v,), f"link of vertex {v} splits into several cycles")
         return None
 
-    def _connectivity_defects(self, by_edge) -> list[Defect]:
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.faces))}
-        for fs in by_edge.values():
-            for i, j in itertools.combinations(fs, 2):
-                adj[i].add(j)
-                adj[j].add(i)
-        seen = set()
-        stack = [0]
-        while stack:
-            f = stack.pop()
-            if f in seen:
-                continue
-            seen.add(f)
-            stack.extend(adj[f] - seen)
-        if len(seen) != len(self.faces):
-            return [Defect("disconnected", (), f"face-adjacency graph splits "
-                           f"({len(seen)} of {len(self.faces)} reachable)")]
-        return []
+
+def _reach(starts, step) -> set:
+    """Everything reachable from `starts` (included) by repeated `step`."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in step(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def euler_characteristic(tri: Triangulation) -> int:
@@ -314,14 +306,9 @@ def _witness(tri: Triangulation, x, room, short, tol) -> tuple[int, ...] | None:
     a tight set (margin 0), and the smallest one is such a vertex's reach."""
     if short:
         return tuple(sorted(_search(tri, x, room, short, tol)[1]))
-    to_sink: set[int] = set()
-    stack = [w for f, face in enumerate(tri.faces) if room[f] > tol for w in face]
-    while stack:
-        u = stack.pop()
-        if u not in to_sink:
-            to_sink.add(u)
-            stack.extend(w for f in tri.vertex_faces[u]
-                         if x[f][tri.faces[f].index(u)] > tol for w in tri.faces[f])
+    to_sink = _reach([w for f, face in enumerate(tri.faces) if room[f] > tol for w in face],
+                     lambda u: [w for f in tri.vertex_faces[u]
+                                if x[f][tri.faces[f].index(u)] > tol for w in tri.faces[f]])
     tight = [tuple(sorted(_search(tri, x, room, [v], tol)[1]))
              for v in range(tri.num_vertices) if v not in to_sink]
     return min(tight, key=lambda t: (len(t), t), default=None)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 
 from hypack.packing import vertex_curvature_sums
 from hypack.surface import (
+    Defect,
     ParseError,
     Triangulation,
     check_admissible,
@@ -16,7 +18,11 @@ from hypack.surface import (
     load_triangulation,
 )
 
-from conftest import TETRA_FACES, genus2, torus_grid
+from conftest import OCTA_FACES, TETRA_FACES, genus2, torus_grid
+
+# two tetrahedra: sharing vertex 3 only, and sharing nothing
+PINCHED_FACES = TETRA_FACES + [tuple(3 if v == 3 else v + 4 for v in f) for f in TETRA_FACES]
+DISJOINT_FACES = TETRA_FACES + [tuple(v + 4 for v in f) for f in TETRA_FACES]
 
 
 class TestValidate:
@@ -38,8 +44,7 @@ class TestValidate:
         assert kinds.count("edge_face_count") == 3
 
     def test_disconnected(self):
-        faces = TETRA_FACES + [tuple(v + 4 for v in f) for f in TETRA_FACES]
-        t = Triangulation(8, faces)
+        t = Triangulation(8, DISJOINT_FACES)
         assert any(d.kind == "disconnected" for d in t.validate())
 
     def test_repeated_vertex(self):
@@ -48,10 +53,67 @@ class TestValidate:
 
     def test_bad_link(self):
         # two tetrahedra sharing a single vertex: its link is two cycles
-        faces = TETRA_FACES + [tuple(3 if v == 3 else v + 4 for v in f)
-                               for f in TETRA_FACES]
-        t = Triangulation(7, faces)
+        t = Triangulation(7, PINCHED_FACES)
         assert any(d.kind == "bad_link" and d.location == (3,) for d in t.validate())
+
+    @pytest.mark.parametrize("n, faces, expected", [
+        pytest.param(5, TETRA_FACES, [
+            ("isolated_vertex", (4,), "vertex 4 lies in no face"),
+        ], id="isolated-vertex"),
+        pytest.param(4, TETRA_FACES[:-1] + [(1, 1, 2)], [
+            ("repeated_vertex", (3,), "face 3 = (1, 1, 2) has a repeated vertex"),
+            ("edge_face_count", (1, 2), "edge (1, 2) lies in 3 faces, expected 2"),
+            ("edge_face_count", (1, 3), "edge (1, 3) lies in 1 faces, expected 2"),
+            ("edge_face_count", (2, 3), "edge (2, 3) lies in 1 faces, expected 2"),
+            ("bad_link", (1,), "vertex 1 lies twice in face 3"),
+            ("bad_link", (2,), "link of vertex 2 is not a closed cycle"),
+            ("bad_link", (3,), "link of vertex 3 is not a closed cycle"),
+        ], id="vertex-twice-in-a-face"),
+        pytest.param(4, TETRA_FACES[:-1], [
+            ("edge_face_count", (1, 2), "edge (1, 2) lies in 1 faces, expected 2"),
+            ("edge_face_count", (1, 3), "edge (1, 3) lies in 1 faces, expected 2"),
+            ("edge_face_count", (2, 3), "edge (2, 3) lies in 1 faces, expected 2"),
+            ("bad_link", (1,), "link of vertex 1 is not a closed cycle"),
+            ("bad_link", (2,), "link of vertex 2 is not a closed cycle"),
+            ("bad_link", (3,), "link of vertex 3 is not a closed cycle"),
+        ], id="open-link"),
+        pytest.param(7, PINCHED_FACES, [
+            ("bad_link", (3,), "link of vertex 3 splits into several cycles"),
+            ("disconnected", (), "face-adjacency graph splits (4 of 8 reachable)"),
+        ], id="pinched-vertex"),
+        pytest.param(8, DISJOINT_FACES, [
+            ("disconnected", (), "face-adjacency graph splits (4 of 8 reachable)"),
+        ], id="disconnected"),
+        pytest.param(4, TETRA_FACES + [(2, 2, 2)], [
+            ("repeated_vertex", (4,), "face 4 = (2, 2, 2) has a repeated vertex"),
+            ("bad_link", (2,), "vertex 2 lies twice in face 4"),
+            ("disconnected", (), "face-adjacency graph splits (4 of 5 reachable)"),
+        ], id="repeated-vertex"),
+    ])
+    def test_defect_list_is_pinned(self, n, faces, expected):
+        assert Triangulation(n, faces).validate() == [Defect(*d) for d in expected]
+
+    def test_matches_reference_on_mutations(self):
+        # seeded drops, additions and rewirings of faces, a copy glued at one
+        # vertex and spare vertices, on closed surfaces of genus 0, 1 and 2
+        rnd = random.Random(14)
+        bases = [Triangulation(4, TETRA_FACES), Triangulation(6, OCTA_FACES), torus_grid(3, 3),
+                 torus_grid(3, 4), torus_grid(4, 4), genus2()]
+        kinds, messages = collections.Counter(), collections.Counter()
+        for base in bases:
+            for _ in range(900):
+                t = Triangulation(*_mutated(rnd, base.num_vertices, list(base.faces)))
+                got = t.validate()
+                assert got == _find_defects(t)
+                assert t.edges == tuple(sorted({(u, w) for f in t.faces
+                                                for u, w in itertools.combinations(sorted(f), 2)
+                                                if u != w}))
+                kinds.update({d.kind for d in got})
+                messages.update({w for d in got for w in ("twice", "closed", "splits")
+                                 if d.kind == "bad_link" and w in d.message})
+        assert min(kinds[k] for k in ("repeated_vertex", "edge_face_count", "bad_link",
+                                      "isolated_vertex", "disconnected")) >= 100, kinds
+        assert min(messages[w] for w in ("twice", "closed", "splits")) >= 100, messages
 
     def test_defects_computed_once(self):
         t = Triangulation(4, TETRA_FACES[:-1])
@@ -70,9 +132,117 @@ class TestValidate:
         with pytest.raises(ValueError):
             Triangulation(3, [(0, 1, 5)])
 
+    def test_constructor_rejects_ids_that_are_not_integers(self):
+        with pytest.raises(ValueError, match=r"face 0 vertex ids must be integers, got \(0, 1, 2\.7\)"):
+            Triangulation(4, [(0, 1, 2.7), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        with pytest.raises(ValueError, match="face 2 vertex ids must be integers"):
+            Triangulation(4, [(0, 1, 2), (0, 1, 3), ("0", 1, 2)])
+
+    def test_constructor_takes_numpy_ids(self, tetrahedron):
+        t = Triangulation(np.int64(4), np.array(TETRA_FACES, dtype=np.int32))
+        assert t == tetrahedron and hash(t) == hash(tetrahedron) and t.validate() == []
+        assert all(type(v) is int for f in t.faces for v in f)
+
     def test_edge_face_identity(self, tetrahedron, octahedron):
         for t in (tetrahedron, octahedron, torus_grid(4, 5), genus2()):
             assert 2 * len(t.edges) == 3 * len(t.faces)
+
+
+def _mutated(rnd, n, faces):
+    """One to three seeded mutations of a surface: (vertex count, faces)."""
+    for _ in range(rnd.randint(1, 3)):
+        op = rnd.randrange(5)
+        if op == 0 and faces:  # drop a face
+            faces.pop(rnd.randrange(len(faces)))
+        elif op == 1:  # add a face, maybe with a repeated vertex
+            faces.insert(rnd.randint(0, len(faces)), tuple(rnd.randrange(n) for _ in range(3)))
+        elif op == 2 and faces:  # rewire one corner of a face
+            fi, c = rnd.randrange(len(faces)), rnd.randrange(3)
+            faces[fi] = faces[fi][:c] + (rnd.randrange(n),) + faces[fi][c + 1:]
+        elif op == 3:  # glue a copy at vertex p
+            p = rnd.randrange(n)
+            faces += [tuple(p if v == p else n + v - (v > p) for v in f) for f in faces]
+            n = 2 * n - 1
+        else:  # a spare vertex with id s
+            s = rnd.randint(0, n)
+            faces = [tuple(v + (v >= s) for v in f) for f in faces]
+            n += 1
+    return n, faces
+
+
+# The edge-pass validation that preceded the one edge table, kept as the
+# oracle for Triangulation.validate().
+
+def _find_defects(tri):
+    defects = []
+    for fi, f in enumerate(tri.faces):
+        if len(set(f)) != 3:
+            defects.append(Defect("repeated_vertex", (fi,),
+                                  f"face {fi} = {f} has a repeated vertex"))
+    by_edge = {}
+    for fi, (a, b, c) in enumerate(tri.faces):
+        for u, v in ((a, b), (b, c), (a, c)):
+            by_edge.setdefault((min(u, v), max(u, v)), []).append(fi)
+    for e, fs in sorted(by_edge.items()):
+        if e[0] != e[1] and len(fs) != 2:
+            defects.append(Defect("edge_face_count", e,
+                                  f"edge {e} lies in {len(fs)} faces, expected 2"))
+    for v in range(tri.num_vertices):
+        d = _link_defect(tri, v)
+        if d is not None:
+            defects.append(d)
+    if tri.faces:
+        defects.extend(_connectivity_defects(tri, by_edge))
+    return defects
+
+
+def _link_defect(tri, v):
+    opposite = []
+    for fi in tri.vertex_faces[v]:
+        rest = [u for u in tri.faces[fi] if u != v]
+        if len(rest) != 2:
+            return Defect("bad_link", (v,), f"vertex {v} lies twice in face {fi}")
+        opposite.append(tuple(rest))
+    if not opposite:
+        return Defect("isolated_vertex", (v,), f"vertex {v} lies in no face")
+    neigh = {}
+    for a, b in opposite:
+        neigh.setdefault(a, []).append(b)
+        neigh.setdefault(b, []).append(a)
+    if any(len(nb) != 2 for nb in neigh.values()):
+        return Defect("bad_link", (v,), f"link of vertex {v} is not a closed cycle")
+    start = opposite[0][0]
+    seen = {start}
+    prev, cur = None, start
+    for _ in range(len(neigh)):
+        nxt = [u for u in neigh[cur] if u != prev]
+        if not nxt:
+            break
+        prev, cur = cur, nxt[0]
+        seen.add(cur)
+    if len(seen) != len(neigh):
+        return Defect("bad_link", (v,), f"link of vertex {v} splits into several cycles")
+    return None
+
+
+def _connectivity_defects(tri, by_edge):
+    adj = {i: set() for i in range(len(tri.faces))}
+    for fs in by_edge.values():
+        for i, j in itertools.combinations(fs, 2):
+            adj[i].add(j)
+            adj[j].add(i)
+    seen = set()
+    stack = [0]
+    while stack:
+        f = stack.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        stack.extend(adj[f] - seen)
+    if len(seen) != len(tri.faces):
+        return [Defect("disconnected", (), f"face-adjacency graph splits "
+                       f"({len(seen)} of {len(tri.faces)} reachable)")]
+    return []
 
 
 class TestEuler:
