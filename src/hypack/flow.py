@@ -23,7 +23,7 @@ import numpy as np
 from .packing import global_jacobian, vertex_curvature_sums
 # check_admissible stays importable from here, where perfbench's tracer wraps it
 from .surface import Triangulation, check_admissible, violating_subset  # noqa: F401
-from .surface import _checked_targets
+from .surface import _checked_targets, _count
 
 __all__ = [
     "FlowConfig",
@@ -110,8 +110,7 @@ class FlowConfig:
         for name in ("residual_tol", "newton_switch_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be non-negative")
+        _count(self.max_steps, "max_steps", 0)
         if self.newton_switch_tol <= self.residual_tol:
             raise ValueError("newton_switch_tol must exceed residual_tol")
 

@@ -5,10 +5,10 @@ The state is the log-curvature vector K (K_i = ln k_i), which makes the
 domain all of R^|V|.  Every face goes through one call of the array face
 kernel (tangency.face_kernel) per evaluation, with no loop over faces;
 the Hessian takes the kernel's closed-form face Jacobians, and the
-potential evaluates the quadrature nodes of a path segment in calls of
-a bounded number of faces.  Scatters to the vertices add in face order,
-so results are deterministic.  The Hessian has one assembly path, a
-dense ndarray at every surface size.
+potential sums the closed-form tangency.face_potential over the faces.
+Scatters to the vertices add in face order, so results are
+deterministic.  The Hessian has one assembly path, a dense ndarray at
+every surface size.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .surface import Triangulation
-from .tangency import FaceArrays, FaceGeometry, face_kernel, face_records
+from .tangency import FaceArrays, FaceGeometry, face_kernel, face_potential, face_records
 # not called here: perfbench's tracer wraps these names in this module
 from .tangency import corner_curvatures, face_jacobian, solve_face  # noqa: F401
 
@@ -103,45 +102,13 @@ def global_jacobian(tri: Triangulation, K) -> np.ndarray:
                        minlength=n * n).reshape(n, n)
 
 
-# faces per face_kernel call in potential_value, which bounds its memory
-_POTENTIAL_FACES = 8192
-
-
-def potential_value(tri: Triangulation, K, K_ref, l_hat, *,
-                    waypoints=(), panels: int = 64) -> float:
+def potential_value(tri: Triangulation, K, K_ref, l_hat, *, waypoints=()) -> float:
     """Potential difference Phi(K) - Phi(K_ref), as a diagnostic.
 
-    The surface functional W is evaluated by integrating sum_i L_i dK_i
-    along the straight segment from K_ref to K (composite Gauss-Legendre
-    quadrature, `panels` >= 1 panels of 4 nodes), then the linear term
-    sum_i Lhat_i (K_i - K_ref_i) is subtracted.  Optional waypoints turn
-    the path into a polyline; by closedness of the curvature form the
-    value is path-independent, which is a test, not an assumption here.
-    Each face_kernel call takes as many nodes' faces as fit in
-    _POTENTIAL_FACES, so memory does not grow with the panel count.
+    Phi(K) = sum_f w_f(exp K) - Lhat . K, w_f the face potentials of
+    tangency.face_potential, so grad Phi = L - Lhat.  The changes of the
+    w_f are summed over the segments of the polyline K_ref, *waypoints, K.
     """
-    if panels < 1:
-        raise ValueError(f"panels must be at least 1, got {panels}")
-    K = np.asarray(K, dtype=float)
-    K_ref = np.asarray(K_ref, dtype=float)
-    target = np.asarray(l_hat, dtype=float)
-    nodes, weights = leggauss(4)
-    # node j of panel p sits at t = (p + (1 + x_j)/2) / panels
-    t = ((np.arange(panels)[:, None] + 0.5 * (1.0 + nodes)) / panels).ravel()
-    w = np.tile(0.5 * weights / panels, panels)
-    n = tri.num_vertices
-    chunk = max(1, _POTENTIAL_FACES // len(tri.face_array))
-    # node j's corners go to bins j*n + v: one bincount yields a chunk's L
-    bins = (np.arange(chunk)[:, None] * n + tri.face_array.ravel()).ravel()
-    total = 0.0
-    pts = [K_ref, *[np.asarray(p, dtype=float) for p in waypoints], K]
-    for a, b in zip(pts[:-1], pts[1:]):
-        delta = b - a
-        if not np.any(delta):
-            continue
-        for lo in range(0, t.size, chunk):
-            tc = t[lo:lo + chunk]
-            L = face_kernel(_face_curvatures(tri, a + tc[:, None] * delta)).L.ravel()
-            L = np.bincount(bins[:L.size], weights=L, minlength=tc.size * n)
-            total += float(w[lo:lo + chunk] @ (L.reshape(tc.size, n) @ delta))
-    return total - float(target @ (K - K_ref))
+    pts = np.array([K_ref, *waypoints, K], dtype=float)
+    w = face_potential(_face_curvatures(tri, pts)).reshape(len(pts), -1)
+    return float(np.diff(w, axis=0).sum() - np.asarray(l_hat, dtype=float) @ (pts[-1] - pts[0]))

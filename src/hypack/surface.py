@@ -74,8 +74,7 @@ class Triangulation:
     _defects: tuple[Defect, ...] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
-        if num_vertices <= 0:
-            raise ValueError(f"num_vertices must be positive, got {num_vertices}")
+        num_vertices = _count(num_vertices, "num_vertices", 1)
         norm = []
         for fi, f in enumerate(faces):
             try:
@@ -217,6 +216,13 @@ def check_admissible(tri: Triangulation, l_hat) -> Admissibility:
 def violating_subset(tri: Triangulation, l_hat) -> tuple[int, ...] | None:
     """check_admissible's witness (None when admissible), without its margin search."""
     return _max_flow(tri, l_hat)[3]
+
+
+def _count(value, name: str, least: int) -> int:
+    """value as an int >= least, or ValueError naming it (also for a bool)."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return operator.index(value)
 
 
 def _checked_targets(tri: Triangulation, l_hat) -> np.ndarray:

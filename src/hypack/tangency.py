@@ -15,6 +15,8 @@ circles/horocycles/hypercycles.  This module solves faces two ways:
   quadrature oracle: its arc lengths integrate ds = |dz|/y along the
   embedded arcs, independently of the kernel's closed form.
 
+``face_potential`` gives each face's potential, with gradient L in K.
+
 Everything is value-in/value-out and thread-safe.
 """
 
@@ -37,6 +39,7 @@ __all__ = [
     "EmbeddedCircle",
     "EmbeddedFace",
     "face_kernel",
+    "face_potential",
     "face_records",
     "solve_face",
     "realize_face",
@@ -179,6 +182,58 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
         raise InfeasibleGeometryError(
             f"face with curvatures {bad} cannot be evaluated in double precision")
     return FaceArrays(kinds, gen, arc, L, area, polygon_area, J)
+
+
+# c_n = |B_2n| / (2n (2n + 1)!): Cl2(x) = x - x ln|x| + sum_n c_n x^(2n+1), to 1e-17 on [-pi, pi]
+_CL2 = (
+    0.013888888888888888, 6.944444444444444e-05, 7.873519778281683e-07, 1.1482216343327455e-08,
+    1.8978869988971e-10, 3.387301370953521e-12, 6.372636443183181e-14, 1.2462059912950672e-15,
+    2.5105444608999545e-17, 5.178258806090623e-19, 1.0887357368300849e-20, 2.325744114302087e-22,
+    5.03519521314739e-24, 1.1026499294381215e-25, 2.4386585509007344e-27, 5.440142678856253e-29,
+    1.2228340131217352e-30, 2.767263468967951e-32, 6.3000905918320136e-34, 1.4420868388418476e-35,
+    3.3170939991595428e-37, 7.663913557920658e-39, 1.7778714733830659e-40, 4.1396058982341375e-42,
+)
+
+
+def _clausen(x):
+    """Clausen's function Cl2(x) = Im Li2(e^ix), by its series on [-pi, pi]."""
+    x = x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
+    return x * (1.0 - np.log(np.abs(x)) + x * x * polyval(x * x, _CL2))
+
+
+def face_potential(k) -> np.ndarray:
+    """Closed-form potentials w of the faces with (F, 3) curvatures k:
+    dw/dK_i = L_i (face_kernel's L), K = ln k.  With e2 = k1 k2 + k1 k3 + k2 k3,
+    sinh rho = 1/sqrt(e2) and U = tanh(rho/2), by Kummer's formula for Li2
+      w = 2 sum_i int_0^rho atan(k_i sinh t)/sinh t dt + pi asinh(sqrt(e2))
+        = sum_i [2m (a1 - a2) + Cl2(2 a1) + Cl2(2 a2) - Cl2(2 a1 + q) - Cl2(2 a2 - q)],
+    a1, a2 = atan(cU), atan(U/c), c = k + sqrt(k^2 - 1), m = acosh k, q = pi at a
+    circle, a1, a2 = atan2(kU, 1 -+ sU), s = sqrt(1 - k^2), m = 0, q = 2 asin k at a
+    hypercycle: its terms 2 (a1 + a2) ln U cancel the asinh, as sum_i (a1 + a2)
+    = pi/2.  Sums are in ascending order, so w commutes with permuting a
+    face's corners.  Raises the errors of face_kernel."""
+    k = np.asarray(k, dtype=float)
+    if not (k > 0.0).all():
+        raise ValueError(f"geodesic curvature must be positive, got {k[~(k > 0.0)][0]}")
+    with np.errstate(all="ignore"):
+        k1, k2, k3 = _ascending(k)
+        e2 = (k1 * k2 + k1 * k3 + k2 * k3)[:, None]
+        U = 1.0 / (np.sqrt(1.0 + e2) + np.sqrt(e2))
+        circ = k >= 1.0
+        c = k + np.sqrt(k - 1.0) * np.sqrt(k + 1.0)
+        s = np.sqrt((1.0 - k) * (1.0 + k))
+        a1 = np.where(circ, np.arctan(c * U), np.arctan2(k * U, 1.0 - s * U))
+        a2 = np.where(circ, np.arctan(U / c), np.arctan2(k * U, 1.0 + s * U))
+        m = np.where(circ, np.arccosh(k), 0.0)
+        q = np.where(circ, np.pi, 2.0 * np.arcsin(k))
+        C = _clausen(np.stack([2.0 * a1, 2.0 * a2, 2.0 * a1 + q, 2.0 * a2 - q]))
+        w = sum(_ascending(2.0 * m * (a1 - a2) + C[0] + C[1] - C[2] - C[3]))
+    ok = np.isfinite(w)  # e2 = inf gives U = 0, so Cl2(0) = 0 * inf = nan
+    if not ok.all():
+        bad = tuple(k[int(np.argmin(ok))].tolist())
+        raise InfeasibleGeometryError(
+            f"face with curvatures {bad} cannot be evaluated in double precision")
+    return w
 
 
 def face_records(k, fa: FaceArrays) -> list[FaceGeometry]:

@@ -334,6 +334,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_steps"):
             FlowConfig(max_steps=-5)
 
+    @pytest.mark.parametrize("steps", [2.5, True, "3", None])
+    def test_rejects_a_step_budget_that_is_not_an_integer(self, steps):
+        # 2.5 used to let a flow solve take a third step attempt
+        with pytest.raises(ValueError, match="max_steps"):
+            FlowConfig(max_steps=steps)
+
+    def test_takes_a_numpy_step_budget(self, tetrahedron):
+        cfg = FlowConfig(max_steps=np.int64(2), newton=False)
+        res = solve(tetrahedron, np.ones(4), config=cfg)
+        assert res.status is SolveStatus.MAX_STEPS_EXCEEDED
+        assert res.trace.phase == ["flow", "flow", "flow"]  # K0 and two steps
+
 
 def test_import_loads_no_scipy():
     # scipy belongs to the quadrature oracle and the tests, and mpmath to the

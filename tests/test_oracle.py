@@ -1,5 +1,6 @@
 """The face kernel and the rendered disk picture against a
-high-precision half-plane embedding.
+high-precision half-plane embedding, and the face potential against
+high-precision quadrature.
 
 The oracle places the three curves in the upper half-plane with mpmath at
 50 or more significant digits, so that none of the cancellations the
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from hypack.hyptrig import KIND_TOL
-from hypack.tangency import face_kernel
+from hypack.tangency import face_kernel, face_potential
 
 from test_tangency import FACE_CASES
 
@@ -186,3 +187,29 @@ def test_disk_picture_matches_oracle():
                 assert abs(power - (abs(oc) ** 2 - orad ** 2)) <= 1e-12 * scale
             for w, (x, y) in zip(points, pts.values()):
                 assert abs(w - to_disk(mp.mpc(x, y))) <= 1e-12
+
+
+def _inradius_integral(k, e2, integrand):
+    """int_0^rho integrand(t) dt, sinh rho = 1/sqrt(e2), split where
+    k sinh t = 1, at the working precision."""
+    rho, knee = mp.asinh(1 / mp.sqrt(e2)), mp.asinh(1 / k)
+    return mp.quad(integrand, [0, knee, rho] if knee < rho else [0, rho])
+
+
+@pytest.mark.parametrize("seed, lo, hi", [(31, 1e-4, 4.0), (32, 1e-15, 30.0)])
+def test_face_potential_matches_quadrature(seed, lo, hi):
+    # w = 2 sum_i int_0^rho atan(k_i sinh t)/sinh t dt + pi asinh(sqrt(e2)),
+    # and its gradient L_i = 2 k_i int_0^rho dt/(1 + k_i^2 sinh^2 t), on all
+    # five corner mixes with k = 1 exactly at the horocycle corners
+    k = sample_faces(seed, 5, lo=lo, hi=hi)
+    w, L = face_potential(k), face_kernel(k).L
+    with mp.workdps(50):
+        for f, ks in enumerate(k):
+            km = [mp.mpf(float(x)) for x in ks]
+            e2 = km[0] * km[1] + km[0] * km[2] + km[1] * km[2]
+            want = mp.pi * mp.asinh(mp.sqrt(e2))
+            for i, ki in enumerate(km):
+                want += 2 * _inradius_integral(ki, e2, lambda t: mp.atan(ki * mp.sinh(t)) / mp.sinh(t))
+                L_i = 2 * ki * _inradius_integral(ki, e2, lambda t: 1 / (1 + (ki * mp.sinh(t)) ** 2))
+                assert abs(L[f, i] - float(L_i)) <= 1e-12 * float(L_i)
+            assert abs(w[f] - float(want)) <= 1e-12 * max(1.0, abs(float(want)))

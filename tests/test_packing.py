@@ -18,8 +18,9 @@ VERTEX_L_ALL2 = 3.1026738590250541  # 3 * face(2,2,2) corner value
 
 
 def potential_by_node(tri, K, K_ref, L_hat, panels):
-    """potential_value with one vertex_curvature_sums call per
-    Gauss-Legendre node."""
+    """The quadrature oracle of potential_value: sum_i L_i dK_i along the
+    segment K_ref -> K by `panels` panels of 4 Gauss-Legendre nodes, one
+    vertex_curvature_sums call per node, minus Lhat . (K - K_ref)."""
     nodes, weights = np.polynomial.legendre.leggauss(4)
     delta = K - K_ref
     loop = 0.0
@@ -186,17 +187,17 @@ class TestPotential:
         K_ref = rng.uniform(-1.0, 1.0, size=6)
         K = rng.uniform(-1.0, 1.0, size=6)
         L_hat = rng.uniform(0.5, 2.0, size=6)
-        value = potential_value(octahedron, K, K_ref, L_hat, panels=8)
-        assert value == pytest.approx(potential_by_node(octahedron, K, K_ref, L_hat, 8),
+        value = potential_value(octahedron, K, K_ref, L_hat)
+        assert value == pytest.approx(potential_by_node(octahedron, K, K_ref, L_hat, 64),
                                       rel=1e-12)
 
     def test_chunked_nodes_match_loop_over_nodes(self, rng):
-        # 512 faces: the 32 nodes take more than one face_kernel call
+        # the closed form on 512 faces against 256 quadrature nodes
         tri = torus_grid(16, 16)
         K_ref, K = rng.normal(0.0, 0.7, size=(2, 256))
         L_hat = rng.uniform(0.5, 3.0, size=256)
-        value = potential_value(tri, K, K_ref, L_hat, panels=8)
-        assert value == pytest.approx(potential_by_node(tri, K, K_ref, L_hat, 8), rel=1e-12)
+        value = potential_value(tri, K, K_ref, L_hat)
+        assert value == pytest.approx(potential_by_node(tri, K, K_ref, L_hat, 64), rel=1e-12)
 
     def test_memory_does_not_grow_with_nodes(self, rng):
         # all 256 nodes' faces at once took 44 MB here
@@ -209,11 +210,6 @@ class TestPotential:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-
-    @pytest.mark.parametrize("panels", [0, -1])
-    def test_rejects_no_panels(self, tetrahedron, panels):
-        with pytest.raises(ValueError, match="panels"):
-            potential_value(tetrahedron, np.ones(4), np.zeros(4), np.ones(4), panels=panels)
 
     def test_gradient_matches_finite_differences(self, tetrahedron, rng):
         K_ref = np.zeros(4)

@@ -132,6 +132,11 @@ class TestValidate:
         with pytest.raises(ValueError):
             Triangulation(3, [(0, 1, 5)])
 
+    @pytest.mark.parametrize("n", [4.0, 4.5, "4", True, False, None, -1])
+    def test_constructor_rejects_a_vertex_count_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="num_vertices"):
+            Triangulation(n, TETRA_FACES[:1])
+
     def test_constructor_rejects_ids_that_are_not_integers(self):
         with pytest.raises(ValueError, match=r"face 0 vertex ids must be integers, got \(0, 1, 2\.7\)"):
             Triangulation(4, [(0, 1, 2.7), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -141,6 +146,7 @@ class TestValidate:
     def test_constructor_takes_numpy_ids(self, tetrahedron):
         t = Triangulation(np.int64(4), np.array(TETRA_FACES, dtype=np.int32))
         assert t == tetrahedron and hash(t) == hash(tetrahedron) and t.validate() == []
+        assert type(t.num_vertices) is int
         assert all(type(v) is int for f in t.faces for v in f)
 
     def test_edge_face_identity(self, tetrahedron, octahedron):

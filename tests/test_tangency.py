@@ -12,6 +12,7 @@ from hypack.tangency import (
     corner_curvatures,
     face_jacobian,
     face_kernel,
+    face_potential,
     realize_face,
     solve_face,
 )
@@ -348,3 +349,38 @@ class TestFaceKernel:
                             np.exp(rng.uniform(math.log(1e-15), math.log(35.0), (n, 3))))
             K = rng.permuted(mags * np.array(signs), axis=1)
             assert face_kernel(np.exp(K)).area.min() >= -1e-14
+
+
+class TestFacePotential:
+    def test_gradient_is_total_curvature(self):
+        # 4-point central differences in K = ln k against the kernel's L on
+        # 250 faces, |ln k| <= 4, with k = 1 exactly at 50 corners
+        rng = np.random.default_rng(16)
+        K = rng.uniform(-4.0, 4.0, size=(250, 3))
+        K[::5, 1] = 0.0
+        h = 1e-3
+        for i in range(3):
+            def w(d):
+                up = K.copy()
+                up[:, i] += d
+                return face_potential(np.exp(up))
+            fd = (8.0 * (w(h) - w(-h)) - (w(2 * h) - w(-2 * h))) / (12.0 * h)
+            assert np.abs(fd - face_kernel(np.exp(K)).L[:, i]).max() <= 1e-8
+
+    def test_commutes_with_permuting_corners(self):
+        rng = np.random.default_rng(17)
+        k = np.exp(rng.uniform(-30.0, 30.0, size=(300, 3)))
+        k[::3, 2] = 1.0
+        w = face_potential(k)
+        for perm in itertools.permutations(range(3)):
+            assert np.array_equal(face_potential(k[:, perm]), w)
+
+    def test_rejects_what_the_kernel_rejects(self):
+        for bad in ([(2.0, 0.0, 2.0)], [(2.0, -1.0, 2.0)], [(2.0, math.nan, 2.0)]):
+            with pytest.raises(ValueError, match="positive"):
+                face_potential(bad)
+        # e2 overflows at 1e200, and at an infinite curvature
+        for bad in ([(2.0, 2.0, 2.0), (1e200, 1e200, 1e200)], [(math.inf, 1.0, 0.5)]):
+            for f in (face_kernel, face_potential):
+                with pytest.raises(InfeasibleGeometryError, match="curvatures"):
+                    f(bad)
