@@ -9,7 +9,10 @@ by default: one dense solve each, halved from the full step until the
 residual falls.  With newton=False it integrates the flow instead, with
 an embedded Dormand-Prince 5(4) pair under per-step error control; with
 a finite newton_switch_tol it integrates the flow until the residual is
-below that bound and takes Newton steps from there on.
+below that bound and takes Newton steps from there on.  A converged K
+whose residual is small against its face areas proves the target
+admissible (_certified); only a solve without that proof runs the
+maximum flow.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .packing import global_jacobian, vertex_curvature_sums
+from .packing import _sum_at_vertices, global_jacobian, vertex_curvature_sums, vertex_curvatures
 # check_admissible stays importable from here, where perfbench's tracer wraps it
 from .surface import Triangulation, check_admissible, violating_subset  # noqa: F401
 from .surface import _checked_targets, _count
@@ -61,10 +64,10 @@ _MIN_STEP = 1e-14
 _STEP_ERROR_TOL = 1e-8
 _REL_STEP_ERROR = 0.05
 
-# Guards check_admissibility=False: |K_i| beyond this while the residual
-# stalls runs the feasibility check once, which ends the flow or Newton
-# as INFEASIBLE if it finds a witness.  The area of a face whose
-# curvatures all grow falls like 0.16 e^(-2K), so from K ~ 17 its L sum
+# |K_i| beyond this while the residual stalls runs the feasibility check
+# once, which ends the flow or Newton as INFEASIBLE if it finds a witness.
+# The area of a face whose curvatures all grow falls like 0.16 e^(-2K),
+# so from K ~ 17 its L sum
 # to pi to rounding and a drifting Newton iteration stalls instead; at 15
 # the area is still 34 ulps of pi.
 _DRIFT_LIMIT = 15.0
@@ -201,15 +204,16 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     """Take Newton steps from K0 (by default) or flow steps to the packing
     with prescribed total geodesic curvatures.
 
-    The target is first checked by check_admissible's maximum flow, at
-    every size, and an infeasible one is rejected with its witness.  With
-    check_admissibility off, the first divergence (some K_i beyond +-15
-    while the residual stalls) runs that check instead, so INFEASIBLE
-    always comes with a witness; an admissible target solves on.  Each
-    pass takes a Newton step or, with newton off or until a finite
+    Each pass takes a Newton step or, with newton off or until a finite
     newton_switch_tol is reached, a flow step; max_steps counts both.  A
-    trial the kernel cannot evaluate fails.  On convergence the result is
-    independent of K0 (the packing is unique).
+    trial the kernel cannot evaluate fails.  The first divergence (some
+    K_i beyond +-15 while the residual stalls) runs check_admissible's
+    maximum flow once, and a witness ends the solve as INFEASIBLE.  With
+    check_admissibility on (the default), a converged solve must also
+    certify the target (_certified); any other ending (a failed
+    certificate, max_steps, a StiffnessError or a kernel failure) runs
+    that maximum flow once, and is INFEASIBLE if it finds a witness.  On
+    convergence the result is independent of K0 (the packing is unique).
     """
     cfg = config or FlowConfig()
     defects = tri.validate()
@@ -219,58 +223,75 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     target = _checked_targets(tri, l_hat)
 
     trace = FlowTrace(config=cfg)
-    # with the gate off, the same check runs once, at the first drift
-    checked = cfg.check_admissibility
-    if checked:
-        witness = violating_subset(tri, target)
-        if witness is not None:
-            return SolveResult(K=np.zeros(tri.num_vertices), trace=trace,
-                               status=SolveStatus.INFEASIBLE, witness=witness)
-
     K = (np.zeros(tri.num_vertices) if K0 is None
          else np.array(K0, dtype=float, copy=True))
     t = 0.0
     h = _INITIAL_STEP
-    res = vertex_curvature_sums(tri, K) - target
-    trace.append(t, K, res, "flow")
     steps = 0
     newton = False  # once on, it stays on
+    checked = False  # violating_subset ran, at most once
+    witness = status = failure = None
+    try:
+        res = vertex_curvature_sums(tri, K) - target
+        trace.append(t, K, res, "flow")
+        while True:
+            res_max = float(np.max(np.abs(res)))
+            if res_max < cfg.residual_tol:
+                status = SolveStatus.CONVERGED
+                break
+            if steps >= cfg.max_steps:
+                status = SolveStatus.MAX_STEPS_EXCEEDED
+                break
+            if (not checked and res_max > cfg.residual_tol * 10
+                    and float(np.max(np.abs(K))) > _DRIFT_LIMIT):
+                checked = True
+                witness = violating_subset(tri, target)
+                if witness is not None:
+                    break
+            steps += 1
+            newton = newton or (cfg.newton and res_max < cfg.newton_switch_tol)
+            if newton:
+                K, res, alpha = _newton_step(tri, K, res, target)
+                t += alpha
+                trace.append(t, K, res, "newton")
+                continue
+            h = min(h, _MAX_STEP)
+            eff_tol = min(_STEP_ERROR_TOL, _REL_STEP_ERROR * res_max)
+            try:
+                K_new, err, rate_new = flow_step(tri, K, target, h, -res)
+            except ValueError:  # a stage left the range the face kernel can evaluate
+                err = math.inf
+            if err < eff_tol:
+                t, K, res = t + h, K_new, -rate_new
+                trace.append(t, K, res, "flow")
+                h *= min(5.0, 0.9 * (eff_tol / err) ** 0.2) if err > 0.0 else 5.0
+            else:
+                h *= 0.5
+                if h < _MIN_STEP:
+                    raise StiffnessError(f"step size underflowed at t={t} "
+                                         f"(residual {res_max:.3e})", K=K, t=t)
+    except (StiffnessError, ValueError) as exc:  # a ValueError from the face kernel
+        failure = exc
+    if (cfg.check_admissibility and not checked
+            and not (status is SolveStatus.CONVERGED and _certified(tri, K, target))):
+        witness = violating_subset(tri, target)
+    if witness is not None:
+        return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE, witness=witness)
+    if failure is not None:
+        raise failure
+    return SolveResult(K=K, trace=trace, status=status)
 
-    while True:
-        res_max = float(np.max(np.abs(res)))
-        if res_max < cfg.residual_tol:
-            return SolveResult(K=K, trace=trace, status=SolveStatus.CONVERGED)
-        if steps >= cfg.max_steps:
-            return SolveResult(K=K, trace=trace, status=SolveStatus.MAX_STEPS_EXCEEDED)
-        if (not checked and res_max > cfg.residual_tol * 10
-                and float(np.max(np.abs(K))) > _DRIFT_LIMIT):
-            checked = True
-            witness = violating_subset(tri, target)
-            if witness is not None:
-                return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE,
-                                   witness=witness)
-        steps += 1
-        newton = newton or (cfg.newton and res_max < cfg.newton_switch_tol)
-        if newton:
-            K, res, alpha = _newton_step(tri, K, res, target)
-            t += alpha
-            trace.append(t, K, res, "newton")
-            continue
-        h = min(h, _MAX_STEP)
-        eff_tol = min(_STEP_ERROR_TOL, _REL_STEP_ERROR * res_max)
-        try:
-            K_new, err, rate_new = flow_step(tri, K, target, h, -res)
-        except ValueError:  # a stage left the range the face kernel can evaluate
-            err = math.inf
-        if err < eff_tol:
-            t, K, res = t + h, K_new, -rate_new
-            trace.append(t, K, res, "flow")
-            h *= min(5.0, 0.9 * (eff_tol / err) ** 0.2) if err > 0.0 else 5.0
-        else:
-            h *= 0.5
-            if h < _MIN_STEP:
-                raise StiffnessError(f"step size underflowed at t={t} "
-                                     f"(residual {res_max:.3e})", K=K, t=t)
+
+def _certified(tri: Triangulation, K, target) -> bool:
+    """Whether 3 |L_i - Lhat_i| + 1e-12 pi deg(i) < (sum of the areas of the
+    faces at i) at every vertex, which proves sum_W Lhat < pi |F_W| for
+    every vertex set W: a face's corner values L_{f,c} >= 0 sum to
+    pi - area_f, and a face has at most three vertices.  L and the areas
+    come from one kernel call, which forms area = pi - sum L, so 1e-12 pi
+    per face (the maximum flow's tolerance) covers the rounding."""
+    rep = vertex_curvatures(tri, K)
+    slack = _sum_at_vertices(tri, np.repeat(rep.arrays.area - 1e-12 * math.pi, 3))
+    return bool(np.all(3.0 * np.abs(rep.L - target) < slack))
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ class Triangulation:
         norm = []
         for fi, f in enumerate(faces):
             try:
-                t = tuple(map(operator.index, f))
+                t = tuple(map(_index, f))
             except TypeError:
                 raise ValueError(f"face {fi} vertex ids must be integers, got {f!r}") from None
             if len(t) != 3:
@@ -218,11 +218,22 @@ def violating_subset(tri: Triangulation, l_hat) -> tuple[int, ...] | None:
     return _max_flow(tri, l_hat)[3]
 
 
-def _count(value, name: str, least: int) -> int:
-    """value as an int >= least, or ValueError naming it (also for a bool)."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+def _index(value) -> int:
+    """operator.index(value), which a bool fails too (TypeError)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
     return operator.index(value)
+
+
+def _count(value, name: str, least: int) -> int:
+    """_index(value) when it is at least `least`, else ValueError naming it."""
+    try:
+        n = _index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return n
 
 
 def _checked_targets(tri: Triangulation, l_hat) -> np.ndarray:

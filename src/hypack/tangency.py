@@ -139,7 +139,8 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
     commute with permuting a face's corners.  Raises ValueError for a
     curvature that is not positive, and InfeasibleGeometryError naming a
     face that cannot be evaluated in double precision, the one per-face
-    check: a finite face's area is non-negative to rounding."""
+    check: a finite face's area is non-negative to rounding, and
+    P = (k_i + k_j)(k_i + k_m) = k_i^2 - 1 + D stays finite."""
     k = np.asarray(k, dtype=float)
     if not (k > 0.0).all():
         raise ValueError(f"geodesic curvature must be positive, got {k[~(k > 0.0)][0]}")
@@ -174,7 +175,8 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
         area = np.pi - sum(_ascending(L))
         polygon_area = np.pi - sum(_ascending(np.where(kinds == _CIRC, gen, 0.0)))
 
-    ok = np.isfinite(area)  # exactly where the face's three L are finite
+    # a finite P bounds k^2 and D, so that no product overflowed into a finite L
+    ok = np.isfinite(area) & np.isfinite(P).all(axis=1)
     if jac:
         ok &= np.isfinite(J).all(axis=(1, 2))
     if not ok.all():

@@ -17,11 +17,12 @@ from hypack.flow import (
     solve,
 )
 from hypack.hyptrig import InfeasibleGeometryError
-from hypack.packing import vertex_curvature_sums
-from hypack.surface import Triangulation
+from hypack.packing import vertex_curvature_sums, vertex_curvatures
+from hypack.surface import Triangulation, check_admissible, violating_subset
 
 from conftest import TETRA_FACES, genus2, torus_grid
 from test_oracle import oracle_face
+from test_surface import brute_force_admissible
 
 # symmetric tetrahedron solution for unit targets, frozen from the
 # scalar equation s(r) sinh r = 1/3, cosh s(r) = cosh 2r / (cosh 2r - 1)
@@ -36,6 +37,19 @@ def scalar_tetra_oracle():
         return s * math.sinh(r) - 1.0 / 3.0
     r = brentq(eq, 1e-4, 1.0, xtol=1e-15)
     return math.tanh(r)
+
+
+def _unevaluable_after_first_call(monkeypatch):
+    """Make every evaluation of L in solve after the starting residual raise."""
+    calls = []
+
+    def first_call_only(tri, K):
+        calls.append(K)
+        if len(calls) > 1:
+            raise InfeasibleGeometryError("unevaluable trial")
+        return vertex_curvature_sums(tri, K)
+
+    monkeypatch.setattr(flow, "vertex_curvature_sums", first_call_only)
 
 
 class TestFlowStep:
@@ -118,15 +132,7 @@ class TestSolve:
     def test_unevaluable_trial_fails_the_step(self, tetrahedron, monkeypatch):
         # every trial after the starting residual is unevaluable, so Newton
         # backtracking shortens the step until it stalls
-        calls = []
-
-        def first_call_only(tri, K):
-            calls.append(K)
-            if len(calls) > 1:
-                raise InfeasibleGeometryError("unevaluable trial")
-            return vertex_curvature_sums(tri, K)
-
-        monkeypatch.setattr(flow, "vertex_curvature_sums", first_call_only)
+        _unevaluable_after_first_call(monkeypatch)
         with pytest.raises(StiffnessError, match="backtracking stalled"):
             solve(tetrahedron, np.ones(4), config=FlowConfig(newton_switch_tol=1e9))
 
@@ -277,6 +283,124 @@ def _permute_targets(L, perm):
     out = np.empty_like(np.asarray(L, dtype=float))
     out[perm] = np.asarray(L, dtype=float)
     return out
+
+
+def icosahedron() -> Triangulation:
+    """Apex 0, upper ring 1-5, lower ring 6-10, apex 11."""
+    faces = []
+    for j in range(5):
+        a, b = 1 + j, 1 + (j + 1) % 5
+        c, d = 6 + j, 6 + (j + 1) % 5
+        faces += [(0, a, b), (a, c, b), (b, c, d), (11, d, c)]
+    return Triangulation(12, faces)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("surface", [lambda: torus_grid(3, 4), icosahedron],
+                             ids=["torus3x4", "icosahedron"])
+    def test_certified_targets_are_admissible(self, surface):
+        # targets L(K) + d with |d_i| up to the area A_i of the faces at i,
+        # or up to 0.34 A_i, just past what the certificate accepts.  A
+        # quarter have every d_i >= 0 and up to A_i: sum d then passes
+        # sum A / 3, which breaks the bound at W = V, so a certificate
+        # without its factor 3 accepts inadmissible targets
+        tri = surface()
+        rng = np.random.default_rng(12)
+        accepted = inadmissible = 0
+        for trial in range(48):
+            K = rng.normal(0.0, 1.5, 12)
+            rep = vertex_curvatures(tri, K)
+            A = np.bincount(tri.face_array.ravel(), weights=np.repeat(rep.arrays.area, 3))
+            d = rng.uniform(-1.0, 1.0, 12) * A * (0.34 if trial % 2 else 1.0)
+            target = rep.L + (np.abs(d) if trial % 4 < 2 else d)
+            if not (target > 0.0).all():
+                continue
+            worst, _ = brute_force_admissible(tri, target)
+            inadmissible += worst <= 0.0
+            if flow._certified(tri, K, target):
+                accepted += 1
+                assert worst > 0.0
+        assert accepted >= 15 and inadmissible >= 5
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """The targets of every violating_subset call that solve makes."""
+    calls = []
+
+    def counted(tri, l_hat):
+        calls.append(list(l_hat))
+        return violating_subset(tri, l_hat)
+
+    monkeypatch.setattr(flow, "violating_subset", counted)
+    return calls
+
+
+class TestAdmissibilityGate:
+    @pytest.mark.parametrize("surface", [lambda: Triangulation(4, TETRA_FACES), genus2,
+                                         lambda: torus_grid(8, 8)],
+                             ids=["tetra", "genus2", "torus8x8"])
+    def test_converged_solve_runs_no_maximum_flow(self, surface, gate_calls):
+        tri = surface()
+        K_star = np.random.default_rng(3).normal(0.0, 0.7, tri.num_vertices)
+        res = solve(tri, vertex_curvature_sums(tri, K_star))
+        assert res.status is SolveStatus.CONVERGED and res.witness is None
+        assert gate_calls == []
+
+    @pytest.mark.parametrize("ending", ["drift", "stiffness", "no steps",
+                                        "certificate", "kernel"])
+    @pytest.mark.parametrize("target", [[10.0, 1.0, 1.0, 1.0], [3.2] * 4])
+    def test_every_uncertified_ending_runs_it_once(self, tetrahedron, gate_calls,
+                                                   monkeypatch, ending, target):
+        K0, cfg = None, FlowConfig()
+        if ending == "stiffness":
+            _unevaluable_after_first_call(monkeypatch)
+        elif ending == "no steps":
+            cfg = FlowConfig(max_steps=0)
+        elif ending == "certificate":
+            # the starting residual passes a loose tolerance; the
+            # certificate cannot hold on an infeasible target
+            cfg = FlowConfig(residual_tol=5.0)
+        elif ending == "kernel":
+            K0 = [800.0, 0.0, 0.0, 0.0]  # exp(800) overflows
+        res = solve(tetrahedron, target, K0, config=cfg)
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.witness == check_admissible(tetrahedron, target).witness
+        assert gate_calls == [target]
+        if ending == "drift":
+            assert np.max(np.abs(res.K)) > 15.0 and res.trace.phase[-1] == "newton"
+
+    def test_near_tight_target_runs_it_once_and_converges(self, tetrahedron, gate_calls):
+        # the areas of the faces at vertex 0 round to 0 at K_0 ~ 31.9, so
+        # the certificate fails and the maximum flow finds no witness
+        res = solve(tetrahedron, [3 * math.pi - 1e-6, 1.0, 1.0, 1.0])
+        assert res.status is SolveStatus.CONVERGED and res.K[0] > 30.0
+        assert len(gate_calls) == 1
+
+    def test_admissible_target_keeps_its_ending(self, tetrahedron, gate_calls, monkeypatch):
+        res = solve(tetrahedron, np.ones(4), config=FlowConfig(max_steps=0))
+        assert res.status is SolveStatus.MAX_STEPS_EXCEEDED and res.witness is None
+        with pytest.raises(InfeasibleGeometryError):
+            solve(tetrahedron, np.ones(4), [800.0, 0.0, 0.0, 0.0])
+        _unevaluable_after_first_call(monkeypatch)
+        with pytest.raises(StiffnessError, match="backtracking stalled"):
+            solve(tetrahedron, np.ones(4))
+        assert len(gate_calls) == 3
+
+    def test_gate_off_runs_only_the_drift_guard(self, tetrahedron, gate_calls, monkeypatch):
+        off = FlowConfig(check_admissibility=False)
+        res = solve(tetrahedron, [3.2] * 4, config=off)
+        assert res.status is SolveStatus.INFEASIBLE and res.witness == (0, 1, 2, 3)
+        assert len(gate_calls) == 1
+        res = solve(tetrahedron, [3.2] * 4,
+                    config=FlowConfig(check_admissibility=False, max_steps=0))
+        assert res.status is SolveStatus.MAX_STEPS_EXCEEDED and res.witness is None
+        with pytest.raises(InfeasibleGeometryError):
+            solve(tetrahedron, [3.2] * 4, [800.0, 0.0, 0.0, 0.0], config=off)
+        _unevaluable_after_first_call(monkeypatch)
+        with pytest.raises(StiffnessError):
+            solve(tetrahedron, [3.2] * 4, config=off)
+        assert len(gate_calls) == 1
 
 
 class TestRateEstimate:

@@ -143,6 +143,12 @@ class TestValidate:
         with pytest.raises(ValueError, match="face 2 vertex ids must be integers"):
             Triangulation(4, [(0, 1, 2), (0, 1, 3), ("0", 1, 2)])
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_constructor_rejects_bool_ids(self, flag):
+        # True == 1, so the face used to pass as (0, 1, 2) of the tetrahedron
+        with pytest.raises(ValueError, match=r"face 0 vertex ids must be integers"):
+            Triangulation(4, [(0, flag, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
     def test_constructor_takes_numpy_ids(self, tetrahedron):
         t = Triangulation(np.int64(4), np.array(TETRA_FACES, dtype=np.int32))
         assert t == tetrahedron and hash(t) == hash(tetrahedron) and t.validate() == []

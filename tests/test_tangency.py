@@ -337,6 +337,19 @@ class TestFaceKernel:
         with pytest.raises(ValueError, match="positive"):
             face_kernel([(2.0, 0.0, 2.0)])
 
+    def test_overflowing_products_raise(self):
+        # k^2 or D overflows while the other stays finite: x came out inf or
+        # 0, and with it a finite but wrong L = (0, 2e-240, 2e-80) and area pi
+        for bad in ([(1e160, 1e-160, 1.0)], [(1e154, 1e154, 1e154)]):
+            with pytest.raises(InfeasibleGeometryError, match="curvatures"):
+                face_kernel(bad)
+
+    def test_huge_curvature_below_the_overflow(self):
+        # k^2 = 1e300 is finite: the huge circle's corner takes L = pi
+        fa = face_kernel([(1e150, 1e-150, 0.5)])
+        assert fa.L[0, 0] == pytest.approx(math.pi, rel=1e-15)
+        assert abs(fa.area[0]) < 1e-15
+
     def test_area_is_nonnegative_to_rounding(self):
         # the area pi - sum L of every finite face is >= 0 up to rounding,
         # so the kernel's finiteness check is the only per-face check: 4000
