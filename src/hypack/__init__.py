@@ -19,12 +19,6 @@ from .flow import (
     rate_estimate,
     solve,
 )
-from .hyptrig import (
-    KIND_TOL,
-    CurveKind,
-    InfeasibleGeometryError,
-    classify_curvature,
-)
 from .packing import (
     CurvatureReport,
     global_jacobian,
@@ -51,7 +45,11 @@ from .surface import (
     load_triangulation,
 )
 from .tangency import (
+    KIND_TOL,
+    CurveKind,
     FaceGeometry,
+    InfeasibleGeometryError,
+    classify_curvature,
     face_jacobian,
     solve_face,
 )

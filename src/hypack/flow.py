@@ -214,6 +214,8 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     certificate, max_steps, a StiffnessError or a kernel failure) runs
     that maximum flow once, and is INFEASIBLE if it finds a witness.  On
     convergence the result is independent of K0 (the packing is unique).
+    A K0 of the wrong shape or with an entry that is not finite raises
+    ValueError before any kernel call.
     """
     cfg = config or FlowConfig()
     defects = tri.validate()
@@ -221,10 +223,13 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
         raise ValueError("triangulation is not a closed surface: "
                          + "; ".join(str(d) for d in defects[:5]))
     target = _checked_targets(tri, l_hat)
-
-    trace = FlowTrace(config=cfg)
     K = (np.zeros(tri.num_vertices) if K0 is None
          else np.array(K0, dtype=float, copy=True))
+    if K.shape != target.shape or not np.isfinite(K).all():
+        raise ValueError(f"K0 must hold {tri.num_vertices} finite entries; got shape "
+                         f"{K.shape} with {np.count_nonzero(~np.isfinite(K))} not finite")
+
+    trace = FlowTrace(config=cfg)
     t = 0.0
     h = _INITIAL_STEP
     steps = 0

@@ -1,12 +1,13 @@
 """Geometric interpretation of a solved curvature vector.
 
 Classifies vertices (hypercycle -> geodesic boundary, horocycle -> cusp,
-circle -> cone point), computes cone angles and discrete Gaussian
-curvatures, geodesic boundary lengths, runs the global Gauss-Bonnet
-audit on the realized surface, and renders single faces to SVG from a
-closed-form picture in the Poincare disk.  Realization sums the arrays
-of one face_kernel call per vertex, with no per-face records.
-Read-only; thread-safe.
+circle -> cone point) by the face kernel's own kind rule, computes cone
+angles and discrete Gaussian curvatures, geodesic boundary lengths, runs
+the global Gauss-Bonnet audit on the realized surface, and renders
+single faces to SVG from a closed-form picture in the Poincare disk.
+Realization sums the arrays of one face_kernel call per vertex, with no
+per-face records, at the classified state: each cusp is realized as a
+horocycle, at k = 1 exactly.  Read-only; thread-safe.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyptrig import KIND_TOL, CurveKind, InfeasibleGeometryError, classify_curvature
 from .packing import _sum_at_vertices, vertex_curvatures
 from .surface import Triangulation, euler_characteristic
+from .tangency import (_CIRC, _HORO, _HYPER, KIND_TOL, CurveKind, InfeasibleGeometryError,
+                       _kind, _positive, classify_curvature)
 
 __all__ = [
     "CLASS_TOL",
@@ -39,20 +41,18 @@ CLASS_TOL = 1e-9
 
 
 def classify(k, tol: float = CLASS_TOL):
-    """Partition vertices by solved curvature: I1 (k < 1 - tol, boundary),
-    I2 (|k - 1| <= tol, cusp), I3 (k > 1 + tol, cone).  The face kernel
-    solves |k - 1| <= KIND_TOL as a horocycle, which has no generalized
-    angle, so a tol below KIND_TOL, which would make it a cone, raises
+    """Partition vertices by solved curvature, by the face kernel's kind
+    rule at tolerance tol: I1 (k < 1 - tol, boundary), I2 (|k - 1| <= tol,
+    cusp), I3 (k > 1 + tol, cone).  The face kernel solves
+    |k - 1| <= KIND_TOL as a horocycle, which has no generalized angle,
+    so a tol below KIND_TOL, which would make it a cone, raises
     ValueError."""
-    k = np.asarray(k, dtype=float)
-    if not np.all(k > 0.0):
-        raise ValueError("curvatures must be positive")
+    k = _positive(k)
     if not tol >= KIND_TOL:
         raise ValueError(f"class tolerance {tol} is below the face kernel's "
                          f"horocycle tolerance KIND_TOL = {KIND_TOL}")
-    cusp = np.abs(k - 1.0) <= tol
-    return tuple(tuple(np.flatnonzero(mask).tolist())
-                 for mask in (~cusp & (k < 1.0), cusp, ~cusp & (k > 1.0)))
+    kind = _kind(k, tol)
+    return tuple(tuple(np.flatnonzero(kind == c).tolist()) for c in (_HYPER, _HORO, _CIRC))
 
 
 def gauss_bonnet_audit(tri: Triangulation, K, *, tol: float = CLASS_TOL) -> float:
@@ -82,17 +82,22 @@ class RealizedMetric:
 
 
 def realize_metric(tri: Triangulation, K, tol: float = CLASS_TOL) -> RealizedMetric:
-    """Classes, corner sums and the audit from one face_kernel call.  A
-    vertex sums its corners' generalized angles in face order: the cone
-    angle at a circle, the boundary length at a hypercycle (axis segments
-    close up at right angles); horocycle corners add nothing."""
+    """Classes, corner sums and the audit from one face_kernel call.  The
+    kernel sees every cusp at K = 0 exactly, so that its corners are the
+    horocycles the class says they are; k is the solved exp(K) and L the
+    curvature sums of the realized state.  A vertex sums its corners'
+    generalized angles in face order: the cone angle at a circle, the
+    boundary length at a hypercycle (axis segments close up at right
+    angles); horocycle corners add nothing."""
     K = np.asarray(K, dtype=float)
     k = np.exp(K)
     boundary, cusps, cones = classify(k, tol)
     classes = np.full(len(k), "cone", dtype=object)
     classes[list(boundary)] = "boundary"
     classes[list(cusps)] = "cusp"
-    rep = vertex_curvatures(tri, K)
+    K_realized = K.copy()
+    K_realized[list(cusps)] = 0.0
+    rep = vertex_curvatures(tri, K_realized)
     gen = _sum_at_vertices(tri, np.nan_to_num(rep.arrays.gen))  # NaN at a horocycle
     theta = gen[list(cones)]
     gaussian = dict(zip(cones, (2.0 * math.pi - theta).tolist()))

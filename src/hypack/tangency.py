@@ -1,4 +1,10 @@
-"""Three-circle configurations, one face or many at once.
+"""Curve kinds and three-circle configurations, one face or many at once.
+
+A curve of constant geodesic curvature k > 0 is a circle (k = coth r > 1),
+a horocycle (k = 1) or a hypercycle at distance r from its axis
+(k = tanh r < 1).  That decision is made in one place, _kind: a
+horocycle within KIND_TOL of k = 1, or within its class tolerance when
+realize.classify calls it.  The radius is computed in one, _radius.
 
 Given three positive geodesic curvatures there is a unique (up to
 isometry) configuration of three mutually externally tangent
@@ -16,28 +22,34 @@ circles/horocycles/hypercycles.  This module solves faces two ways:
   embedded arcs, independently of the kernel's closed form.
 
 ``face_potential`` gives each face's potential, with gradient L in K.
-
-Everything is value-in/value-out and thread-safe.
+``solve_quadrilateral`` and ``solve_pentagon`` split the right-angled
+quadrilateral and pentagon in closed form; the face kernel needs neither.
+Lengths and angles are in hyperbolic units.  Everything is
+value-in/value-out and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
-
-from .hyptrig import KIND_TOL, CurveKind, InfeasibleGeometryError
-# not called here: perfbench's tracer wraps these two names in this module
-from .hyptrig import solve_pentagon, solve_quadrilateral  # noqa: F401
 
 __all__ = [
+    "CurveKind",
+    "KIND_TOL",
+    "InfeasibleGeometryError",
+    "PolygonSolution",
     "FaceGeometry",
     "FaceArrays",
     "EmbeddedCircle",
     "EmbeddedFace",
+    "classify_curvature",
+    "curvature_to_radius",
+    "solve_quadrilateral",
+    "solve_pentagon",
     "face_kernel",
     "face_potential",
     "face_records",
@@ -47,10 +59,127 @@ __all__ = [
     "corner_curvatures",
 ]
 
+# Inputs with |k - 1| below this are dispatched as horocycles.
+KIND_TOL = 1e-12
+
+
+class CurveKind(Enum):
+    CIRCLE = "circle"
+    HOROCYCLE = "horocycle"
+    HYPERCYCLE = "hypercycle"
+
+
+class InfeasibleGeometryError(ValueError):
+    """No hyperbolic configuration satisfies the requested constraints."""
+
+
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 # the kernel's corner kind codes, indexing _KINDS
 _HORO, _CIRC, _HYPER = 0, 1, 2
 _KINDS = (CurveKind.HOROCYCLE, CurveKind.CIRCLE, CurveKind.HYPERCYCLE)
+
+
+def _positive(k) -> np.ndarray:
+    """k as a float array, or ValueError naming a curvature that is not positive."""
+    k = np.asarray(k, dtype=float)
+    if not (k > 0.0).all():
+        raise ValueError(f"geodesic curvature must be positive, got {k[~(k > 0.0)][0]}")
+    return k
+
+
+def _kind(k, tol: float = KIND_TOL) -> np.ndarray:
+    """Kind codes of positive curvatures k: a horocycle within tol of k = 1,
+    else a circle above 1 and a hypercycle below."""
+    return np.where(np.abs(k - 1.0) <= tol, _HORO, np.where(k > 1.0, _CIRC, _HYPER))
+
+
+def _radius(k, kind) -> np.ndarray:
+    """Generalized radii of curvatures k of the given kinds: arccoth k at a
+    circle, as a log1p that stays accurate down to |k - 1| ~ KIND_TOL,
+    arctanh k at a hypercycle and inf at a horocycle."""
+    with np.errstate(all="ignore"):
+        return np.where(kind == _CIRC, 0.5 * np.log1p(2.0 / (k - 1.0)),
+                        np.where(kind == _HYPER, np.arctanh(k), np.inf))
+
+
+def _check_evaluable(k, ok):
+    """InfeasibleGeometryError naming the first face of k where ok is False."""
+    if not ok.all():
+        bad = tuple(k[int(np.argmin(ok))].tolist())
+        raise InfeasibleGeometryError(
+            f"face with curvatures {bad} cannot be evaluated in double precision")
+
+
+def classify_curvature(k: float) -> CurveKind:
+    """Kind of the constant-curvature curve with geodesic curvature k."""
+    return _KINDS[int(_kind(_positive(k)))]
+
+
+def curvature_to_radius(k: float) -> float:
+    """Generalized radius of the curve with curvature k (inf for horocycles)."""
+    k = _positive(k)
+    return float(_radius(k, _kind(k)))
+
+
+@dataclass(frozen=True)
+class PolygonSolution:
+    """Split of a right-angled polygon construction.
+
+    x is the split point along the side named by the solver (the longer
+    of the two candidate sides for the quadrilateral, the middle side
+    for the pentagon) and y the perpendicular height at the split.
+    """
+
+    x: float
+    y: float
+
+
+def solve_quadrilateral(l1: float, l2: float, l3: float) -> PolygonSolution:
+    """Split point of the quadrilateral with two adjacent right angles.
+
+    Sides l1, l2, l3 are the three sides other than the doubly
+    right-angled one, with l2 facing it.  For l1 >= l3 the returned x in
+    (0, l1) satisfies sinh l3 = sinh x cosh y and
+    cosh l2 = cosh(l1 - x) cosh y; for l1 < l3 the construction is
+    mirrored and x in (0, l3) splits l3 instead (the defining equations
+    swap the roles of l1 and l3).  With la >= lc the split and the other
+    side, sinh x / cosh(la - x) = c = sinh lc / cosh l2 gives
+    tanh x = c cosh la / (1 + c sinh la), taken as atanh: in it
+    1 - c e^-la > 1/2, as c e^-la <= sinh(lc) e^-lc < 1/2.
+    """
+    if min(l1, l2, l3) <= 0.0:
+        raise ValueError(f"side lengths must be positive, got {(l1, l2, l3)}")
+    la, lc = (l3, l1) if l1 < l3 else (l1, l3)
+    sc = math.sinh(lc)
+    c = sc / math.cosh(l2)
+    x = 0.5 * math.log1p(2.0 * c * math.cosh(la) / (1.0 - c * math.exp(-la)))
+    cosh_y = sc / math.sinh(x)
+    if cosh_y <= 1.0:
+        raise InfeasibleGeometryError(
+            f"quadrilateral sides {(l1, l2, l3)} admit no perpendicular split")
+    return PolygonSolution(x=x, y=math.acosh(cosh_y))
+
+
+def solve_pentagon(l1: float, l2: float, l3: float) -> PolygonSolution:
+    """Split point of the pentagon with four right angles.
+
+    l1, l2 are the sides adjacent to the non-right angle and l3 is the
+    middle of the three doubly right-angled sides.  Returns x in (0, l3)
+    with sinh l1 / sinh x = sinh l2 / sinh(l3 - x) = cosh y > 1:
+    tanh x = sinh l1 sinh l3 / (sinh l2 + sinh l1 cosh l3), taken as atanh.
+    """
+    if min(l1, l2, l3) <= 0.0:
+        raise ValueError(f"side lengths must be positive, got {(l1, l2, l3)}")
+    s1 = math.sinh(l1)
+    if l1 == l2:  # the symmetric split, exactly
+        x = 0.5 * l3
+    else:
+        x = 0.5 * math.log1p(2.0 * s1 * math.sinh(l3) / (math.sinh(l2) + s1 * math.exp(-l3)))
+    cosh_y = s1 / math.sinh(x)
+    if cosh_y <= 1.0:
+        raise InfeasibleGeometryError(
+            f"pentagon sides {(l1, l2, l3)} admit no perpendicular split")
+    return PolygonSolution(x=x, y=math.acosh(cosh_y))
 
 
 @dataclass(frozen=True)
@@ -96,14 +225,11 @@ class FaceArrays(NamedTuple):
     J: np.ndarray | None
 
 
-def _circle_radius(k):
-    return 0.5 * np.log1p(2.0 / (k - 1.0))  # arccoth k
-
-
 # below this |x| the closed form of H cancels; its Taylor series
-# H = sum_{n>=1} (-1)^n 2n x^(n-1) / (2n + 1) to this order is exact there
+# H = sum_{n>=1} (-1)^n 2n x^(n-1) / (2n + 1) to this order is exact there;
+# coefficients highest power first, as np.polyval takes them
 _SERIES_X = 1e-3
-_H_SERIES = [(-1) ** (n + 1) * 2 * (n + 1) / (2 * n + 3) for n in range(8)]
+_H_SERIES = [(-1) ** (n + 1) * 2 * (n + 1) / (2 * n + 3) for n in range(7, -1, -1)]
 
 
 def _ascending(a):
@@ -141,10 +267,8 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
     face that cannot be evaluated in double precision, the one per-face
     check: a finite face's area is non-negative to rounding, and
     P = (k_i + k_j)(k_i + k_m) = k_i^2 - 1 + D stays finite."""
-    k = np.asarray(k, dtype=float)
-    if not (k > 0.0).all():
-        raise ValueError(f"geodesic curvature must be positive, got {k[~(k > 0.0)][0]}")
-    kinds = np.where(np.abs(k - 1.0) <= KIND_TOL, _HORO, np.where(k > 1.0, _CIRC, _HYPER))
+    k = _positive(k)
+    kinds = _kind(k)
     with np.errstate(all="ignore"):
         a, b, c = _ascending(k)
         D = (1.0 + a * b + a * c + b * c)[:, None]
@@ -165,7 +289,7 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
         if jac:
             H = (1.0 / xp1 - G) / x
             small = np.abs(x) < _SERIES_X
-            H[small] = polyval(x[small], _H_SERIES)
+            H[small] = np.polyval(_H_SERIES, x[small])
             J = np.empty(k.shape + (3,))
             kn = k[:, [1, 2, 0]]  # the pairs (0, 1), (1, 2), (2, 0)
             J[:, [0, 1, 2], [1, 2, 0]] = J[:, [1, 2, 0], [0, 1, 2]] = (
@@ -179,14 +303,12 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
     ok = np.isfinite(area) & np.isfinite(P).all(axis=1)
     if jac:
         ok &= np.isfinite(J).all(axis=(1, 2))
-    if not ok.all():
-        bad = tuple(k[int(np.argmin(ok))].tolist())
-        raise InfeasibleGeometryError(
-            f"face with curvatures {bad} cannot be evaluated in double precision")
+    _check_evaluable(k, ok)
     return FaceArrays(kinds, gen, arc, L, area, polygon_area, J)
 
 
-# c_n = |B_2n| / (2n (2n + 1)!): Cl2(x) = x - x ln|x| + sum_n c_n x^(2n+1), to 1e-17 on [-pi, pi]
+# c_n = |B_2n| / (2n (2n + 1)!): Cl2(x) = x - x ln|x| + sum_n c_n x^(2n+1), to 1e-17 on [-pi, pi];
+# listed from c_1 up, stored highest power first, as np.polyval takes them
 _CL2 = (
     0.013888888888888888, 6.944444444444444e-05, 7.873519778281683e-07, 1.1482216343327455e-08,
     1.8978869988971e-10, 3.387301370953521e-12, 6.372636443183181e-14, 1.2462059912950672e-15,
@@ -194,13 +316,13 @@ _CL2 = (
     5.03519521314739e-24, 1.1026499294381215e-25, 2.4386585509007344e-27, 5.440142678856253e-29,
     1.2228340131217352e-30, 2.767263468967951e-32, 6.3000905918320136e-34, 1.4420868388418476e-35,
     3.3170939991595428e-37, 7.663913557920658e-39, 1.7778714733830659e-40, 4.1396058982341375e-42,
-)
+)[::-1]
 
 
 def _clausen(x):
     """Clausen's function Cl2(x) = Im Li2(e^ix), by its series on [-pi, pi]."""
     x = x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
-    return x * (1.0 - np.log(np.abs(x)) + x * x * polyval(x * x, _CL2))
+    return x * (1.0 - np.log(np.abs(x)) + x * x * np.polyval(_CL2, x * x))
 
 
 def face_potential(k) -> np.ndarray:
@@ -214,9 +336,7 @@ def face_potential(k) -> np.ndarray:
     hypercycle: its terms 2 (a1 + a2) ln U cancel the asinh, as sum_i (a1 + a2)
     = pi/2.  Sums are in ascending order, so w commutes with permuting a
     face's corners.  Raises the errors of face_kernel."""
-    k = np.asarray(k, dtype=float)
-    if not (k > 0.0).all():
-        raise ValueError(f"geodesic curvature must be positive, got {k[~(k > 0.0)][0]}")
+    k = _positive(k)
     with np.errstate(all="ignore"):
         k1, k2, k3 = _ascending(k)
         e2 = (k1 * k2 + k1 * k3 + k2 * k3)[:, None]
@@ -230,20 +350,14 @@ def face_potential(k) -> np.ndarray:
         q = np.where(circ, np.pi, 2.0 * np.arcsin(k))
         C = _clausen(np.stack([2.0 * a1, 2.0 * a2, 2.0 * a1 + q, 2.0 * a2 - q]))
         w = sum(_ascending(2.0 * m * (a1 - a2) + C[0] + C[1] - C[2] - C[3]))
-    ok = np.isfinite(w)  # e2 = inf gives U = 0, so Cl2(0) = 0 * inf = nan
-    if not ok.all():
-        bad = tuple(k[int(np.argmin(ok))].tolist())
-        raise InfeasibleGeometryError(
-            f"face with curvatures {bad} cannot be evaluated in double precision")
+    _check_evaluable(k, np.isfinite(w))  # e2 = inf gives U = 0, so Cl2(0) = 0 * inf = nan
     return w
 
 
 def face_records(k, fa: FaceArrays) -> list[FaceGeometry]:
     """FaceGeometry records of the faces with (F, 3) curvatures k, from
     their face_kernel output fa."""
-    with np.errstate(all="ignore"):
-        r = np.where(fa.kind == _CIRC, _circle_radius(k),
-                     np.where(fa.kind == _HYPER, np.arctanh(k), np.inf))
+    r = _radius(k, fa.kind)
     edges = r[:, [0, 0, 1]] + r[:, [1, 2, 2]]  # in the order of _PAIRS
     return [FaceGeometry(curvatures=tuple(ks), kinds=tuple(_KINDS[c] for c in kd),
                          gen_angle=tuple(None if c == _HORO else g for c, g in zip(kd, gen)),
@@ -350,12 +464,8 @@ def _embedding(k0, k1, k2):
 def realize_face(k1: float, k2: float, k3: float) -> EmbeddedFace:
     """Embed the tangent configuration in the upper half-plane."""
     ks = (k1, k2, k3)
-    for k in ks:
-        if not k > 0.0:
-            raise ValueError(f"geodesic curvature must be positive, got {k}")
-    circles, points = _embedding(*ks)
-    if not np.all(np.isfinite(circles)):
-        raise InfeasibleGeometryError(f"curvatures {ks} cannot be embedded in double precision")
+    circles, points = _embedding(*_positive(ks).tolist())
+    _check_evaluable(np.array([ks]), np.isfinite(circles).all())
     return EmbeddedFace(
         circles=tuple(EmbeddedCircle(float(x), float(y), float(r), k)
                       for (x, y, r), k in zip(circles, ks)),

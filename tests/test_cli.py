@@ -5,10 +5,10 @@ import pytest
 
 import hypack.cli
 from hypack.cli import main
-from hypack.hyptrig import InfeasibleGeometryError
 from hypack.packing import vertex_curvature_sums
 from hypack.realize import realize_metric, report_document
 from hypack.surface import Triangulation
+from hypack.tangency import InfeasibleGeometryError
 
 TETRA = {"num_vertices": 4, "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
 OCTA = {"num_vertices": 6, "faces": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],

@@ -16,9 +16,9 @@ from hypack.flow import (
     rate_estimate,
     solve,
 )
-from hypack.hyptrig import InfeasibleGeometryError
 from hypack.packing import vertex_curvature_sums, vertex_curvatures
 from hypack.surface import Triangulation, check_admissible, violating_subset
+from hypack.tangency import InfeasibleGeometryError
 
 from conftest import TETRA_FACES, genus2, torus_grid
 from test_oracle import oracle_face
@@ -370,6 +370,17 @@ class TestAdmissibilityGate:
         if ending == "drift":
             assert np.max(np.abs(res.K)) > 15.0 and res.trace.phase[-1] == "newton"
 
+    @pytest.mark.parametrize("K0", [np.zeros(3), np.zeros((4, 1)), [0.0, math.nan, 0.0, 0.0],
+                                    [0.0, 0.0, math.inf, 0.0], [-math.inf, 0.0, 0.0, 0.0]],
+                             ids=["short", "column", "nan", "inf", "-inf"])
+    def test_bad_start_raises_before_any_maximum_flow(self, tetrahedron, gate_calls, K0):
+        # a finite K0 that the kernel cannot evaluate is an ending ("kernel"
+        # above); a K0 of the wrong shape or not finite is a bad input
+        for target in ([10.0, 1.0, 1.0, 1.0], np.ones(4)):
+            with pytest.raises(ValueError, match="K0"):
+                solve(tetrahedron, target, K0)
+        assert gate_calls == []
+
     def test_near_tight_target_runs_it_once_and_converges(self, tetrahedron, gate_calls):
         # the areas of the faces at vertex 0 round to 0 at K_0 ~ 31.9, so
         # the certificate fails and the maximum flow finds no witness
@@ -473,12 +484,13 @@ class TestConfigValidation:
 
 def test_import_loads_no_scipy():
     # scipy belongs to the quadrature oracle and the tests, and mpmath to the
-    # tests alone; the solve path must not pull either in at import time
+    # tests alone; the solve path must not pull either in at import time,
+    # nor numpy.polynomial, which costs milliseconds and np.polyval replaces
     import hypack
     src = os.path.dirname(os.path.dirname(hypack.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import hypack, sys; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'mpmath')))")
+            "if m.split('.')[0] in ('scipy', 'mpmath') or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"

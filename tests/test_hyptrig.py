@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypack.hyptrig import (
-    BigonResult,
+from hypack.hyptrig import BigonResult, bigon_kernel
+from hypack.tangency import (
     CurveKind,
     InfeasibleGeometryError,
-    bigon_kernel,
     classify_curvature,
     curvature_to_radius,
     solve_pentagon,
@@ -127,32 +126,6 @@ class TestBigon:
         res = bigon_kernel(1.0, 2.0)
         assert res.theta1 is None
         assert res.l1 == pytest.approx(1.0, abs=1e-15)
-        assert res.dl1_dk2 == pytest.approx(-0.5, abs=1e-15)
-        assert res.dl2_dk1 == pytest.approx(-0.5, abs=1e-15)
-
-    @given(st.floats(min_value=0.05, max_value=8.0),
-           st.floats(min_value=1.01, max_value=8.0))
-    @settings(max_examples=100, deadline=None)
-    def test_mixed_partials_agree(self, k1, k2):
-        res = bigon_kernel(k1, k2)
-        assert abs(res.dl1_dk2 - res.dl2_dk1) < 1e-10 * (1.0 + abs(res.dl1_dk2))
-
-    @pytest.mark.parametrize("k1,k2", [(0.3, 1.5), (2.5, 3.0), (1.0, 2.0),
-                                       (0.95, 1.2), (5.0, 1.05)])
-    def test_partials_match_finite_differences(self, k1, k2):
-        res = bigon_kernel(k1, k2)
-        h = 1e-6
-        fd1 = (bigon_kernel(k1, k2 + h).l1 - bigon_kernel(k1, k2 - h).l1) / (2 * h)
-        fd2 = (bigon_kernel(k1 + h, k2).l2 - bigon_kernel(k1 - h, k2).l2) / (2 * h)
-        assert fd1 == pytest.approx(res.dl1_dk2, rel=1e-6)
-        assert fd2 == pytest.approx(res.dl2_dk1, rel=1e-6)
-
-    def test_limit_at_k1_one(self):
-        # dl2/dk1 -> -2/k2^2 from either side
-        k2 = 3.0
-        for k1 in (1.0 - 1e-6, 1.0 + 1e-6):
-            res = bigon_kernel(k1, k2)
-            assert res.dl2_dk1 == pytest.approx(-2.0 / k2 ** 2, rel=1e-5)
 
     def test_l1_continuous_at_one(self):
         k2 = 3.0

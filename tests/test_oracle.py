@@ -15,8 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hypack.hyptrig import KIND_TOL
-from hypack.tangency import face_kernel, face_potential
+from hypack.tangency import KIND_TOL, face_kernel, face_potential
 
 from test_tangency import FACE_CASES
 

@@ -6,7 +6,6 @@ import pytest
 
 import hypack.packing
 from hypack.flow import solve
-from hypack.hyptrig import KIND_TOL, curvature_to_radius
 from hypack.packing import vertex_curvatures
 from hypack.realize import (
     RealizedMetric,
@@ -17,6 +16,7 @@ from hypack.realize import (
     report_document,
 )
 from hypack.surface import Triangulation
+from hypack.tangency import KIND_TOL, curvature_to_radius
 
 from conftest import OCTA_FACES, torus_grid
 
@@ -177,6 +177,21 @@ class TestAudit:
     def test_with_cusp_entries(self, tetrahedron):
         K = np.log(np.array([0.5, 1.0, 2.0, 1.5]))
         assert gauss_bonnet_audit(tetrahedron, K) < 1e-8
+
+    def test_near_cusps_are_realized_as_horocycles(self, rng):
+        # cusps within CLASS_TOL of k = 1 but beyond KIND_TOL: those above
+        # k = 1, evaluated as circles, would leave their angles in the face
+        # areas but out of the cone sums, and the audit near 1e-4; a flow
+        # solve of planted cusps lands within 2e-10 of k = 1
+        tri, K = _mixed_states(rng)[1]
+        cusp = K == 0.0
+        offset = rng.choice([-1.0, 1.0], K.size) * rng.uniform(1e-11, 9e-10, K.size)
+        near = np.where(cusp, offset, K)
+        exact, m = realize_metric(tri, K), realize_metric(tri, near)
+        assert m.classes == exact.classes and len(m.cusps) == np.count_nonzero(cusp) > 0
+        assert m.audit_residual < 1e-10
+        assert m.total_area == pytest.approx(exact.total_area, abs=1e-9)
+        assert np.array_equal(m.k, np.exp(near))  # the solved values
 
     def test_all_circle_counting_identity(self, octahedron, rng):
         # sum_f (pi - sum theta) = -2 pi chi + sum_v (2 pi - Theta_v)

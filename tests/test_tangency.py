@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypack.hyptrig import CurveKind, InfeasibleGeometryError, curvature_to_radius
 from hypack.tangency import (
+    CurveKind,
+    InfeasibleGeometryError,
     corner_curvatures,
+    curvature_to_radius,
     face_jacobian,
     face_kernel,
     face_potential,
