@@ -80,6 +80,11 @@ def _load_config_file(path: str | None) -> dict:
         if not isinstance(val, accepted) or isinstance(val, bool) != (want is bool):
             raise ParseError(f"{path}: config field {key!r} must be {want.__name__}, "
                              f"got {val!r}")
+        if want is float:
+            try:
+                doc[key] = float(val)
+            except OverflowError:  # a JSON integer beyond the float range
+                raise ParseError(f"{path}: config field {key!r} exceeds the float range") from None
     return doc
 
 

@@ -34,12 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Per-vertex curvature sums L and the total enclosed area, with the
-    face kernel's arrays for all faces and their (F, 3) curvatures k;
-    the FaceGeometry records `faces` are built on first read."""
+    """Per-vertex curvature sums L, with the face kernel's arrays for all
+    faces (the face areas among them) and their (F, 3) curvatures k; the
+    FaceGeometry records `faces` are built on first read."""
 
     L: np.ndarray
-    total_area: float
     arrays: FaceArrays
     k: np.ndarray
 
@@ -71,8 +70,7 @@ def vertex_curvatures(tri: Triangulation, K) -> CurvatureReport:
     face that cannot be evaluated in double precision."""
     k = _face_curvatures(tri, K)
     fa = face_kernel(k)
-    return CurvatureReport(L=_sum_at_vertices(tri, fa.L), total_area=sum(fa.area.tolist(), 0.0),
-                           arrays=fa, k=k)
+    return CurvatureReport(L=_sum_at_vertices(tri, fa.L), arrays=fa, k=k)
 
 
 def _sum_at_vertices(tri: Triangulation, corner_values: np.ndarray) -> np.ndarray:

@@ -55,13 +55,13 @@ def classify(k, tol: float = CLASS_TOL):
     return tuple(tuple(np.flatnonzero(kind == c).tolist()) for c in (_HYPER, _HORO, _CIRC))
 
 
-def gauss_bonnet_audit(tri: Triangulation, K, *, tol: float = CLASS_TOL) -> float:
-    """realize_metric(tri, K, tol).audit_residual:
+def gauss_bonnet_audit(tri: Triangulation, K) -> float:
+    """realize_metric(tri, K).audit_residual, at class tolerance CLASS_TOL:
     |sum_f area_f + 2*pi*chi(S_realized) - sum_cones (2*pi - Theta_v)|
     with area_f the polygon area of face f (FaceGeometry) and
     chi(S_realized) = chi(S) - |I1| - |I2|.  Vanishes identically when
     corner extraction and incidence bookkeeping are consistent."""
-    return realize_metric(tri, K, tol).audit_residual
+    return realize_metric(tri, K).audit_residual
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,14 @@ _RECORDS = {"boundary": _record("boundary", "boundary_length"),
             "cusp": _record("cusp", "cusp")}
 _HEAD = ('{\n  "global": {\n    "audit_residual": %s,\n    "chi_S": %s,\n'
          '    "chi_realized": %s,\n    "total_area": %s\n  },\n'
-         '  "schema_version": %s,\n  "vertices": [')
+         '  "schema_version": 1,\n  "vertices": [')
 
 
-def report_document(metric: RealizedMetric, *, schema_version: int = 1) -> str:
-    """Machine-readable solve report; byte-identical for identical inputs.
-    Keys sorted, two-space indent, numbers spelled as json.dumps spells
-    them (shortest round-trip floats, NaN and Infinity), trailing newline."""
-    values = [metric.audit_residual, metric.chi_surface, metric.chi_realized,
-              metric.total_area, schema_version]
+def report_document(metric: RealizedMetric) -> str:
+    """Machine-readable solve report, schema_version 1, byte-identical for
+    identical inputs: keys sorted, two-space indent, trailing newline,
+    numbers as json.dumps spells them (shortest round-trip floats, NaN, Infinity)."""
+    values = [metric.audit_residual, metric.chi_surface, metric.chi_realized, metric.total_area]
     records = []
     for v, (cls, L, k) in enumerate(zip(metric.classes, np.asarray(metric.L, float).tolist(),
                                         np.asarray(metric.k, float).tolist())):
@@ -186,10 +185,23 @@ def _fmt(x: float) -> str:
 
 
 _CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c")
+_SIZE = 400  # px, width and height of a face picture
+_SCALE = _SIZE / 2.4  # px per unit: the unit disk inside a 2.4-wide viewport
 
 
-def render_face_svg(k1: float, k2: float, k3: float, *, size: int = 400) -> str:
-    """Deterministic SVG of one embedded face in the Poincare disk.
+def _px(w: complex) -> tuple[str, str]:
+    """The formatted pixel coordinates of the disk point w."""
+    return _fmt(_SIZE / 2.0 + _SCALE * w.real), _fmt(_SIZE / 2.0 - _SCALE * w.imag)
+
+
+def _circle(center: complex, rad: float, color: str) -> str:
+    x, y = _px(center)
+    return (f'<circle cx="{x}" cy="{y}" r="{_fmt(_SCALE * rad)}" '
+            f'fill="none" stroke="{color}" stroke-width="1.5"/>')
+
+
+def render_face_svg(k1: float, k2: float, k3: float) -> str:
+    """Deterministic 400 x 400 px SVG of one embedded face in the Poincare disk.
 
     Emits the unit circle, the three packing curves (circles and
     horocycles as full circles, hypercycles clipped to the disk as
@@ -202,36 +214,25 @@ def render_face_svg(k1: float, k2: float, k3: float, *, size: int = 400) -> str:
     if not all(map(cmath.isfinite, centers + radii + points)):
         raise InfeasibleGeometryError(
             f"face with curvatures {(k1, k2, k3)} cannot be drawn in double precision")
-    half = size / 2.0
-    scale = size / 2.4  # disk of radius 1 inside a 2.4-wide viewport
-
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        return half + scale * x, half - scale * y
-
+    x0, y0 = _px(0j)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<circle cx="{_fmt(half)}" cy="{_fmt(half)}" r="{_fmt(scale)}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
+        f'<circle cx="{x0}" cy="{y0}" r="{_fmt(_SCALE)}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
     for center, rad, power, kind, color in zip(centers, radii, powers, kinds, _CURVE_COLORS):
-        cx_px, cy_px = to_px(center.real, center.imag)
-        if kind is CurveKind.HYPERCYCLE:
-            lines.append(_arc_path(center, rad, power, to_px, scale, color))
-        else:
-            lines.append(
-                f'<circle cx="{_fmt(cx_px)}" cy="{_fmt(cy_px)}" r="{_fmt(scale * rad)}" '
-                f'fill="none" stroke="{color}" stroke-width="1.5"/>')
+        lines.append(_arc_path(center, rad, power, color) if kind is CurveKind.HYPERCYCLE
+                     else _circle(center, rad, color))
     for w in points:
-        px, py = to_px(w.real, w.imag)
-        lines.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="#000000"/>')
+        x, y = _px(w)
+        lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#000000"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _arc_path(center: complex, rad: float, power: float, to_px, scale: float,
-              color: str) -> str:
+def _arc_path(center: complex, rad: float, power: float, color: str) -> str:
     """Arc of the image circle clipped to the unit disk (hypercycles);
     power is the origin's power |center|^2 - rad^2."""
     d = abs(center)
@@ -239,9 +240,7 @@ def _arc_path(center: complex, rad: float, power: float, to_px, scale: float,
     a = (1.0 + power) / (2.0 * d)
     h2 = 1.0 - a * a
     if h2 <= 0.0:  # numerically tangent: draw the full circle
-        cx_px, cy_px = to_px(center.real, center.imag)
-        return (f'<circle cx="{_fmt(cx_px)}" cy="{_fmt(cy_px)}" r="{_fmt(scale * rad)}" '
-                f'fill="none" stroke="{color}" stroke-width="1.5"/>')
+        return _circle(center, rad, color)
     h = math.sqrt(h2)
     u = center / d
     p1 = a * u + h * complex(-u.imag, u.real)
@@ -256,9 +255,7 @@ def _arc_path(center: complex, rad: float, power: float, to_px, scale: float,
     span = span_ccw if take_ccw else 2.0 * math.pi - span_ccw
     large = 1 if span > math.pi else 0
     sweep = 0 if take_ccw else 1  # math-ccw appears ccw on screen => sweep 0
-    x1, y1 = to_px(p1.real, p1.imag)
-    x2, y2 = to_px(p2.real, p2.imag)
-    r_px = scale * rad
-    return (f'<path d="M {_fmt(x1)} {_fmt(y1)} A {_fmt(r_px)} {_fmt(r_px)} 0 '
-            f'{large} {sweep} {_fmt(x2)} {_fmt(y2)}" '
+    (x1, y1), (x2, y2) = _px(p1), _px(p2)
+    r_px = _fmt(_SCALE * rad)
+    return (f'<path d="M {x1} {y1} A {r_px} {r_px} 0 {large} {sweep} {x2} {y2}" '
             f'fill="none" stroke="{color}" stroke-width="1.5"/>')

@@ -376,7 +376,10 @@ def load_targets(path: str, num_vertices: int) -> np.ndarray:
     for i, v in enumerate(arr):
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
             raise ParseError(f"{path}: field 'L_hat[{i}]' must be a positive number, got {v!r}")
-        out[i] = float(v)
+        try:
+            out[i] = float(v)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ParseError(f"{path}: field 'L_hat[{i}]' exceeds the float range") from None
     return out
 
 

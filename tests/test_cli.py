@@ -228,6 +228,37 @@ class TestUsage:
         assert "usage:" in capsys.readouterr().out
 
 
+class TestOversizedInteger:
+    """A JSON integer beyond the float range is a parse error that names
+    its field, before anything is solved or written."""
+
+    BIG = 10 ** 400
+
+    def assert_rejected(self, argv, field, out, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and field in line and "float range" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_target_entry(self, tmp_path, tetra_path, capsys, command):
+        targets = write(tmp_path, "big.json", {"L_hat": [self.BIG, 1, 1, 1]})
+        out = tmp_path / "r.json"
+        argv = [command, "--tri", tetra_path, "--targets", targets]
+        if command == "solve":
+            argv += ["--out", str(out)]
+        self.assert_rejected(argv, "'L_hat[0]'", out, capsys)
+
+    @pytest.mark.parametrize("field", ["class_tol", "residual_tol"])
+    def test_config_field(self, tmp_path, tetra_path, unit_targets, capsys, field):
+        cfg = write(tmp_path, "cfg.json", {field: self.BIG})
+        out = tmp_path / "r.json"
+        self.assert_rejected(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                              "--config", cfg, "--out", str(out)], repr(field), out, capsys)
+
+
 class TestFace:
     def test_three_horocycles(self, capsys):
         assert main(["face", "--k", "1", "1", "1"]) == 0

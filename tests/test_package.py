@@ -22,6 +22,11 @@ def test_top_level_names_are_pinned():
     assert names == TOP_LEVEL
 
 
+def test_modules_are_pinned():
+    names = {info.name for info in pkgutil.iter_modules(hypack.__path__)}
+    assert names == {"cli", "flow", "packing", "realize", "surface", "tangency"}
+
+
 def test_every_all_entry_resolves():
     checked = 0
     for info in pkgutil.iter_modules(hypack.__path__):

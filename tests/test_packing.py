@@ -39,7 +39,7 @@ class TestVertexCurvatures:
         rep = vertex_curvatures(tetrahedron, K)
         assert np.allclose(rep.L, VERTEX_L_ALL2, rtol=1e-12)
         assert len(rep.faces) == 4
-        assert rep.total_area == pytest.approx(
+        assert sum(fg.area for fg in rep.faces) == pytest.approx(
             4 * (math.pi - 3 * 1.0342246196750180), rel=1e-10)
 
     def test_fast_path_matches_report(self, octahedron, rng):

@@ -31,7 +31,7 @@ def _mixed_states(rng):
             (torus_grid(6, 6), K_torus)]
 
 
-def _json_report(metric, schema_version):
+def _json_report(metric):
     """The report as a dict through json.dumps: the byte oracle of report_document."""
     vertices = []
     for v in range(len(metric.k)):
@@ -46,7 +46,7 @@ def _json_report(metric, schema_version):
             rec["cusp"] = True
         vertices.append(rec)
     doc = {
-        "schema_version": schema_version,
+        "schema_version": 1,
         "vertices": vertices,
         "global": {
             "chi_S": metric.chi_surface,
@@ -275,16 +275,15 @@ class TestReportBytes:
         for tri, K in _mixed_states(rng):
             m = realize_metric(tri, K)
             assert set(m.classes) == {"cone", "boundary", "cusp"}
-            assert report_document(m) == _json_report(m, 1)
+            assert report_document(m) == _json_report(m)
 
     def test_torus32_with_cusps(self, rng):
         m = realize_metric(*_torus32_with_cusps(rng))
         assert 150 < len(m.cusps) < 260
         assert len(m.cone_angles) > 100 and len(m.boundary_lengths) > 100
-        assert report_document(m) == _json_report(m, 1)
+        assert report_document(m) == _json_report(m)
 
-    @pytest.mark.parametrize("schema_version", [2, True])
-    def test_special_values(self, schema_version):
+    def test_special_values(self):
         # numpy scalars in the dicts, non-finite numbers, signed zero,
         # the smallest subnormal and a huge value all keep json's spelling
         f64 = np.float64
@@ -301,8 +300,8 @@ class TestReportBytes:
             chi_realized=-1,
             audit_residual=f64(math.nan),
         )
-        doc = report_document(m, schema_version=schema_version)
-        assert doc == _json_report(m, schema_version)
+        doc = report_document(m)
+        assert doc == _json_report(m)
         for word in ("NaN", "-Infinity", "-0.0", "5e-324", "1e+300"):
             assert word in doc
         assert "np.float64" not in doc
@@ -313,7 +312,7 @@ class TestReportBytes:
                            total_area=0.0, chi_surface=0, chi_realized=0,
                            audit_residual=0.0)
         doc = report_document(m)
-        assert doc == _json_report(m, 1)
+        assert doc == _json_report(m)
         assert '"vertices": []' in doc
 
     def test_skips_the_pure_python_encoder(self, monkeypatch, rng):
