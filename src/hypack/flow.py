@@ -6,13 +6,16 @@ unique log-curvature vector realizing the prescribed per-vertex total
 geodesic curvatures.  The same convexity makes damped Newton on that
 gradient converge from any start.  One loop takes Newton steps from K0
 by default: one dense solve each, halved from the full step until the
-residual falls.  With newton=False it integrates the flow instead, with
-an embedded Dormand-Prince 5(4) pair under per-step error control; with
-a finite newton_switch_tol it integrates the flow until the residual is
-below that bound and takes Newton steps from there on.  A converged K
-whose residual is small against its face areas proves the target
-admissible (_certified); only a solve without that proof runs the
-maximum flow.
+residual falls.  The start and every Newton trial are one face-kernel
+evaluation (_evaluate), which gives the residual, the face areas and the
+face Jacobians together: an accepted trial's Jacobians make the next
+step's matrix, and its areas the certificate.  With newton=False it
+integrates the flow instead, with an embedded Dormand-Prince 5(4) pair
+under per-step error control; with a finite newton_switch_tol it
+integrates the flow until the residual is below that bound and takes
+Newton steps from there on.  A converged K whose residual is small
+against its face areas proves the target admissible (_certified); only a
+solve without that proof runs the maximum flow.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ from enum import Enum
 
 import numpy as np
 
-from .packing import _sum_at_vertices, global_jacobian, vertex_curvature_sums, vertex_curvatures
+from .packing import _assemble_jacobian, _sum_at_vertices, vertex_curvature_sums, vertex_curvatures
+# global_jacobian stays importable from here, where perfbench's tracer wraps it
+from .packing import global_jacobian  # noqa: F401
+from .tangency import FaceArrays
 # check_admissible stays importable from here, where perfbench's tracer wraps it
 from .surface import Triangulation, check_admissible, violating_subset  # noqa: F401
 from .surface import _checked_targets, _count
@@ -180,22 +186,32 @@ def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
     return K5, float(np.max(np.abs(K5 - K4))), ks[6]
 
 
-def _newton_step(tri: Triangulation, K, res, target):
-    """One Newton step on L(K) = Lhat: a dense solve with the Jacobian (SPD,
-    symmetric to rounding), then alpha halved from 1 until the residual
-    2-norm falls.  Returns (K', residual at K', alpha); raises
-    StiffnessError once alpha is below 1e-12."""
-    direction = np.linalg.solve(global_jacobian(tri, K), res)
+def _evaluate(tri: Triangulation, K, target, *, jac: bool = True) -> tuple[np.ndarray, FaceArrays]:
+    """The residual L(K) - Lhat and the kernel's arrays at K, the face
+    areas and (under jac) the face Jacobians among them, from one
+    face_kernel call."""
+    rep = vertex_curvatures(tri, K, jac=jac)
+    return rep.L - target, rep.arrays
+
+
+def _newton_step(tri: Triangulation, K, res, J, target):
+    """One Newton step on L(K) = Lhat: a dense solve with the Hessian
+    assembled from the face Jacobians J at K (SPD, symmetric to rounding),
+    then alpha halved from 1 until the residual 2-norm falls.  Each trial
+    is one _evaluate call, and a trial whose values or Jacobians the
+    kernel cannot evaluate fails.  Returns (K', residual at K', arrays at
+    K', alpha); raises StiffnessError once alpha is below 1e-12."""
+    direction = np.linalg.solve(_assemble_jacobian(tri, J), res)
     res_norm = float(np.linalg.norm(res))
     alpha = 1.0
     while alpha >= 1e-12:
         K_try = K - alpha * direction
         try:
-            res_try = vertex_curvature_sums(tri, K_try) - target
+            res_try, fa_try = _evaluate(tri, K_try, target)
         except ValueError:  # the trial left the range the face kernel can evaluate
             res_try = None
         if res_try is not None and float(np.linalg.norm(res_try)) < res_norm:
-            return K_try, res_try, alpha
+            return K_try, res_try, fa_try, alpha
         alpha *= 0.5
     raise StiffnessError("Newton backtracking stalled", K=K)
 
@@ -206,7 +222,8 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
 
     Each pass takes a Newton step or, with newton off or until a finite
     newton_switch_tol is reached, a flow step; max_steps counts both.  A
-    trial the kernel cannot evaluate fails.  The first divergence (some
+    trial the kernel cannot evaluate fails (a Newton trial, also when only
+    its Jacobians overflow).  The first divergence (some
     K_i beyond +-15 while the residual stalls) runs check_admissible's
     maximum flow once, and a witness ends the solve as INFEASIBLE.  With
     check_admissibility on (the default), a converged solve must also
@@ -237,7 +254,10 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     checked = False  # violating_subset ran, at most once
     witness = status = failure = None
     try:
-        res = vertex_curvature_sums(tri, K) - target
+        # fa: the kernel's arrays at K, or None when K came from a flow step.
+        # Only Newton steps use the Jacobians, so with newton off the start
+        # goes without them
+        res, fa = _evaluate(tri, K, target, jac=cfg.newton)
         trace.append(t, K, res, "flow")
         while True:
             res_max = float(np.max(np.abs(res)))
@@ -256,7 +276,9 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             steps += 1
             newton = newton or (cfg.newton and res_max < cfg.newton_switch_tol)
             if newton:
-                K, res, alpha = _newton_step(tri, K, res, target)
+                if fa is None:  # the handover from the flow
+                    fa = _evaluate(tri, K, target)[1]
+                K, res, fa, alpha = _newton_step(tri, K, res, fa.J, target)
                 t += alpha
                 trace.append(t, K, res, "newton")
                 continue
@@ -267,7 +289,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             except ValueError:  # a stage left the range the face kernel can evaluate
                 err = math.inf
             if err < eff_tol:
-                t, K, res = t + h, K_new, -rate_new
+                t, K, res, fa = t + h, K_new, -rate_new, None
                 trace.append(t, K, res, "flow")
                 h *= min(5.0, 0.9 * (eff_tol / err) ** 0.2) if err > 0.0 else 5.0
             else:
@@ -277,9 +299,13 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                                          f"(residual {res_max:.3e})", K=K, t=t)
     except (StiffnessError, ValueError) as exc:  # a ValueError from the face kernel
         failure = exc
-    if (cfg.check_admissibility and not checked
-            and not (status is SolveStatus.CONVERGED and _certified(tri, K, target))):
-        witness = violating_subset(tri, target)
+    converged = status is SolveStatus.CONVERGED
+    if cfg.check_admissibility and not checked:
+        if converged and fa is None:  # K came from a flow step, which keeps no areas
+            rep = vertex_curvatures(tri, K)
+            res, fa = rep.L - target, rep.arrays
+        if not (converged and _certified(tri, res, fa.area)):
+            witness = violating_subset(tri, target)
     if witness is not None:
         return SolveResult(K=K, trace=trace, status=SolveStatus.INFEASIBLE, witness=witness)
     if failure is not None:
@@ -287,16 +313,16 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     return SolveResult(K=K, trace=trace, status=status)
 
 
-def _certified(tri: Triangulation, K, target) -> bool:
+def _certified(tri: Triangulation, res, area) -> bool:
     """Whether 3 |L_i - Lhat_i| + 1e-12 pi deg(i) < (sum of the areas of the
-    faces at i) at every vertex, which proves sum_W Lhat < pi |F_W| for
-    every vertex set W: a face's corner values L_{f,c} >= 0 sum to
-    pi - area_f, and a face has at most three vertices.  L and the areas
-    come from one kernel call, which forms area = pi - sum L, so 1e-12 pi
-    per face (the maximum flow's tolerance) covers the rounding."""
-    rep = vertex_curvatures(tri, K)
-    slack = _sum_at_vertices(tri, np.repeat(rep.arrays.area - 1e-12 * math.pi, 3))
-    return bool(np.all(3.0 * np.abs(rep.L - target) < slack))
+    faces at i) at every vertex, for the residual res = L - Lhat and the
+    face areas of one kernel call at the same K, which proves
+    sum_W Lhat < pi |F_W| for every vertex set W: a face's corner values
+    L_{f,c} >= 0 sum to pi - area_f, and a face has at most three
+    vertices.  The kernel forms area = pi - sum L, so 1e-12 pi per face
+    (the maximum flow's tolerance) covers the rounding."""
+    slack = _sum_at_vertices(tri, np.repeat(area - 1e-12 * math.pi, 3))
+    return bool(np.all(3.0 * np.abs(res) < slack))
 
 
 @dataclass(frozen=True)

@@ -64,12 +64,13 @@ def vertex_curvature_sums(tri: Triangulation, K) -> np.ndarray:
     return _sum_at_vertices(tri, face_kernel(_face_curvatures(tri, K)).L)
 
 
-def vertex_curvatures(tri: Triangulation, K) -> CurvatureReport:
+def vertex_curvatures(tri: Triangulation, K, *, jac: bool = False) -> CurvatureReport:
     """Full report from one face_kernel call: curvature sums and the
-    solved faces.  Raises InfeasibleGeometryError, from the kernel, for a
-    face that cannot be evaluated in double precision."""
+    solved faces, with the face Jacobians under jac=True.  Raises
+    InfeasibleGeometryError, from the kernel, for a face that cannot be
+    evaluated in double precision."""
     k = _face_curvatures(tri, K)
-    fa = face_kernel(k)
+    fa = face_kernel(k, jac=jac)
     return CurvatureReport(L=_sum_at_vertices(tri, fa.L), arrays=fa, k=k)
 
 
@@ -89,13 +90,17 @@ def global_jacobian(tri: Triangulation, K) -> np.ndarray:
     Symmetric to rounding (about 1e-14 relative, so no symmetrization is
     needed), strictly diagonally dominant with positive diagonal, hence
     positive definite.  Always a dense n x n ndarray, which costs 8*n^2
-    bytes: 0.5 MB at 256 vertices, 8 MB at 1024.  np.bincount adds the
-    face blocks into each entry in face order, block entry (i, j) of
-    face f at the flat index f_i * n + f_j.
+    bytes: 0.5 MB at 256 vertices, 8 MB at 1024.
     """
+    return _assemble_jacobian(tri, face_kernel(_face_curvatures(tri, K), jac=True).J)
+
+
+def _assemble_jacobian(tri: Triangulation, J: np.ndarray) -> np.ndarray:
+    """The dense n x n Hessian from the (F, 3, 3) face Jacobians J of
+    face_kernel: np.bincount adds the face blocks into each entry in face
+    order, block entry (i, j) of face f at the flat index f_i * n + f_j."""
     n = tri.num_vertices
     f = tri.face_array
-    J = face_kernel(_face_curvatures(tri, K), jac=True).J
     return np.bincount((f[:, :, None] * n + f[:, None, :]).ravel(), weights=J.ravel(),
                        minlength=n * n).reshape(n, n)
 

@@ -391,3 +391,5 @@ def _load_json(path: str):
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # UnicodeDecodeError, or the integer digit limit
+        raise ParseError(f"{path}: {exc}") from exc

@@ -231,6 +231,11 @@ class FaceArrays(NamedTuple):
 _SERIES_X = 1e-3
 _H_SERIES = [(-1) ** (n + 1) * 2 * (n + 1) / (2 * n + 3) for n in range(7, -1, -1)]
 
+# column indices, built once: each corner's other two (j, m), the corner
+# after it (the pairs (0, 1), (1, 2), (2, 0)), and the corners in order
+_OTHER_J, _OTHER_M, _NEXT = np.array([1, 0, 0]), np.array([2, 2, 1]), np.array([1, 2, 0])
+_CORNERS = np.arange(3)
+
 
 def _ascending(a):
     """The three columns of (F, 3) a, sorted along each row by comparisons
@@ -273,7 +278,7 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
         a, b, c = _ascending(k)
         D = (1.0 + a * b + a * c + b * c)[:, None]
         sqrt_d = np.sqrt(D)
-        kj, km = k[:, [1, 0, 0]], k[:, [2, 2, 1]]  # each corner's other two
+        kj, km = k[:, _OTHER_J], k[:, _OTHER_M]
         P = (k + kj) * (k + km)
         x = (k - 1.0) * (k + 1.0) / D
         xp1 = P / D  # 1 + x, without the cancellation of adding
@@ -289,13 +294,13 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
         if jac:
             H = (1.0 / xp1 - G) / x
             small = np.abs(x) < _SERIES_X
-            H[small] = np.polyval(_H_SERIES, x[small])
+            if small.any():
+                H[small] = np.polyval(_H_SERIES, x[small])
             J = np.empty(k.shape + (3,))
-            kn = k[:, [1, 2, 0]]  # the pairs (0, 1), (1, 2), (2, 0)
-            J[:, [0, 1, 2], [1, 2, 0]] = J[:, [1, 2, 0], [0, 1, 2]] = (
-                -(k * kn) / (sqrt_d * (k + kn)))
-            J[:, [0, 1, 2], [0, 1, 2]] = (L - k * k * (kj + km) / (sqrt_d * P)
-                                          + 2.0 * k * k * k * H / (D * sqrt_d))
+            kn = k[:, _NEXT]
+            J[:, _CORNERS, _NEXT] = J[:, _NEXT, _CORNERS] = -(k * kn) / (sqrt_d * (k + kn))
+            J[:, _CORNERS, _CORNERS] = (L - k * k * (kj + km) / (sqrt_d * P)
+                                        + 2.0 * k * k * k * H / (D * sqrt_d))
         area = np.pi - sum(_ascending(L))
         polygon_area = np.pi - sum(_ascending(np.where(kinds == _CIRC, gen, 0.0)))
 

@@ -4,8 +4,8 @@ import re
 import pytest
 
 import hypack.cli
+import hypack.flow
 from hypack.cli import main
-from hypack.packing import vertex_curvature_sums
 from hypack.realize import realize_metric, report_document
 from hypack.surface import Triangulation
 from hypack.tangency import InfeasibleGeometryError
@@ -51,6 +51,16 @@ class TestCheck:
         p.write_text('{"num_vertices": 4,\n "faces": [[0,1,2],]}')
         assert main(["check", "--tri", str(p), "--targets", unit_targets]) == 1
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b'{"L_hat": [' + b"1" * 5001 + b', 1, 1, 1]}',  # past the integer digit limit
+        b'{"L_hat": [1, 1, 1, 1]}\xff',                 # not UTF-8
+    ], ids=["digits", "encoding"])
+    def test_unreadable_targets_name_the_file(self, tmp_path, tetra_path, capsys, content):
+        p = tmp_path / "targets.json"
+        p.write_bytes(content)
+        assert main(["check", "--tri", tetra_path, "--targets", str(p)]) == 1
+        assert str(p) in capsys.readouterr().err
 
     def test_rejects_solve_options(self, tetra_path, unit_targets, capsys):
         # --config and --tol belong to solve, and check reads neither
@@ -177,14 +187,15 @@ class TestSolve:
                                  monkeypatch):
         # every Newton trial is unevaluable, so backtracking stalls
         calls = []
+        evaluate = hypack.flow._evaluate
 
-        def first_call_only(tri, K):
+        def first_call_only(tri, K, target, **kw):
             calls.append(K)
             if len(calls) > 1:
                 raise InfeasibleGeometryError("unevaluable trial")
-            return vertex_curvature_sums(tri, K)
+            return evaluate(tri, K, target, **kw)
 
-        monkeypatch.setattr("hypack.flow.vertex_curvature_sums", first_call_only)
+        monkeypatch.setattr("hypack.flow._evaluate", first_call_only)
         cfg = write(tmp_path, "cfg.json", {"newton_switch_tol": 1e9})
         assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
                      "--config", cfg]) == 3

@@ -40,16 +40,17 @@ def scalar_tetra_oracle():
 
 
 def _unevaluable_after_first_call(monkeypatch):
-    """Make every evaluation of L in solve after the starting residual raise."""
+    """Make every Newton evaluation in solve after the starting one raise."""
     calls = []
+    evaluate = flow._evaluate
 
-    def first_call_only(tri, K):
+    def first_call_only(tri, K, target, **kw):
         calls.append(K)
         if len(calls) > 1:
             raise InfeasibleGeometryError("unevaluable trial")
-        return vertex_curvature_sums(tri, K)
+        return evaluate(tri, K, target, **kw)
 
-    monkeypatch.setattr(flow, "vertex_curvature_sums", first_call_only)
+    monkeypatch.setattr(flow, "_evaluate", first_call_only)
 
 
 class TestFlowStep:
@@ -141,13 +142,14 @@ class TestSolve:
         calls = {"L": 0, "step": 0}
 
         def counted(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kw):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kw)
             return wrapper
 
         monkeypatch.setattr(flow_module, "vertex_curvature_sums",
                             counted("L", flow_module.vertex_curvature_sums))
+        monkeypatch.setattr(flow_module, "_evaluate", counted("L", flow_module._evaluate))
         monkeypatch.setattr(flow_module, "flow_step", counted("step", flow_module.flow_step))
         res = solve(tetrahedron, np.ones(4), config=FlowConfig(newton=False))
         assert res.status is SolveStatus.CONVERGED
@@ -317,10 +319,119 @@ class TestCertificate:
                 continue
             worst, _ = brute_force_admissible(tri, target)
             inadmissible += worst <= 0.0
-            if flow._certified(tri, K, target):
+            if flow._certified(tri, rep.L - target, rep.arrays.area):
                 accepted += 1
                 assert worst > 0.0
         assert accepted >= 15 and inadmissible >= 5
+
+
+def reference_solve(tri, target, K0=None, config=FlowConfig()):
+    """(status, trace rows of K) of the solve loop with a Jacobian call per
+    Newton step and a value-only call per trial: the public
+    global_jacobian, vertex_curvature_sums and np.linalg.solve, and the
+    certificate from its own vertex_curvatures call.  No drift guard: on
+    an admissible target the guard finds no witness and changes nothing."""
+    target = np.asarray(target, dtype=float)
+    K = np.zeros(tri.num_vertices) if K0 is None else np.array(K0, dtype=float)
+    rows = [K]
+    res = vertex_curvature_sums(tri, K) - target
+    h, steps, newton = flow._INITIAL_STEP, 0, False
+    while np.max(np.abs(res)) >= config.residual_tol:
+        if steps >= config.max_steps:
+            return SolveStatus.MAX_STEPS_EXCEEDED, rows
+        steps += 1
+        res_max = float(np.max(np.abs(res)))
+        newton = newton or (config.newton and res_max < config.newton_switch_tol)
+        if newton:
+            direction = np.linalg.solve(flow.global_jacobian(tri, K), res)
+            alpha = 1.0
+            while True:
+                K_try = K - alpha * direction
+                try:
+                    res_try = vertex_curvature_sums(tri, K_try) - target
+                except ValueError:
+                    res_try = None
+                if res_try is not None and np.linalg.norm(res_try) < np.linalg.norm(res):
+                    break
+                alpha *= 0.5
+                assert alpha >= 1e-12
+            K, res = K_try, res_try
+        else:
+            h = min(h, flow._MAX_STEP)
+            eff_tol = min(flow._STEP_ERROR_TOL, flow._REL_STEP_ERROR * res_max)
+            K_new, err, rate_new = flow_step(tri, K, target, h, -res)
+            if not err < eff_tol:
+                h *= 0.5
+                continue
+            K, res = K_new, -rate_new
+            h *= min(5.0, 0.9 * (eff_tol / err) ** 0.2) if err > 0.0 else 5.0
+        rows.append(K)
+    rep = vertex_curvatures(tri, K)
+    slack = np.bincount(tri.face_array.ravel(),
+                        weights=np.repeat(rep.arrays.area - 1e-12 * math.pi, 3))
+    assert np.all(3.0 * np.abs(rep.L - target) < slack)
+    return SolveStatus.CONVERGED, rows
+
+
+def _newton_trials(trace):
+    """Trials of the Newton steps in trace: a step of fraction 2^-m took m + 1."""
+    alphas = [b - a for a, b, ph in zip(trace.ts, trace.ts[1:], trace.phase[1:])
+              if ph == "newton"]
+    return sum(1 + round(-math.log2(a)) for a in alphas)
+
+
+def _planted(tri, seed, sigma=0.7):
+    return vertex_curvature_sums(tri, np.random.default_rng(seed).normal(0.0, sigma,
+                                                                         tri.num_vertices))
+
+
+ITERATE_CASES = {
+    **{f"genus2-{seed}": (genus2, seed, None, FlowConfig()) for seed in range(4)},
+    "torus8x8": (lambda: torus_grid(8, 8), 1, None, FlowConfig()),
+    # a start far below the solution: step fractions down to 1/256
+    "far-backtracks": (genus2, 0, -4.0, FlowConfig()),
+    "handover": (genus2, 2, None, FlowConfig(newton_switch_tol=1e-3)),
+}
+
+
+class TestOneEvaluationPerIterate:
+    @staticmethod
+    def _problem(case):
+        surface, seed, K0, cfg = ITERATE_CASES[case]
+        tri = surface()
+        return tri, _planted(tri, seed), None if K0 is None else np.full(tri.num_vertices, K0), cfg
+
+    @pytest.mark.parametrize("case", ITERATE_CASES)
+    def test_iterates_match_the_reference_loop(self, case):
+        tri, target, K0, cfg = self._problem(case)
+        res = solve(tri, target, K0, config=cfg)
+        status, rows = reference_solve(tri, target, K0, cfg)
+        assert res.status is status is SolveStatus.CONVERGED
+        assert len(res.trace.K) == len(rows)
+        assert all(np.array_equal(a, b) for a, b in zip(res.trace.K, rows))
+        assert np.array_equal(res.K, rows[-1])
+        if case == "handover":
+            assert set(res.trace.phase[1:]) == {"flow", "newton"}
+        if case == "far-backtracks":
+            assert _newton_trials(res.trace) > len(rows) - 1
+
+    @pytest.mark.parametrize("case", ["genus2-0", "torus8x8", "far-backtracks"])
+    def test_one_kernel_call_per_evaluated_iterate(self, case, monkeypatch):
+        # the start and each Newton trial: no Jacobian call per step and no
+        # call for the certificate
+        import hypack.packing
+        tri, target, K0, cfg = self._problem(case)
+        calls = []
+        kernel = hypack.packing.face_kernel
+
+        def counted(k, *, jac=False):
+            calls.append(jac)
+            return kernel(k, jac=jac)
+
+        monkeypatch.setattr(hypack.packing, "face_kernel", counted)
+        res = solve(tri, target, K0, config=cfg)
+        assert res.status is SolveStatus.CONVERGED
+        assert len(calls) == 1 + _newton_trials(res.trace) and all(calls)
 
 
 @pytest.fixture

@@ -333,6 +333,22 @@ class TestFaceKernel:
     def test_value_path_carries_no_jacobian(self):
         assert face_kernel([(2.0, 0.5, 1.0)]).J is None
 
+    def test_jacobian_path_keeps_the_values(self):
+        # a Newton solve reads its residual, areas and certificate from the
+        # jac=True output, so every value must be bit-identical to jac=False:
+        # faces of all five cases, with |ln k| down to 1e-6 so that H takes
+        # its series on some corners, and K = 0, where every corner is a
+        # horocycle
+        rng = np.random.default_rng(19)
+        K = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(4.0), (300, 3)))
+                            * np.array(signs) for signs in FACE_CASES] + [np.zeros((2, 3))])
+        k = np.exp(rng.permuted(K, axis=1))
+        with_jac, values = face_kernel(k, jac=True), face_kernel(k)
+        assert np.isnan(values.gen).any()
+        for name in ("kind", "gen", "arc", "L", "area", "polygon_area"):
+            assert np.array_equal(getattr(with_jac, name), getattr(values, name),
+                                  equal_nan=True), name
+
     def test_unevaluable_face_raises(self):
         # exp(-400) hypercycles: (k_i + k_j)(k_i + k_m) underflows to 0, so L = inf
         k = math.exp(-400.0)
