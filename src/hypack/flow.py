@@ -3,19 +3,25 @@
 The flow is the negative gradient flow of a smooth strictly convex
 potential, so for admissible targets it converges exponentially to the
 unique log-curvature vector realizing the prescribed per-vertex total
-geodesic curvatures.  The same convexity makes damped Newton on that
-gradient converge from any start.  One loop takes Newton steps from K0
-by default: one dense solve each, halved from the full step until the
-residual falls.  The start and every Newton trial are one face-kernel
-evaluation (_evaluate), which gives the residual, the face areas and the
-face Jacobians together: an accepted trial's Jacobians make the next
-step's matrix, and its areas the certificate.  With newton=False it
-integrates the flow instead, with an embedded Dormand-Prince 5(4) pair
-under per-step error control; with a finite newton_switch_tol it
-integrates the flow until the residual is below that bound and takes
-Newton steps from there on.  A converged K whose residual is small
-against its face areas proves the target admissible (_certified); only a
-solve without that proof runs the maximum flow.
+geodesic curvatures.  One loop takes Newton steps from K0 by default,
+each halved from the full step until the residual 2-norm falls.  That
+is no line search on the potential, so damped Newton does not converge
+from every start: from a K0 far below the solution every step fraction
+can raise the residual, and the step stalls.  Below _CG_MIN_VERTICES
+vertices a step's direction is one dense solve; from there up it is
+Jacobi-preconditioned conjugate gradients on the edge form of the
+Hessian, which makes no n x n array.  One LAPACK call is faster on small
+surfaces, but allocating the dense matrix costs more than all of CG
+from about 200 vertices up.  The start and every Newton trial are one
+face-kernel evaluation (_evaluate), which gives the residual, the face
+areas and the face Jacobians together: an accepted trial's Jacobians
+make the next step's matrix, and its areas the certificate.  With
+newton=False it integrates the flow instead, with an embedded
+Dormand-Prince 5(4) pair under per-step error control; with a finite
+newton_switch_tol it integrates the flow until the residual is below
+that bound and takes Newton steps from there on.  A converged K whose
+residual is small against its face areas proves the target admissible
+(_certified); only a solve without that proof runs the maximum flow.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .packing import _assemble_jacobian, _sum_at_vertices, vertex_curvature_sums, vertex_curvatures
+from .packing import _assemble_jacobian, _edge_form, _edge_slots, _sum_at_vertices
+from .packing import vertex_curvature_sums, vertex_curvatures
 # global_jacobian stays importable from here, where perfbench's tracer wraps it
 from .packing import global_jacobian  # noqa: F401
 from .tangency import FaceArrays
@@ -77,6 +84,27 @@ _REL_STEP_ERROR = 0.05
 # to pi to rounding and a drifting Newton iteration stalls instead; at 15
 # the area is still 34 ulps of pi.
 _DRIFT_LIMIT = 15.0
+
+# A Newton step on a surface of at least this many vertices solves for its
+# direction by conjugate gradients on M's edge form (_cg_solve), and below
+# it by one dense LAPACK solve.  Warm re-solves on n x m tori (K* + 3e-6,
+# one Newton step; 2-core VM, one BLAS thread; best of 150 per state,
+# median of 4 states, 2 to 5 fresh processes per size) took, with CG over
+# dense: 12x12 (144 vertices) 1.24-1.30, 12x13 (156) 1.16-1.26, 13x13
+# (169) 1.17-1.25, 13x14 (182) 0.94-1.36, 14x14 (196) 0.73-1.13, 14x15
+# (210) 0.74-0.87, 15x15 (225) 0.67-0.70, 16x16 (256) 0.50-0.57.  The
+# dense side's cost jumps with its n x n arrays, whose allocation and
+# first touch take more than the LAPACK call from ~200 vertices up.
+_CG_MIN_VERTICES = 190
+# CG stops once r.D^-1 r <= _CG_RTOL^2 b.D^-1 b, for its residual r, the
+# right-hand side b and M's diagonal D.  The D^-1 weights stress the
+# vertices whose diagonal is small (circles of large curvature), where a
+# residual moves the direction most; with them the final K is within
+# 1e-12 of the dense route's at sigma = 6, where the plain 2-norm misses by
+# 1.8e-12.  A fixed tolerance, not one that shrinks with the residual: a
+# warm re-solve takes one Newton step from a residual of ~1e-5, and a
+# tolerance of that order would leave a residual that costs a second step.
+_CG_RTOL = 1e-10
 
 # rate_estimate fits residuals below this: the flow's exponential tail,
 # past the transient of its first steps
@@ -194,14 +222,59 @@ def _evaluate(tri: Triangulation, K, target, *, jac: bool = True) -> tuple[np.nd
     return rep.L - target, rep.arrays
 
 
-def _newton_step(tri: Triangulation, K, res, J, target):
-    """One Newton step on L(K) = Lhat: a dense solve with the Hessian
-    assembled from the face Jacobians J at K (SPD, symmetric to rounding),
-    then alpha halved from 1 until the residual 2-norm falls.  Each trial
-    is one _evaluate call, and a trial whose values or Jacobians the
-    kernel cannot evaluate fails.  Returns (K', residual at K', arrays at
-    K', alpha); raises StiffnessError once alpha is below 1e-12."""
-    direction = np.linalg.solve(_assemble_jacobian(tri, J), res)
+def _cg_solve(tri: Triangulation, slots, J, b) -> np.ndarray:
+    """The solution d of M d = b by Jacobi-preconditioned conjugate
+    gradients (Hestenes & Stiefel 1952), with M the edge form
+    (packing._edge_form) of the face Jacobians J at the index arrays
+    slots = _edge_slots(tri): one matrix-vector product is one gather,
+    one multiply and one np.bincount, and no n x n array is made.  Stops
+    at a relative residual of _CG_RTOL in the norm of the inverse
+    diagonal; raises StiffnessError after n iterations, or on a direction
+    p with p.M p <= 0 (M not positive definite)."""
+    slot, rows, cols = slots
+    form = _edge_form(tri, J, slot)
+    n = len(b)
+    inv_diag = 1.0 / form[-n:]
+    d = np.zeros(n)
+    r = np.array(b, dtype=float)
+    z = r * inv_diag
+    p = z
+    rz = float(r @ z)
+    stop = (_CG_RTOL * _CG_RTOL) * rz
+    for _ in range(n):
+        q = np.bincount(rows, weights=form * p[cols], minlength=n)
+        pq = float(p @ q)
+        if not pq > 0.0:
+            raise StiffnessError(f"CG met p.M p = {pq:.3e}: M is not positive definite")
+        alpha = rz / pq
+        d += alpha * p
+        r -= alpha * q
+        z = r * inv_diag
+        rz, rz_prev = float(r @ z), rz
+        if rz <= stop:
+            return d
+        p = z + (rz / rz_prev) * p
+    raise StiffnessError(f"CG did not reach a relative residual of {_CG_RTOL:.0e} "
+                         f"in {n} iterations")
+
+
+def _newton_step(tri: Triangulation, K, res, J, target, slots):
+    """One Newton step on L(K) = Lhat, then alpha halved from 1 until the
+    residual 2-norm falls.  The direction solves M d = res for the
+    Hessian M of the face Jacobians J at K (SPD, symmetric to rounding):
+    by _cg_solve when slots holds M's edge slots, which solve passes from
+    _CG_MIN_VERTICES vertices up, and else (slots None) by one dense
+    solve of the assembled n x n matrix.  Below that size one LAPACK call
+    beats CG's dozen numpy calls per iteration; above it, allocating and
+    filling the 8 n^2 bytes of the dense M costs more than all of CG.
+    Each trial is one _evaluate call, and a trial whose values or
+    Jacobians the kernel cannot evaluate fails.  Returns (K', residual at
+    K', arrays at K', alpha); raises StiffnessError once alpha is below
+    1e-12, or from _cg_solve."""
+    if slots is None:
+        direction = np.linalg.solve(_assemble_jacobian(tri, J), res)
+    else:
+        direction = _cg_solve(tri, slots, J, res)
     res_norm = float(np.linalg.norm(res))
     alpha = 1.0
     while alpha >= 1e-12:
@@ -247,6 +320,9 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                          f"{K.shape} with {np.count_nonzero(~np.isfinite(K))} not finite")
 
     trace = FlowTrace(config=cfg)
+    # M's edge slots, once per solve, for the Newton steps that run CG
+    slots = (_edge_slots(tri) if cfg.newton and tri.num_vertices >= _CG_MIN_VERTICES
+             else None)
     t = 0.0
     h = _INITIAL_STEP
     steps = 0
@@ -278,7 +354,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             if newton:
                 if fa is None:  # the handover from the flow
                     fa = _evaluate(tri, K, target)[1]
-                K, res, fa, alpha = _newton_step(tri, K, res, fa.J, target)
+                K, res, fa, alpha = _newton_step(tri, K, res, fa.J, target, slots)
                 t += alpha
                 trace.append(t, K, res, "newton")
                 continue
