@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .packing import _assemble_jacobian, _edge_form, _edge_slots, _sum_at_vertices
+from .packing import _assemble_jacobian, _sum_at_vertices
 from .packing import vertex_curvature_sums, vertex_curvatures
 # global_jacobian stays importable from here, where perfbench's tracer wraps it
 from .packing import global_jacobian  # noqa: F401
@@ -222,10 +222,34 @@ def _evaluate(tri: Triangulation, K, target, *, jac: bool = True) -> tuple[np.nd
     return rep.L - target, rep.arrays
 
 
+def _edge_slots(tri: Triangulation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index arrays of the edge form of M: (slot, rows, cols).  slot
+    is the edge of each face's corner pairs (0, 1), (1, 2), (0, 2), in
+    face order, from one np.unique of their sorted keys; rows and cols
+    list M's entries, every edge (u, w) as (u, w) and as (w, u), then the
+    diagonal.  They depend only on the faces."""
+    n, f = tri.num_vertices, tri.face_array
+    a, b = f[:, (0, 1, 0)].ravel(), f[:, (1, 2, 2)].ravel()
+    ends, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    u, w, diag = ends // n, ends % n, np.arange(n)
+    return slot, np.concatenate((u, w, diag)), np.concatenate((w, u, diag))
+
+
+def _edge_form(tri: Triangulation, J: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """M's entries at the (rows, cols) of (slot, rows, cols) =
+    _edge_slots(tri), from the (F, 3, 3) face Jacobians J, so that M v is
+    np.bincount(rows, weights=form * v[cols]).  An edge's weight is the
+    mean of M[u, w] and M[w, u], which makes the form exactly symmetric;
+    the diagonal adds in face order, as in _assemble_jacobian."""
+    pair = J[:, (0, 1, 0), (1, 2, 2)] + J[:, (1, 2, 2), (0, 1, 0)]
+    w = 0.5 * np.bincount(slot, weights=pair.ravel())
+    return np.concatenate((w, w, _sum_at_vertices(tri, J[:, (0, 1, 2), (0, 1, 2)])))
+
+
 def _cg_solve(tri: Triangulation, slots, J, b) -> np.ndarray:
     """The solution d of M d = b by Jacobi-preconditioned conjugate
     gradients (Hestenes & Stiefel 1952), with M the edge form
-    (packing._edge_form) of the face Jacobians J at the index arrays
+    (_edge_form) of the face Jacobians J at the index arrays
     slots = _edge_slots(tri): one matrix-vector product is one gather,
     one multiply and one np.bincount, and no n x n array is made.  Stops
     at a relative residual of _CG_RTOL in the norm of the inverse

@@ -7,12 +7,12 @@ kernel (tangency.face_kernel) per evaluation, with no loop over faces;
 the Hessian takes the kernel's closed-form face Jacobians, and the
 potential sums the closed-form tangency.face_potential over the faces.
 Scatters to the vertices add in face order, so results are
-deterministic.  The Hessian has two forms, both from the face
-Jacobians: the dense n x n ndarray (global_jacobian, and the Newton step
-on small surfaces), and the edge form, the diagonal plus one weight per
-edge, on which the Newton step runs conjugate gradients from
-flow._CG_MIN_VERTICES vertices up, where allocating the 8 n^2 bytes of
-the dense matrix costs more than the whole CG solve.
+deterministic.  The Hessian assembled here is the dense n x n ndarray
+(global_jacobian, and the Newton step on small surfaces).  From
+flow._CG_MIN_VERTICES vertices up, where allocating its 8 n^2 bytes
+costs more than a whole conjugate-gradient solve, the Newton step instead
+builds flow._edge_form, the diagonal plus one weight per edge, from the
+same face Jacobians.
 """
 
 from __future__ import annotations
@@ -107,30 +107,6 @@ def _assemble_jacobian(tri: Triangulation, J: np.ndarray) -> np.ndarray:
     f = tri.face_array
     return np.bincount((f[:, :, None] * n + f[:, None, :]).ravel(), weights=J.ravel(),
                        minlength=n * n).reshape(n, n)
-
-
-def _edge_slots(tri: Triangulation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index arrays of the edge form of M: (slot, rows, cols).  slot
-    is the edge of each face's corner pairs (0, 1), (1, 2), (0, 2), in
-    face order, from one np.unique of their sorted keys; rows and cols
-    list M's entries, every edge (u, w) as (u, w) and as (w, u), then the
-    diagonal.  They depend only on the faces."""
-    n, f = tri.num_vertices, tri.face_array
-    a, b = f[:, (0, 1, 0)].ravel(), f[:, (1, 2, 2)].ravel()
-    ends, slot = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
-    u, w, diag = ends // n, ends % n, np.arange(n)
-    return slot, np.concatenate((u, w, diag)), np.concatenate((w, u, diag))
-
-
-def _edge_form(tri: Triangulation, J: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """M's entries at the (rows, cols) of (slot, rows, cols) =
-    _edge_slots(tri), from the (F, 3, 3) face Jacobians J, so that M v is
-    np.bincount(rows, weights=form * v[cols]).  An edge's weight is the
-    mean of M[u, w] and M[w, u], which makes the form exactly symmetric;
-    the diagonal adds in face order, as in _assemble_jacobian."""
-    pair = J[:, (0, 1, 0), (1, 2, 2)] + J[:, (1, 2, 2), (0, 1, 0)]
-    w = 0.5 * np.bincount(slot, weights=pair.ravel())
-    return np.concatenate((w, w, _sum_at_vertices(tri, J[:, (0, 1, 2), (0, 1, 2)])))
 
 
 def potential_value(tri: Triangulation, K, K_ref, l_hat, *, waypoints=()) -> float:

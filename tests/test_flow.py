@@ -17,7 +17,7 @@ from hypack.flow import (
     rate_estimate,
     solve,
 )
-from hypack.packing import _assemble_jacobian, _edge_slots, vertex_curvature_sums, vertex_curvatures
+from hypack.packing import _assemble_jacobian, vertex_curvature_sums, vertex_curvatures
 from hypack.surface import Triangulation, check_admissible, violating_subset
 from hypack.tangency import InfeasibleGeometryError
 
@@ -326,12 +326,13 @@ class TestCertificate:
         assert accepted >= 15 and inadmissible >= 5
 
 
-def reference_solve(tri, target, K0=None, config=FlowConfig()):
+def reference_solve(tri, target, K0=None, config=FlowConfig(), *, uncertified_ok=False):
     """(status, trace rows of K) of the solve loop with a Jacobian call per
     Newton step and a value-only call per trial: the public
     global_jacobian, vertex_curvature_sums and np.linalg.solve, and the
-    certificate from its own vertex_curvatures call (or, where that fails,
-    the maximum flow).  No drift guard: on
+    certificate from its own vertex_curvatures call, which must hold
+    unless uncertified_ok, where the maximum flow decides instead (as in
+    solve).  No drift guard: on
     an admissible target the guard finds no witness and changes nothing."""
     target = np.asarray(target, dtype=float)
     K = np.zeros(tri.num_vertices) if K0 is None else np.array(K0, dtype=float)
@@ -371,9 +372,8 @@ def reference_solve(tri, target, K0=None, config=FlowConfig()):
     rep = vertex_curvatures(tri, K)
     slack = np.bincount(tri.face_array.ravel(),
                         weights=np.repeat(rep.arrays.area - 1e-12 * math.pi, 3))
-    # uncertified (faces whose areas round to 0), the maximum flow decides
-    assert (np.all(3.0 * np.abs(rep.L - target) < slack)
-            or check_admissible(tri, target).admissible)
+    certified = bool(np.all(3.0 * np.abs(rep.L - target) < slack))
+    assert certified or (uncertified_ok and check_admissible(tri, target).admissible)
     return SolveStatus.CONVERGED, rows
 
 
@@ -470,7 +470,7 @@ class TestConjugateGradientStep:
     """From flow._CG_MIN_VERTICES vertices up a Newton step solves by CG on
     M's edge form; below, by one dense solve."""
 
-    @pytest.mark.parametrize("case", [f"warm-{j}" for j in range(6)]
+    @pytest.mark.parametrize("case", [f"warm-{j}" for j in range(40)]
                              + [f"sigma{s}-{seed}" for s in (0.7, 2, 4, 6) for seed in range(4)])
     def test_solution_matches_the_dense_loop(self, torus16, case):
         tri = torus16
@@ -480,7 +480,9 @@ class TestConjugateGradientStep:
             sigma, seed = case[5:].split("-")
             K0, target = None, _planted(tri, int(seed), float(sigma))
         res = solve(tri, target, K0)
-        status, rows = reference_solve(tri, target, K0)
+        # at sigma = 6, seed 3, faces of curvature ~2e5 have areas that round
+        # to 0, so the certificate fails and the maximum flow decides
+        status, rows = reference_solve(tri, target, K0, uncertified_ok=case == "sigma6-3")
         assert res.status is status is SolveStatus.CONVERGED
         # the iterates differ by up to ~1e-10, CG's relative tolerance on
         # the first, long steps; the Newton steps after them remove it
@@ -525,7 +527,7 @@ class TestConjugateGradientStep:
         K = np.random.default_rng(0).normal(0.0, 0.7, 256)
         J = vertex_curvatures(tri, K, jac=True).arrays.J
         b = np.random.default_rng(1).normal(0.0, 1.0, 256)
-        slots = _edge_slots(tri)
+        slots = flow._edge_slots(tri)
         assert np.max(np.abs(flow._cg_solve(tri, slots, J, b)
                              - np.linalg.solve(_assemble_jacobian(tri, J), b))) < 1e-8
         if fault == "negated":
