@@ -1,8 +1,9 @@
 """Combinatorial model of a closed triangulated surface.
 
 Validation (no repeated vertex in a face, every edge in two faces,
-single-cycle vertex links, connectivity, all read from one edge ->
-faces table), Euler characteristic, and the feasibility test for
+single-cycle vertex links, connectivity, all computed as array masks
+and pointer jumping over one numpy edge table that the constructor
+builds), Euler characteristic, and the feasibility test for
 prescribed total geodesic curvatures: a positive target vector Lhat is
 admissible iff
 
@@ -16,6 +17,7 @@ read-only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -50,17 +52,37 @@ class Defect:
         return f"[{self.kind}] at {self.location}: {self.message}"
 
 
+# the corners at the two ends of a face's pairs (0, 1), (1, 2), (0, 2),
+# the order of the edge table's pairs and of the edge form of M in flow
+_PAIR_ENDS = ((0, 1, 0), (1, 2, 2))
+_PAIRS = tuple(zip(*_PAIR_ENDS))
+# link state 2k + e of a face pivots at corner _PIVOT_CORNERS[2k + e],
+# end e of its pair k; turning around that corner inside the face leads
+# to state _TURN[2k + e], of the face's other pair at the same corner
+_PIVOT_CORNERS = sum(_PAIRS, ())
+_TURN = np.array([2 * j + _PAIRS[j].index(c) for k, pair in enumerate(_PAIRS) for c in pair
+                  for j in range(3) if j != k and c in _PAIRS[j]])
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """Closed triangulated surface: vertex count plus face triples.
 
-    Derived incidence structure (the edge -> faces table, the edge set,
-    vertex->face lists, the read-only (F, 3) intp face_array) is computed
-    eagerly; construction only rejects structurally malformed input (bad
-    arity, vertex ids that are not integers or out of range), while
-    closed-surface violations are reported as data by validate(),
-    computed on its first call from the edge table.  Every attribute is
-    set in __init__, so that instances keep one attribute layout.
+    The constructor builds one edge table, from which every incidence
+    structure derives: one np.unique over the sorted corner-pair keys
+    of face_array, pairs (0, 1), (1, 2), (0, 2) of each face in face
+    order.  Its entries (slots) are the keys (u, w), u <= w; _pair_slot
+    is the slot of each face's pairs, (3F,), _slot_ends the (2, S) ends
+    of each slot, _slot_count the number of pairs on it (a face with a
+    repeated vertex may lie twice on a slot), and a (u, u) slot only
+    links faces.  edges is the slots with u != w, and vertex_faces (each
+    vertex's faces, in face order) comes from one stable argsort.  All
+    arrays are read-only.  Construction only rejects structurally
+    malformed input (bad arity, vertex ids that are not integers or out
+    of range); closed-surface violations are reported as data by
+    validate(), computed from the table on its first call.  Every
+    attribute is set in __init__, so that instances keep one attribute
+    layout.
     """
 
     num_vertices: int
@@ -68,40 +90,40 @@ class Triangulation:
     edges: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     vertex_faces: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     face_array: np.ndarray = field(init=False, repr=False, compare=False)
-    # edge (u, w), u <= w -> the face of each side on it, in face order (a
-    # face with a repeated vertex may appear twice); a (u, u) key only links faces
-    _edge_faces: dict[tuple[int, int], list[int]] = field(init=False, repr=False, compare=False)
+    _pair_slot: np.ndarray = field(init=False, repr=False, compare=False)
+    _slot_ends: np.ndarray = field(init=False, repr=False, compare=False)
+    _slot_count: np.ndarray = field(init=False, repr=False, compare=False)
     _defects: tuple[Defect, ...] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
-        num_vertices = _count(num_vertices, "num_vertices", 1)
-        norm = []
-        for fi, f in enumerate(faces):
-            try:
-                t = tuple(map(_index, f))
-            except TypeError:
-                raise ValueError(f"face {fi} vertex ids must be integers, got {f!r}") from None
-            if len(t) != 3:
-                raise ValueError(f"face {fi} must have 3 vertices, got {len(t)}")
-            for v in t:
-                if not 0 <= v < num_vertices:
-                    raise ValueError(f"face {fi} vertex {v} out of range [0, {num_vertices})")
-            norm.append(t)
-        table: dict[tuple[int, int], list[int]] = {}
-        vf = [[] for _ in range(num_vertices)]
-        for fi, (a, b, c) in enumerate(norm):
-            for u, w in ((a, b), (b, c), (a, c)):
-                table.setdefault((u, w) if u < w else (w, u), []).append(fi)
-            for v in set((a, b, c)):
-                vf[v].append(fi)
-        f = np.array(norm, dtype=np.intp).reshape(-1, 3)
-        f.flags.writeable = False
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "faces", tuple(norm))
-        object.__setattr__(self, "edges", tuple(sorted(e for e in table if e[0] != e[1])))
-        object.__setattr__(self, "vertex_faces", tuple(tuple(x) for x in vf))
+        n = _count(num_vertices, "num_vertices", 1)
+        f, rows = _face_table(faces, n)
+        a, b = f[:, _PAIR_ENDS[0]].ravel(), f[:, _PAIR_ENDS[1]].ravel()
+        keys, slot, count = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                      return_inverse=True, return_counts=True)
+        ends = np.stack(np.divmod(keys, n))
+        # each face once at each of its vertices: a corner that repeats an
+        # earlier one of its face is dropped
+        distinct = np.ones(f.shape, dtype=bool)
+        distinct[:, 1] = f[:, 1] != f[:, 0]
+        distinct[:, 2] = (f[:, 2] != f[:, 0]) & (f[:, 2] != f[:, 1])
+        at = np.nonzero(distinct)[0]
+        corner = f[distinct]
+        by_vertex = at[np.argsort(corner, kind="stable")].tolist()
+        stops = np.cumsum(np.bincount(corner, minlength=n)).tolist()
+        proper = ends[0] != ends[1]
+        for arr in (slot, ends, count):
+            arr.flags.writeable = False
+        object.__setattr__(self, "num_vertices", n)
+        object.__setattr__(self, "faces", rows)
+        object.__setattr__(self, "edges", tuple(zip(ends[0][proper].tolist(),
+                                                    ends[1][proper].tolist())))
+        object.__setattr__(self, "vertex_faces", tuple(
+            tuple(by_vertex[i:j]) for i, j in zip([0] + stops[:-1], stops)))
         object.__setattr__(self, "face_array", f)
-        object.__setattr__(self, "_edge_faces", table)
+        object.__setattr__(self, "_pair_slot", slot)
+        object.__setattr__(self, "_slot_ends", ends)
+        object.__setattr__(self, "_slot_count", count)
         object.__setattr__(self, "_defects", None)
 
     def degree(self, v: int) -> int:
@@ -116,49 +138,101 @@ class Triangulation:
         return list(self._defects)
 
     def _find_defects(self) -> tuple[Defect, ...]:
-        table, faces = self._edge_faces, self.faces
-        defects = [Defect("repeated_vertex", (fi,), f"face {fi} = {f} has a repeated vertex")
-                   for fi, f in enumerate(faces) if len(set(f)) != 3]
-        defects += [Defect("edge_face_count", e,
-                           f"edge {e} lies in {len(table[e])} faces, expected 2")
-                    for e in self.edges if len(table[e]) != 2]
-        defects += filter(None, map(self._link_defect, range(self.num_vertices)))
+        """The four checks, each as array masks over the edge table; a
+        Python loop runs only over what a mask flags."""
+        n, f, faces = self.num_vertices, self.face_array, self.faces
+        (u, w), count, slot = self._slot_ends, self._slot_count, self._pair_slot
+        repeated = np.flatnonzero((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2])
+                                  | (f[:, 0] == f[:, 2])).tolist()
+        defects = [Defect("repeated_vertex", (fi,), f"face {fi} = {faces[fi]} has a repeated vertex")
+                   for fi in repeated]
+        unpaired = (count != 2) & (u != w)
+        defects += [Defect("edge_face_count", e, f"edge {e} lies in {c} faces, expected 2")
+                    for e, c in zip(zip(u[unpaired].tolist(), w[unpaired].tolist()),
+                                    count[unpaired].tolist())]
 
-        def across(fi):  # the faces that share an edge table entry with face fi
-            a, b, c = faces[fi]
-            return [g for u, w in ((a, b), (b, c), (a, c))
-                    for g in table[(u, w) if u < w else (w, u)]]
+        # the pairs on one slot, consecutive in slot order: p[i] and q[i]
+        # share a slot; a slot of exactly two pairs makes them mates
+        order = np.argsort(slot, kind="stable")
+        same = slot[order[1:]] == slot[order[:-1]]
+        p, q = order[:-1][same], order[1:][same]
+        corners = np.bincount(f.ravel(), minlength=n)
+        twice: dict[int, int] = {}  # vertex -> the first face it lies twice in
+        for fi in repeated:
+            for v in faces[fi]:
+                if faces[fi].count(v) > 1:
+                    twice.setdefault(v, fi)
+        is_open = np.zeros(n, dtype=bool)
+        is_open[u[unpaired]] = is_open[w[unpaired]] = True
+        splits = _link_cycles(f, n, p, q, count[slot[p]] == 2, int(corners.max(initial=1))) != 2
+        flagged = set(np.flatnonzero((corners == 0) | is_open | splits).tolist()) | twice.keys()
+        for v in sorted(flagged):
+            if corners[v] == 0:
+                defects.append(Defect("isolated_vertex", (v,), f"vertex {v} lies in no face"))
+            elif v in twice:
+                defects.append(Defect("bad_link", (v,), f"vertex {v} lies twice in face {twice[v]}"))
+            elif is_open[v]:
+                defects.append(Defect("bad_link", (v,), f"link of vertex {v} is not a closed cycle"))
+            else:
+                defects.append(Defect("bad_link", (v,),
+                                      f"link of vertex {v} splits into several cycles"))
 
-        reached = len(_reach([0], across)) if faces else 0
-        if reached != len(faces):
-            defects.append(Defect("disconnected", (), f"face-adjacency graph splits "
-                                  f"({reached} of {len(faces)} reachable)"))
+        if len(f):
+            label = _components(len(f), p // 3, q // 3)
+            reached = int(np.count_nonzero(label == label[0]))
+            if reached != len(f):
+                defects.append(Defect("disconnected", (), f"face-adjacency graph splits "
+                                      f"({reached} of {len(f)} reachable)"))
         return tuple(defects)
 
-    def _link_defect(self, v: int) -> Defect | None:
-        """The link of v must be a single closed cycle: every edge at v lies
-        in two faces, and the walk around v, face to face across those
-        edges, comes back to its first face through every face at v."""
-        at_v, faces, table = self.vertex_faces[v], self.faces, self._edge_faces
-        if not at_v:
-            return Defect("isolated_vertex", (v,), f"vertex {v} lies in no face")
-        for fi in at_v:
-            if faces[fi].count(v) != 1:
-                return Defect("bad_link", (v,), f"vertex {v} lies twice in face {fi}")
-        if any(len(table[(u, v) if u < v else (v, u)]) != 2
-               for fi in at_v for u in faces[fi] if u != v):
-            return Defect("bad_link", (v,), f"link of vertex {v} is not a closed cycle")
-        f = at_v[0]
-        u = next(w for w in faces[f] if w != v)
-        for walked in range(1, len(at_v) + 1):
-            g, h = table[(u, v) if u < v else (v, u)]
-            f = h if g == f else g
-            if f == at_v[0]:
-                break
-            u = next(w for w in faces[f] if w != v and w != u)
-        if walked != len(at_v):
-            return Defect("bad_link", (v,), f"link of vertex {v} splits into several cycles")
-        return None
+
+def _link_cycles(f: np.ndarray, n: int, p: np.ndarray, q: np.ndarray, mates: np.ndarray,
+                 longest: int) -> np.ndarray:
+    """The number of cycles of the walk around each of the n vertices,
+    twice over.  A link state 2 (3 fi + k) + e stands at face fi, pivots
+    at end e of its corner pair k, and leaves the face across that pair.
+    It steps to the mate pair (p[i] and q[i] where mates[i]) in the next
+    face, at the same pivot, and turns there to that face's other pair at
+    the pivot.  At a vertex v that lies once in each of its faces and
+    whose edges each lie in two faces, the steps form cycles, one per
+    cycle of v's link in each direction, so v's link is one closed cycle
+    exactly when it has two.  Pointer jumping gives each state the least
+    state of its cycle in ceil(log2(longest)) rounds, for `longest` at
+    least every vertex's face count.  Counts at other vertices mean
+    nothing."""
+    pivot = f[:, _PIVOT_CORNERS].ravel()
+    mate = np.arange(len(f) * 3)
+    mate[p[mates]], mate[q[mates]] = q[mates], p[mates]
+    step = 2 * np.repeat(mate, 2)
+    step += pivot[step] != pivot  # the mate's end at the same pivot
+    turn = step % 6
+    step += _TURN[turn] - turn
+    least = np.arange(len(pivot))
+    for _ in range((longest - 1).bit_length()):
+        np.minimum(least, least[step], out=least)
+        step = step[step]
+    return np.bincount(pivot[least == np.arange(len(pivot))], minlength=n)
+
+
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least node of each node's component, for `size` nodes and the
+    undirected edges (a[i], b[i]).  Every label is a root, a node that
+    labels itself; each round hooks the larger root of every edge to the
+    smaller (np.minimum.at settles clashes), then pointer jumping makes
+    every label a root again (Shiloach & Vishkin, J. Algorithms 3, 1982).
+    A round that changes nothing leaves the ends of every edge alike."""
+    label = np.arange(size)
+    while True:
+        la, lb = label[a], label[b]
+        hooked = label.copy()
+        np.minimum.at(hooked, la, lb)
+        np.minimum.at(hooked, lb, la)
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
 def _reach(starts, step) -> set:
@@ -223,6 +297,51 @@ def _index(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is a bool")
     return operator.index(value)
+
+
+def _face_table(faces, n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """(a new read-only (F, 3) intp array, a tuple of tuples of Python
+    ints) of faces whose ids lie in [0, n).  Faces of three Python or
+    numpy ints, or an (F, 3) integer array, pass by one vectorized check;
+    anything else, or an id out of range, goes through the face-by-face
+    loop (_normalized), which names the first bad face."""
+    if isinstance(faces, np.ndarray) and faces.dtype.kind in "iu" and faces.ndim == 2:
+        faces = faces.tolist()
+    elif not isinstance(faces, (list, tuple)):
+        faces = list(faces)
+    f = rows = None
+    try:
+        if not set(map(len, faces)) - {3}:
+            types = set(map(type, itertools.chain.from_iterable(faces)))
+            if all(t is int or issubclass(t, np.integer) for t in types):
+                f = np.fromiter(itertools.chain.from_iterable(faces), dtype=np.intp,
+                                count=3 * len(faces)).reshape(-1, 3)
+                rows = tuple(map(tuple, faces)) if types <= {int} else None
+    except (TypeError, OverflowError):  # a face without a length, or a huge id
+        f = None
+    if f is None or (f.size and not (f.min() >= 0 and f.max() < n)):
+        rows = tuple(_normalized(faces, n))
+        f = np.array(rows, dtype=np.intp).reshape(-1, 3)
+    f.flags.writeable = False
+    return f, tuple(map(tuple, f.tolist())) if rows is None else rows
+
+
+def _normalized(faces, n: int) -> list[tuple[int, int, int]]:
+    """Each face as a tuple of three ints in [0, n), through _index, or
+    ValueError naming the first face that is not."""
+    norm = []
+    for fi, f in enumerate(faces):
+        try:
+            t = tuple(map(_index, f))
+        except TypeError:
+            raise ValueError(f"face {fi} vertex ids must be integers, got {f!r}") from None
+        if len(t) != 3:
+            raise ValueError(f"face {fi} must have 3 vertices, got {len(t)}")
+        for v in t:
+            if not 0 <= v < n:
+                raise ValueError(f"face {fi} vertex {v} out of range [0, {n})")
+        norm.append(t)
+    return norm
 
 
 def _count(value, name: str, least: int) -> int:

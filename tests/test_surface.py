@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from hypack.flow import SolveStatus, solve
 from hypack.packing import vertex_curvature_sums
 from hypack.surface import (
     Defect,
@@ -105,15 +106,37 @@ class TestValidate:
                 t = Triangulation(*_mutated(rnd, base.num_vertices, list(base.faces)))
                 got = t.validate()
                 assert got == _find_defects(t)
-                assert t.edges == tuple(sorted({(u, w) for f in t.faces
-                                                for u, w in itertools.combinations(sorted(f), 2)
-                                                if u != w}))
+                assert t.edges == _reference_edges(t)
                 kinds.update({d.kind for d in got})
                 messages.update({w for d in got for w in ("twice", "closed", "splits")
                                  if d.kind == "bad_link" and w in d.message})
         assert min(kinds[k] for k in ("repeated_vertex", "edge_face_count", "bad_link",
                                       "isolated_vertex", "disconnected")) >= 100, kinds
         assert min(messages[w] for w in ("twice", "closed", "splits")) >= 100, messages
+
+    @pytest.mark.parametrize("surface", [lambda: torus_grid(16, 16), lambda: suspension(40)],
+                             ids=["torus16x16", "suspension40"])
+    def test_matches_reference_on_large_mutations(self, surface):
+        # the same mutations at 256 vertices, and around vertices of degree
+        # 40 (80 once a copy is glued there), whose link walks are long; a
+        # random added face rarely repeats a vertex among so many, so every
+        # fourth surface also gets a face whose corner repeats another
+        rnd = random.Random(21)
+        base = surface()
+        assert base.validate() == _find_defects(base) == []
+        kinds = collections.Counter()
+        for i in range(120):
+            n, faces = _mutated(rnd, base.num_vertices, list(base.faces))
+            if i % 4 == 0:
+                fi, c = rnd.randrange(len(faces)), rnd.randrange(3)
+                faces[fi] = faces[fi][:c] + (faces[fi][c - 1],) + faces[fi][c + 1:]
+            t = Triangulation(n, faces)
+            got = t.validate()
+            assert got == _find_defects(t)
+            assert t.edges == _reference_edges(t)
+            kinds.update({d.kind for d in got})
+        assert min(kinds[k] for k in ("repeated_vertex", "edge_face_count", "bad_link",
+                                      "isolated_vertex", "disconnected")) >= 10, kinds
 
     def test_defects_computed_once(self):
         t = Triangulation(4, TETRA_FACES[:-1])
@@ -158,6 +181,71 @@ class TestValidate:
     def test_edge_face_identity(self, tetrahedron, octahedron):
         for t in (tetrahedron, octahedron, torus_grid(4, 5), genus2()):
             assert 2 * len(t.edges) == 3 * len(t.faces)
+
+
+class TestEdgeTable:
+    """Every incidence structure comes from one np.unique in the
+    constructor, and nothing is added or recomputed later."""
+
+    def test_one_unique_per_triangulation_and_none_per_solve(self, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kw):
+            calls.append(kw)
+            return unique(*args, **kw)
+
+        monkeypatch.setattr(np, "unique", counted)
+        tri = torus_grid(16, 16)
+        assert len(calls) == 1
+        target = vertex_curvature_sums(tri, np.random.default_rng(1).normal(0.0, 0.7, 256))
+        calls.clear()
+        res = solve(tri, target)
+        assert res.status is SolveStatus.CONVERGED and calls == []
+
+    def test_validate_and_solve_keep_the_attributes(self):
+        tri = torus_grid(16, 16)
+        before = dict(vars(tri))
+        assert tri.validate() == []
+        solve(tri, vertex_curvature_sums(tri, np.random.default_rng(2).normal(0.0, 0.7, 256)))
+        after = vars(tri)
+        assert after.keys() == before.keys()
+        # only validate()'s memo of its defects is filled in
+        assert [k for k in after if after[k] is not before[k]] == ["_defects"]
+
+    @pytest.mark.parametrize("faces", [TETRA_FACES[:-1] + [(1, 1, 2)], list(genus2().faces)],
+                             ids=["repeated-vertex", "genus2"])
+    def test_lists_and_integer_arrays_give_equal_fields(self, faces):
+        n = max(max(f) for f in faces) + 2  # the last vertex lies in no face
+        built = [Triangulation(n, [list(f) for f in faces]),
+                 Triangulation(n, tuple(faces)),
+                 Triangulation(n, [tuple(map(np.int64, f)) for f in faces]),
+                 Triangulation(n, np.array(faces, dtype=np.int32)),
+                 Triangulation(n, np.array(faces, dtype=np.uint16))]
+        first = built[0]
+        for t in built:
+            assert (t.num_vertices, t.faces, t.edges, t.vertex_faces) == \
+                (first.num_vertices, first.faces, first.edges, first.vertex_faces)
+            assert t.validate() == first.validate()
+            ids = itertools.chain([t.num_vertices], *t.faces, *t.edges, *t.vertex_faces)
+            assert {type(v) for v in ids} == {int}
+            for name in ("face_array", "_pair_slot", "_slot_ends", "_slot_count"):
+                arr = getattr(t, name)
+                assert np.array_equal(arr, getattr(first, name)) and not arr.flags.writeable
+
+
+def suspension(m: int) -> Triangulation:
+    """The double cone over an m-gon: apexes 0 and 1 of degree m."""
+    faces = []
+    for j in range(m):
+        a, b = 2 + j, 2 + (j + 1) % m
+        faces += [(0, a, b), (1, b, a)]
+    return Triangulation(m + 2, faces)
+
+
+def _reference_edges(tri):
+    return tuple(sorted({(u, w) for f in tri.faces for u, w in itertools.combinations(sorted(f), 2)
+                         if u != w}))
 
 
 def _mutated(rnd, n, faces):
