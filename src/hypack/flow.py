@@ -14,9 +14,9 @@ Jacobi-preconditioned conjugate gradients on the edge form of the
 Hessian, which makes no n x n array.  One LAPACK call is faster on small
 surfaces, but allocating the dense matrix costs more than all of CG
 from about 200 vertices up.  The start and every Newton trial are one
-face-kernel evaluation (_evaluate), which gives the residual, the face
-areas and the face Jacobians together: an accepted trial's Jacobians
-make the next step's matrix, and its areas the certificate.  With
+face-kernel evaluation (_evaluate), which computes only L and the face
+Jacobians: an accepted trial's Jacobians make the next step's matrix, and
+the last one's arrays derive the certificate's face areas, once.  With
 newton=False it integrates the flow instead, with an embedded
 Dormand-Prince 5(4) pair under per-step error control; with a finite
 newton_switch_tol it integrates the flow until the residual is below
@@ -178,21 +178,20 @@ class FlowTrace:
     phase: list[str] = field(default_factory=list)
     config: FlowConfig | None = None
 
-    def append(self, t, K, res, phase):
+    def append(self, t, K, res, res_2norm, phase):
         self.ts.append(t)
         self.K.append(np.array(K, copy=True))
         self.residual_max.append(float(np.max(np.abs(res))))
-        self.residual_2norm.append(float(np.linalg.norm(res)))
+        self.residual_2norm.append(res_2norm)
         self.phase.append(phase)
 
     def write_csv(self, path: str):
-        """One row per accepted step: t, residual_max, residual_2norm, K...;
-        header row carries the vertex count."""
+        """One row per accepted step under the header
+        t,residual_max,residual_2norm,K0,...,K{n-1}: one K column per vertex."""
         n = len(self.K[0]) if self.K else 0
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,residual_max,residual_2norm," +
-                     ",".join(f"K{i}" for i in range(n)) +
-                     f"  # vertices={n}\n")
+            fh.write(",".join(["t", "residual_max", "residual_2norm"]
+                              + [f"K{i}" for i in range(n)]) + "\n")
             for t, rm, r2, K in zip(self.ts, self.residual_max,
                                     self.residual_2norm, self.K):
                 fh.write(f"{t!r},{rm!r},{r2!r},"
@@ -229,8 +228,8 @@ def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
 
 
 def _evaluate(tri: Triangulation, K, target, *, jac: bool = True) -> tuple[np.ndarray, FaceArrays]:
-    """The residual L(K) - Lhat and the kernel's arrays at K, the face
-    areas and (under jac) the face Jacobians among them, from one
+    """The residual L(K) - Lhat and the kernel's arrays at K, with the face
+    Jacobians under jac (the face areas derived on first read), from one
     face_kernel call."""
     rep = vertex_curvatures(tri, K, jac=jac)
     return rep.L - target, rep.arrays
@@ -294,11 +293,11 @@ def _cg_solve(tri: Triangulation, slots, J, b) -> np.ndarray:
                          f"in {n} iterations")
 
 
-def _newton_step(tri: Triangulation, K, res, J, target, slots):
+def _newton_step(tri: Triangulation, K, res, res_norm, J, target, slots):
     """One Newton step on L(K) = Lhat, then alpha halved from
     min(1, _NEWTON_MAX_STEP / max|d|) until the residual 2-norm falls.
     The direction d solves M d = res for the Hessian M of the face
-    Jacobians J at K (SPD, symmetric to rounding):
+    Jacobians J at K (SPD, symmetric to rounding), res_norm = |res|_2:
     by _cg_solve when slots holds M's edge slots, which solve passes from
     _CG_MIN_VERTICES vertices up, and else (slots None) by one dense
     solve of the assembled n x n matrix.  Below that size one LAPACK call
@@ -306,13 +305,12 @@ def _newton_step(tri: Triangulation, K, res, J, target, slots):
     filling the 8 n^2 bytes of the dense M costs more than all of CG.
     Each trial is one _evaluate call, and a trial whose values or
     Jacobians the kernel cannot evaluate fails.  Returns (K', residual at
-    K', arrays at K', alpha); raises StiffnessError once alpha is below
-    1e-12 of its first trial, or from _cg_solve."""
+    K', its 2-norm, arrays at K', alpha); raises StiffnessError once alpha
+    is below 1e-12 of its first trial, or from _cg_solve."""
     if slots is None:
         direction = np.linalg.solve(_assemble_jacobian(tri, J), res)
     else:
         direction = _cg_solve(tri, slots, J, res)
-    res_norm = float(np.linalg.norm(res))
     longest = float(np.max(np.abs(direction)))
     alpha = _NEWTON_MAX_STEP / longest if longest > _NEWTON_MAX_STEP else 1.0
     floor = 1e-12 * alpha
@@ -322,8 +320,8 @@ def _newton_step(tri: Triangulation, K, res, J, target, slots):
             res_try, fa_try = _evaluate(tri, K_try, target)
         except ValueError:  # the trial left the range the face kernel can evaluate
             res_try = None
-        if res_try is not None and float(np.linalg.norm(res_try)) < res_norm:
-            return K_try, res_try, fa_try, alpha
+        if res_try is not None and (norm_try := math.sqrt(res_try @ res_try)) < res_norm:
+            return K_try, res_try, norm_try, fa_try, alpha
         alpha *= 0.5
     raise StiffnessError("Newton backtracking stalled", K=K)
 
@@ -373,9 +371,9 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
         # Only Newton steps use the Jacobians, so with newton off the start
         # goes without them
         res, fa = _evaluate(tri, K, target, jac=cfg.newton)
-        trace.append(t, K, res, "flow")
+        trace.append(t, K, res, math.sqrt(res @ res), "flow")
         while True:
-            res_max = float(np.max(np.abs(res)))
+            res_max = trace.residual_max[-1]  # of res, the residual at K
             if res_max < cfg.residual_tol:
                 status = SolveStatus.CONVERGED
                 break
@@ -393,9 +391,10 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             if newton:
                 if fa is None:  # the handover from the flow
                     fa = _evaluate(tri, K, target)[1]
-                K, res, fa, alpha = _newton_step(tri, K, res, fa.J, target, slots)
+                K, res, res_2norm, fa, alpha = _newton_step(
+                    tri, K, res, trace.residual_2norm[-1], fa.J, target, slots)
                 t += alpha
-                trace.append(t, K, res, "newton")
+                trace.append(t, K, res, res_2norm, "newton")
                 continue
             h = min(h, _MAX_STEP)
             eff_tol = min(_STEP_ERROR_TOL, _REL_STEP_ERROR * res_max)
@@ -405,7 +404,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                 err = math.inf
             if err < eff_tol:
                 t, K, res, fa = t + h, K_new, -rate_new, None
-                trace.append(t, K, res, "flow")
+                trace.append(t, K, res, math.sqrt(res @ res), "flow")
                 h *= min(5.0, 0.9 * (eff_tol / err) ** 0.2) if err > 0.0 else 5.0
             else:
                 h *= 0.5

@@ -3,12 +3,13 @@ the global Jacobian/Hessian M = [dL_i/dK_j], and the convex potential.
 
 The state is the log-curvature vector K (K_i = ln k_i), which makes the
 domain all of R^|V|.  Every face goes through one call of the array face
-kernel (tangency.face_kernel) per evaluation, with no loop over faces;
-the Hessian takes the kernel's closed-form face Jacobians, and the
-potential sums the closed-form tangency.face_potential over the faces.
-Scatters to the vertices add in face order, so results are
-deterministic.  The Hessian assembled here is the dense n x n ndarray
-(global_jacobian, and the Newton step on small surfaces).  From
+kernel (tangency.face_kernel) per evaluation, with no loop over faces: it
+computes L and the face Jacobians, and derives face kinds, angles and
+areas only when read.  The Hessian takes those Jacobians, the potential
+sums the closed-form tangency.face_potential over the faces.  Scatters
+to the vertices add in face order, so results are deterministic.  The
+Hessian assembled here is the dense n x n ndarray (global_jacobian, and
+the Newton step on small surfaces).  From
 flow._CG_MIN_VERTICES vertices up, where allocating its 8 n^2 bytes
 costs more than a whole conjugate-gradient solve, the Newton step instead
 builds flow._edge_form, the diagonal plus one weight per edge, from the
@@ -39,8 +40,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CurvatureReport:
     """Per-vertex curvature sums L, with the face kernel's arrays for all
-    faces (the face areas among them) and their (F, 3) curvatures k; the
-    FaceGeometry records `faces` are built on first read."""
+    faces (whose areas are derived on first read) and their (F, 3)
+    curvatures k; the FaceGeometry records `faces` are built on first read."""
 
     L: np.ndarray
     arrays: FaceArrays

@@ -13,10 +13,11 @@ circles/horocycles/hypercycles.  This module solves faces two ways:
 * ``face_kernel`` — one closed form for every corner of every face,
   over an (F, 3) array of faces: the chord between a corner's two
   tangency points depends on the curvatures alone, and with it the
-  corner's generalized angle, arc length and total curvature, and the
-  exact Jacobian dL/dK, K = ln k, by the derivative of the same formula.
-  ``solve_face``, ``corner_curvatures`` and ``face_jacobian`` call it on
-  one face;
+  corner's arc length and total curvature L, and the exact Jacobian
+  dL/dK, K = ln k, by the derivative of the same formula; the kinds,
+  generalized angles and areas that only realization reads are derived
+  on first read.  ``solve_face``, ``corner_curvatures`` and
+  ``face_jacobian`` call it on one face;
 * ``realize_face`` — explicit upper half-plane embedding, the
   quadrature oracle: its arc lengths integrate ds = |dz|/y along the
   embedded arcs, independently of the kernel's closed form.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -80,8 +81,8 @@ _KINDS = (CurveKind.HOROCYCLE, CurveKind.CIRCLE, CurveKind.HYPERCYCLE)
 
 
 def _positive(k) -> np.ndarray:
-    """k as a float array, or ValueError naming a curvature that is not positive."""
-    k = np.asarray(k, dtype=float)
+    """k as a new float array, or ValueError naming a curvature that is not positive."""
+    k = np.array(k, dtype=float)
     if not (k > 0.0).all():
         raise ValueError(f"geodesic curvature must be positive, got {k[~(k > 0.0)][0]}")
     return k
@@ -208,21 +209,37 @@ class FaceGeometry:
     edge_lengths: tuple[float, float, float]
 
 
-class FaceArrays(NamedTuple):
-    """face_kernel's output for F faces, corners in input order: kind
-    codes (_KINDS, a horocycle within KIND_TOL of k = 1), FaceGeometry's
-    gen_angle (NaN at a horocycle), arc_length, total_curvature, area and
-    polygon_area (summed in ascending order, so independent of the corner
-    order), and J[f, i, j] = dL_i/dK_j, exactly symmetric, or None when
-    not requested."""
+class FaceArrays:
+    """face_kernel's output for F faces, corners in input order.  The kernel
+    fills arc (FaceGeometry's arc_length), L (total_curvature) and
+    J[f, i, j] = dL_i/dK_j, exactly symmetric, or None when not requested,
+    and keeps the curvatures k and its corner terms w and G, from which
+    the rest is derived on first read: the kind codes (_KINDS, a horocycle
+    within KIND_TOL of k = 1), FaceGeometry's gen_angle (NaN at a
+    horocycle), area and polygon_area (summed in ascending order, so
+    independent of the corner order)."""
 
-    kind: np.ndarray
-    gen: np.ndarray
-    arc: np.ndarray
-    L: np.ndarray
-    area: np.ndarray
-    polygon_area: np.ndarray
-    J: np.ndarray | None
+    def __init__(self, k, w, G, arc, L, J):
+        self.k, self.w, self.G, self.arc, self.L, self.J = k, w, G, arc, L, J
+
+    @cached_property
+    def kind(self) -> np.ndarray:
+        return _kind(self.k)
+
+    @cached_property
+    def gen(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return np.where(self.kind == _HORO, np.nan, 2.0 * self.w * self.G)
+
+    @cached_property
+    def area(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return np.pi - sum(_ascending(self.L))
+
+    @cached_property
+    def polygon_area(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return np.pi - sum(_ascending(np.where(self.kind == _CIRC, self.gen, 0.0)))
 
 
 # below this |x| the closed form of H cancels; its Taylor series
@@ -266,14 +283,15 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
       J_ii = L_i - k_i^2 (k_j + k_m) / (sqrt(D) (k_i + k_j)(k_i + k_m))
              + 2 k_i^3 H(x) / D^1.5,   H(x) = (1/(1 + x) - G(x)) / x,
     H from its series at |x| < _SERIES_X, where that difference cancels.
-    D and the face sums are formed in ascending order, so that results
-    commute with permuting a face's corners.  Raises ValueError for a
-    curvature that is not positive, and InfeasibleGeometryError naming a
-    face that cannot be evaluated in double precision, the one per-face
-    check: a finite face's area is non-negative to rounding, and
-    P = (k_i + k_j)(k_i + k_m) = k_i^2 - 1 + D stays finite."""
+    Only arc, L and J are computed here; FaceArrays derives kind, gen,
+    area and polygon_area from k, w and G on first read.  D and the face
+    sums are formed in ascending order, so that results commute with
+    permuting a face's corners.  Raises ValueError for a curvature that is
+    not positive, and InfeasibleGeometryError naming a face that cannot be
+    evaluated in double precision, the one per-face check: L, under jac J,
+    and P = (k_i + k_j)(k_i + k_m) = k_i^2 - 1 + D stay finite (the area
+    pi - sum L of a finite L is non-negative to rounding)."""
     k = _positive(k)
-    kinds = _kind(k)
     with np.errstate(all="ignore"):
         a, b, c = _ascending(k)
         D = (1.0 + a * b + a * c + b * c)[:, None]
@@ -289,7 +307,6 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
         G[w == 0.0] = 1.0
         arc = 2.0 * G / sqrt_d
         L = k * arc
-        gen = np.where(kinds == _HORO, np.nan, 2.0 * w * G)
         J = None
         if jac:
             H = (1.0 / xp1 - G) / x
@@ -301,15 +318,13 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
             J[:, _CORNERS, _NEXT] = J[:, _NEXT, _CORNERS] = -(k * kn) / (sqrt_d * (k + kn))
             J[:, _CORNERS, _CORNERS] = (L - k * k * (kj + km) / (sqrt_d * P)
                                         + 2.0 * k * k * k * H / (D * sqrt_d))
-        area = np.pi - sum(_ascending(L))
-        polygon_area = np.pi - sum(_ascending(np.where(kinds == _CIRC, gen, 0.0)))
 
     # a finite P bounds k^2 and D, so that no product overflowed into a finite L
-    ok = np.isfinite(area) & np.isfinite(P).all(axis=1)
+    ok = np.isfinite(L).all(axis=1) & np.isfinite(P).all(axis=1)
     if jac:
         ok &= np.isfinite(J).all(axis=(1, 2))
     _check_evaluable(k, ok)
-    return FaceArrays(kinds, gen, arc, L, area, polygon_area, J)
+    return FaceArrays(k, w, G, arc, L, J)
 
 
 # c_n = |B_2n| / (2n (2n + 1)!): Cl2(x) = x - x ln|x| + sum_n c_n x^(2n+1), to 1e-17 on [-pi, pi];

@@ -1,8 +1,10 @@
+import csv
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from hypack.flow import (
 )
 from hypack.packing import _assemble_jacobian, vertex_curvature_sums, vertex_curvatures
 from hypack.surface import Triangulation, check_admissible, violating_subset
-from hypack.tangency import InfeasibleGeometryError
+from hypack.realize import realize_metric
+from hypack.tangency import FaceArrays, InfeasibleGeometryError
 
 from conftest import TETRA_FACES, genus2, torus_grid
 from test_oracle import oracle_face
@@ -275,8 +278,11 @@ class TestSolve:
         res = solve(tetrahedron, np.ones(4))
         path = tmp_path / "traj.csv"
         res.trace.write_csv(str(path))
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+        # the vertex count is the number of K columns
+        assert header == ["t", "residual_max", "residual_2norm", "K0", "K1", "K2", "K3"]
         lines = path.read_text().splitlines()
-        assert "vertices=4" in lines[0]
         ts = [float(l.split(",")[0]) for l in lines[1:]]
         assert all(b > a for a, b in zip(ts, ts[1:]))
         assert len(lines) == len(res.trace.ts) + 1
@@ -404,6 +410,19 @@ ITERATE_CASES = {
 }
 
 
+def _count_derived(monkeypatch):
+    """Count the evaluations of each field FaceArrays derives on first read."""
+    counts = dict.fromkeys(("kind", "gen", "area", "polygon_area"), 0)
+    for name in counts:
+        def counted(self, derive=FaceArrays.__dict__[name].func, name=name):
+            counts[name] += 1
+            return derive(self)
+        prop = cached_property(counted)
+        prop.__set_name__(FaceArrays, name)
+        monkeypatch.setattr(FaceArrays, name, prop)
+    return counts
+
+
 class TestOneEvaluationPerIterate:
     @staticmethod
     def _problem(case):
@@ -442,6 +461,21 @@ class TestOneEvaluationPerIterate:
         res = solve(tri, target, K0, config=cfg)
         assert res.status is SolveStatus.CONVERGED
         assert len(calls) == 1 + _newton_trials(res.trace) and all(calls)
+
+    @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(16, 16)],
+                             ids=["genus2", "torus16x16"])
+    def test_a_newton_solve_derives_only_the_certificate_areas(self, surface, monkeypatch):
+        # the iterates read L and J alone; the certificate reads the face
+        # areas of the converged K once, and realization the angles and
+        # polygon areas once each
+        tri = surface()
+        counts = _count_derived(monkeypatch)
+        res = solve(tri, _planted(tri, 0))
+        assert res.status is SolveStatus.CONVERGED and len(res.trace.K) > 2
+        assert counts == {"kind": 0, "gen": 0, "area": 1, "polygon_area": 0}
+        counts.update(dict.fromkeys(counts, 0))
+        realize_metric(tri, res.K)
+        assert counts == {"kind": 1, "gen": 1, "area": 0, "polygon_area": 1}
 
 
 @pytest.mark.parametrize("K0", [-6.0, -8.0])

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypack import tangency
 from hypack.tangency import (
+    KIND_TOL,
     CurveKind,
     InfeasibleGeometryError,
     classify_curvature,
@@ -337,17 +339,68 @@ class TestFaceKernel:
         # a Newton solve reads its residual, areas and certificate from the
         # jac=True output, so every value must be bit-identical to jac=False:
         # faces of all five cases, with |ln k| down to 1e-6 so that H takes
-        # its series on some corners, and K = 0, where every corner is a
-        # horocycle
+        # its series on some corners, K = 0, where every corner is a
+        # horocycle, and corners within and just past KIND_TOL of k = 1
         rng = np.random.default_rng(19)
         K = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(4.0), (300, 3)))
                             * np.array(signs) for signs in FACE_CASES] + [np.zeros((2, 3))])
-        k = np.exp(rng.permuted(K, axis=1))
+        k = np.concatenate([np.exp(rng.permuted(K, axis=1)),
+                            [(1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 1e-11), (1.0 - 1e-11, 2.0, 0.5)]])
         with_jac, values = face_kernel(k, jac=True), face_kernel(k)
         assert np.isnan(values.gen).any()
         for name in ("kind", "gen", "arc", "L", "area", "polygon_area"):
             assert np.array_equal(getattr(with_jac, name), getattr(values, name),
                                   equal_nan=True), name
+        # the fields derived on first read, read in every order, are the
+        # kernel's former eager expressions bit for bit: kind codes 0, 1, 2
+        # for horocycle, circle and hypercycle, and face sums in ascending order
+        kind = np.where(np.abs(k - 1.0) <= KIND_TOL, 0, np.where(k > 1.0, 1, 2))
+        gen = np.where(kind == 0, np.nan, 2.0 * values.w * values.G)
+        expected = {"kind": kind, "gen": gen,
+                    "area": np.pi - np.sort(values.L, axis=1).sum(axis=1),
+                    "polygon_area": np.pi - np.sort(np.where(kind == 1, gen, 0.0),
+                                                    axis=1).sum(axis=1)}
+        for order in itertools.permutations(expected):
+            for jac in (False, True):
+                fa = face_kernel(k, jac=jac)
+                for name in order:
+                    assert np.array_equal(getattr(fa, name), expected[name],
+                                          equal_nan=True), (order, name)
+
+    def test_evaluability_is_decided_as_from_the_area(self, monkeypatch):
+        # the check reads L where it read the area pi - sum L: on extreme
+        # faces, |ln k| up to 700, with corners at k = 1 +- 1e-15 and pairs
+        # k_j = 1/k_i, the kernel rejects exactly the faces whose area or
+        # P = (k_i + k_j)(k_i + k_m) is not finite (or, under jac, whose J)
+        rng = np.random.default_rng(22)
+        n = 4000
+        mags = np.where(rng.random((n, 3)) < 0.5, rng.uniform(0.0, 700.0, (n, 3)),
+                        np.exp(rng.uniform(math.log(1e-15), math.log(700.0), (n, 3))))
+        K = mags * rng.choice((-1.0, 1.0), (n, 3))
+        K[0::4, 1] = -K[0::4, 0]
+        k = np.exp(K)
+        k[1::4, 2], k[2::4, 2] = 1.0 + 1e-15, 1.0 - 1e-15
+        k = rng.permuted(k, axis=1)
+        decided = []
+        monkeypatch.setattr(tangency, "_check_evaluable", lambda k, ok: decided.append(ok))
+        for jac in (False, True):
+            fa = face_kernel(k, jac=jac)
+            with np.errstate(all="ignore"):
+                P = (k + k[:, [1, 0, 0]]) * (k + k[:, [2, 2, 1]])
+                ok = (np.isfinite(np.pi - np.sort(fa.L, axis=1).sum(axis=1))
+                      & np.isfinite(P).all(axis=1))
+            if jac:
+                ok &= np.isfinite(fa.J).all(axis=(1, 2))
+            assert np.array_equal(decided.pop(), ok)
+            assert 100 < ok.sum() < n - 100
+        # a finite L lies in [0, pi] to rounding, so its area is finite too
+        finite = np.isfinite(fa.L).all(axis=1)
+        assert 0.0 <= fa.L[finite].min() and fa.L[finite].max() <= math.pi + 1e-14
+        monkeypatch.undo()
+        face_kernel(k[ok], jac=True)
+        for face in k[~ok]:
+            with pytest.raises(InfeasibleGeometryError, match="curvatures"):
+                face_kernel([face], jac=True)
 
     def test_unevaluable_face_raises(self):
         # exp(-400) hypercycles: (k_i + k_j)(k_i + k_m) underflows to 0, so L = inf
