@@ -18,7 +18,8 @@ import sys
 
 from .flow import FlowConfig, SolveStatus, StiffnessError, rate_estimate, solve
 from .realize import CLASS_TOL, classify, realize_metric, render_face_svg, report_document
-from .surface import ParseError, _load_json, check_admissible, load_targets, load_triangulation
+from .surface import ParseError, _json_float, _load_json, check_admissible, load_targets
+from .surface import load_triangulation
 from .tangency import solve_face
 
 EXIT_OK = 0
@@ -81,10 +82,7 @@ def _load_config_file(path: str | None) -> dict:
             raise ParseError(f"{path}: config field {key!r} must be {want.__name__}, "
                              f"got {val!r}")
         if want is float:
-            try:
-                doc[key] = float(val)
-            except OverflowError:  # a JSON integer beyond the float range
-                raise ParseError(f"{path}: config field {key!r} exceeds the float range") from None
+            doc[key] = _json_float(val, f"{path}: config field {key!r}")
     return doc
 
 

@@ -8,21 +8,21 @@ each halved until the residual 2-norm falls, from the full step or from
 the fraction that moves no K_i by more than _NEWTON_MAX_STEP.  That cap
 keeps a start far from the solution from stepping to where M is
 singular to rounding, so Newton converges from far starts too (a
-safeguard measured on random starts, not a proof).  Below
-_CG_MIN_VERTICES vertices a step's direction is one dense solve; from there up it is
-Jacobi-preconditioned conjugate gradients on the edge form of the
-Hessian, which makes no n x n array.  One LAPACK call is faster on small
-surfaces, but allocating the dense matrix costs more than all of CG
-from about 200 vertices up.  The start and every Newton trial are one
-face-kernel evaluation (_evaluate), which computes only L and the face
-Jacobians: an accepted trial's Jacobians make the next step's matrix, and
-the last one's arrays derive the certificate's face areas, once.  With
-newton=False it integrates the flow instead, with an embedded
-Dormand-Prince 5(4) pair under per-step error control; with a finite
-newton_switch_tol it integrates the flow until the residual is below
-that bound and takes Newton steps from there on.  A converged K whose
-residual is small against its face areas proves the target admissible
-(_certified); only a solve without that proof runs the maximum flow.
+safeguard measured on random starts, not a proof).  A step solves for
+its direction from the Hessian's entries (packing._hessian_entries): by
+one dense solve below _CG_MIN_VERTICES vertices, and from there up, where
+allocating an n x n array costs more than all of CG, by
+Jacobi-preconditioned conjugate gradients, which make none.  The start
+and every Newton trial are one face-kernel evaluation (_evaluate), which
+computes only L and the face Jacobians: an accepted trial's Jacobians
+make the next step's matrix, and the last one's arrays derive the
+certificate's face areas, once.  With newton=False it integrates the
+flow instead, with an embedded Dormand-Prince 5(4) pair under per-step
+error control; with a finite newton_switch_tol it integrates the flow
+until the residual is below that bound and takes Newton steps from there
+on.  A converged K whose residual is small against its face areas proves
+the target admissible (_certified); only a solve without that proof runs
+the maximum flow.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ from enum import Enum
 
 import numpy as np
 
-from .packing import _assemble_jacobian, _sum_at_vertices
+from .packing import _dense_hessian, _hessian_entries, _hessian_index, _sum_at_vertices
 from .packing import vertex_curvature_sums, vertex_curvatures
 # global_jacobian stays importable from here, where perfbench's tracer wraps it
 from .packing import global_jacobian  # noqa: F401
 from .tangency import FaceArrays
 # check_admissible stays importable from here, where perfbench's tracer wraps it
 from .surface import Triangulation, check_admissible, violating_subset  # noqa: F401
-from .surface import _PAIR_ENDS, _checked_targets, _count
+from .surface import _checked_targets, _count
 
 __all__ = [
     "FlowConfig",
@@ -87,7 +87,7 @@ _REL_STEP_ERROR = 0.05
 _DRIFT_LIMIT = 15.0
 
 # A Newton step on a surface of at least this many vertices solves for its
-# direction by conjugate gradients on M's edge form (_cg_solve), and below
+# direction by conjugate gradients on M's entries (_cg_solve), and below
 # it by one dense LAPACK solve.  Warm re-solves on n x m tori (K* + 3e-6,
 # one Newton step; 2-core VM, one BLAS thread; best of 150 per state,
 # median of 4 states, 2 to 5 fresh processes per size) took, with CG over
@@ -235,41 +235,17 @@ def _evaluate(tri: Triangulation, K, target, *, jac: bool = True) -> tuple[np.nd
     return rep.L - target, rep.arrays
 
 
-def _edge_slots(tri: Triangulation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index arrays of the edge form of M: (slot, rows, cols).  slot
-    is the edge of each face's corner pairs (0, 1), (1, 2), (0, 2), in
-    face order, read from the triangulation's edge table; rows and cols
-    list M's entries, every edge (u, w) as (u, w) and as (w, u), then the
-    diagonal."""
-    (u, w), diag = tri._slot_ends, np.arange(tri.num_vertices)
-    return tri._pair_slot, np.concatenate((u, w, diag)), np.concatenate((w, u, diag))
-
-
-def _edge_form(tri: Triangulation, J: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """M's entries at the (rows, cols) of (slot, rows, cols) =
-    _edge_slots(tri), from the (F, 3, 3) face Jacobians J, so that M v is
-    np.bincount(rows, weights=form * v[cols]).  An edge's weight is the
-    mean of M[u, w] and M[w, u], which makes the form exactly symmetric;
-    the diagonal adds in face order, as in _assemble_jacobian."""
-    a, b = _PAIR_ENDS
-    pair = J[:, a, b] + J[:, b, a]
-    w = 0.5 * np.bincount(slot, weights=pair.ravel())
-    return np.concatenate((w, w, _sum_at_vertices(tri, J[:, (0, 1, 2), (0, 1, 2)])))
-
-
-def _cg_solve(tri: Triangulation, slots, J, b) -> np.ndarray:
+def _cg_solve(index, entries, b) -> np.ndarray:
     """The solution d of M d = b by Jacobi-preconditioned conjugate
-    gradients (Hestenes & Stiefel 1952), with M the edge form
-    (_edge_form) of the face Jacobians J at the index arrays
-    slots = _edge_slots(tri): one matrix-vector product is one gather,
-    one multiply and one np.bincount, and no n x n array is made.  Stops
-    at a relative residual of _CG_RTOL in the norm of the inverse
-    diagonal; raises StiffnessError after n iterations, or on a direction
-    p with p.M p <= 0 (M not positive definite)."""
-    slot, rows, cols = slots
-    form = _edge_form(tri, J, slot)
+    gradients (Hestenes & Stiefel 1952), for M's entries (the diagonal
+    last) at index = (rows, cols): a matrix-vector product is one gather,
+    one multiply and one np.bincount, with no n x n array.  Stops at a
+    relative residual of _CG_RTOL in the norm of the inverse diagonal;
+    raises StiffnessError after n iterations, or on a direction p with
+    p.M p <= 0 (M not positive definite)."""
+    rows, cols = index
     n = len(b)
-    inv_diag = 1.0 / form[-n:]
+    inv_diag = 1.0 / entries[-n:]
     d = np.zeros(n)
     r = np.array(b, dtype=float)
     z = r * inv_diag
@@ -277,7 +253,7 @@ def _cg_solve(tri: Triangulation, slots, J, b) -> np.ndarray:
     rz = float(r @ z)
     stop = (_CG_RTOL * _CG_RTOL) * rz
     for _ in range(n):
-        q = np.bincount(rows, weights=form * p[cols], minlength=n)
+        q = np.bincount(rows, weights=entries * p[cols], minlength=n)
         pq = float(p @ q)
         if not pq > 0.0:
             raise StiffnessError(f"CG met p.M p = {pq:.3e}: M is not positive definite")
@@ -293,24 +269,23 @@ def _cg_solve(tri: Triangulation, slots, J, b) -> np.ndarray:
                          f"in {n} iterations")
 
 
-def _newton_step(tri: Triangulation, K, res, res_norm, J, target, slots):
+def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index):
     """One Newton step on L(K) = Lhat, then alpha halved from
     min(1, _NEWTON_MAX_STEP / max|d|) until the residual 2-norm falls.
-    The direction d solves M d = res for the Hessian M of the face
-    Jacobians J at K (SPD, symmetric to rounding), res_norm = |res|_2:
-    by _cg_solve when slots holds M's edge slots, which solve passes from
-    _CG_MIN_VERTICES vertices up, and else (slots None) by one dense
-    solve of the assembled n x n matrix.  Below that size one LAPACK call
-    beats CG's dozen numpy calls per iteration; above it, allocating and
-    filling the 8 n^2 bytes of the dense M costs more than all of CG.
-    Each trial is one _evaluate call, and a trial whose values or
-    Jacobians the kernel cannot evaluate fails.  Returns (K', residual at
-    K', its 2-norm, arrays at K', alpha); raises StiffnessError once alpha
-    is below 1e-12 of its first trial, or from _cg_solve."""
-    if slots is None:
-        direction = np.linalg.solve(_assemble_jacobian(tri, J), res)
+    The direction d solves M d = res, res_norm = |res|_2, for the Hessian
+    M (SPD, exactly symmetric) of the face Jacobians in fa at K, from its
+    entries at index = packing._hessian_index(tri): by one dense solve
+    below _CG_MIN_VERTICES vertices and by _cg_solve from there up (the
+    comment at _CG_MIN_VERTICES says why).  Each trial is one _evaluate
+    call, and a trial whose values or Jacobians the kernel cannot evaluate
+    fails.  Returns (K', residual at K', its 2-norm, arrays at K', alpha);
+    raises StiffnessError once alpha is below 1e-12 of its first trial, or
+    from _cg_solve."""
+    entries = _hessian_entries(tri, fa)
+    if tri.num_vertices < _CG_MIN_VERTICES:
+        direction = np.linalg.solve(_dense_hessian(tri, index, entries), res)
     else:
-        direction = _cg_solve(tri, slots, J, res)
+        direction = _cg_solve(index, entries, res)
     longest = float(np.max(np.abs(direction)))
     alpha = _NEWTON_MAX_STEP / longest if longest > _NEWTON_MAX_STEP else 1.0
     floor = 1e-12 * alpha
@@ -357,9 +332,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                          f"{K.shape} with {np.count_nonzero(~np.isfinite(K))} not finite")
 
     trace = FlowTrace(config=cfg)
-    # M's edge slots, once per solve, for the Newton steps that run CG
-    slots = (_edge_slots(tri) if cfg.newton and tri.num_vertices >= _CG_MIN_VERTICES
-             else None)
+    index = _hessian_index(tri)  # where the Newton steps put M's entries
     t = 0.0
     h = _INITIAL_STEP
     steps = 0
@@ -392,7 +365,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                 if fa is None:  # the handover from the flow
                     fa = _evaluate(tri, K, target)[1]
                 K, res, res_2norm, fa, alpha = _newton_step(
-                    tri, K, res, trace.residual_2norm[-1], fa.J, target, slots)
+                    tri, K, res, trace.residual_2norm[-1], fa, target, index)
                 t += alpha
                 trace.append(t, K, res, res_2norm, "newton")
                 continue

@@ -1,19 +1,17 @@
 """Whole-surface assembly: per-vertex total geodesic curvatures L(K),
-the global Jacobian/Hessian M = [dL_i/dK_j], and the convex potential.
+the Hessian M = [dL_i/dK_j], and the convex potential.
 
-The state is the log-curvature vector K (K_i = ln k_i), which makes the
-domain all of R^|V|.  Every face goes through one call of the array face
-kernel (tangency.face_kernel) per evaluation, with no loop over faces: it
-computes L and the face Jacobians, and derives face kinds, angles and
-areas only when read.  The Hessian takes those Jacobians, the potential
-sums the closed-form tangency.face_potential over the faces.  Scatters
-to the vertices add in face order, so results are deterministic.  The
-Hessian assembled here is the dense n x n ndarray (global_jacobian, and
-the Newton step on small surfaces).  From
-flow._CG_MIN_VERTICES vertices up, where allocating its 8 n^2 bytes
-costs more than a whole conjugate-gradient solve, the Newton step instead
-builds flow._edge_form, the diagonal plus one weight per edge, from the
-same face Jacobians.
+The state is K = ln k, which makes the domain all of R^|V|.  Every
+evaluation is one call of the array face kernel (tangency.face_kernel)
+over all faces, with no loop over faces: it computes L and, on request,
+the face Jacobians, and derives face kinds, angles and areas only when
+read.  The potential sums the closed-form tangency.face_potential over
+the faces.  Scatters to the vertices add in face order, so results are
+deterministic.  M is exactly symmetric, and its entries are built here
+alone (_hessian_entries): one weight per edge of the edge table, at
+(u, w) and at (w, u), then the diagonal.  global_jacobian and the Newton
+step below flow._CG_MIN_VERTICES vertices densify them (_dense_hessian);
+from there up the Newton step runs conjugate gradients on them as they are.
 """
 
 from __future__ import annotations
@@ -89,25 +87,34 @@ def _sum_at_vertices(tri: Triangulation, corner_values: np.ndarray) -> np.ndarra
 
 
 def global_jacobian(tri: Triangulation, K) -> np.ndarray:
-    """Hessian M with M[i, j] = dL_i/dK_j, assembled from the exact face
-    Jacobians of one face_kernel call over all faces.
-
-    Symmetric to rounding (about 1e-14 relative, so no symmetrization is
-    needed), strictly diagonally dominant with positive diagonal, hence
-    positive definite.  Always a dense n x n ndarray, which costs 8*n^2
-    bytes: 0.5 MB at 256 vertices, 8 MB at 1024.
-    """
-    return _assemble_jacobian(tri, face_kernel(_face_curvatures(tri, K), jac=True).J)
+    """Hessian M with M[i, j] = dL_i/dK_j from the exact face Jacobians of
+    one face_kernel call: exactly symmetric, strictly diagonally dominant
+    with positive diagonal, hence positive definite.  Always a dense n x n
+    ndarray, which costs 8*n^2 bytes: 0.5 MB at 256 vertices, 8 MB at 1024."""
+    fa = face_kernel(_face_curvatures(tri, K), jac=True)
+    return _dense_hessian(tri, _hessian_index(tri), _hessian_entries(tri, fa))
 
 
-def _assemble_jacobian(tri: Triangulation, J: np.ndarray) -> np.ndarray:
-    """The dense n x n Hessian from the (F, 3, 3) face Jacobians J of
-    face_kernel: np.bincount adds the face blocks into each entry in face
-    order, block entry (i, j) of face f at the flat index f_i * n + f_j."""
+def _hessian_index(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """The COO index (rows, cols) of M's entries: every slot (u, w) of the
+    triangulation's edge table as (u, w), then as (w, u), then the diagonal."""
+    (u, w), diag = tri._slot_ends, np.arange(tri.num_vertices)
+    return np.concatenate((u, w, diag)), np.concatenate((w, u, diag))
+
+
+def _hessian_entries(tri: Triangulation, fa: FaceArrays) -> np.ndarray:
+    """M's entries at (rows, cols) = _hessian_index(tri), from the face
+    Jacobians in fa: an edge adds the J_pair of its faces, a vertex the
+    J_diag, in face order; M v = np.bincount(rows, weights=entries * v[cols])."""
+    w = np.bincount(tri._pair_slot, weights=fa.J_pair.ravel())
+    return np.concatenate((w, w, _sum_at_vertices(tri, fa.J_diag)))
+
+
+def _dense_hessian(tri: Triangulation, index, entries) -> np.ndarray:
+    """M as an n x n ndarray, from its entries at index = _hessian_index(tri)."""
     n = tri.num_vertices
-    f = tri.face_array
-    return np.bincount((f[:, :, None] * n + f[:, None, :]).ravel(), weights=J.ravel(),
-                       minlength=n * n).reshape(n, n)
+    rows, cols = index
+    return np.bincount(rows * n + cols, weights=entries, minlength=n * n).reshape(n, n)
 
 
 def potential_value(tri: Triangulation, K, K_ref, l_hat, *, waypoints=()) -> float:

@@ -43,14 +43,14 @@ CLASS_TOL = 1e-9
 def classify(k, tol: float = CLASS_TOL):
     """Partition vertices by solved curvature, by the face kernel's kind
     rule at tolerance tol: I1 (k < 1 - tol, boundary), I2 (|k - 1| <= tol,
-    cusp), I3 (k > 1 + tol, cone).  The face kernel solves
-    |k - 1| <= KIND_TOL as a horocycle, which has no generalized angle,
-    so a tol below KIND_TOL, which would make it a cone, raises
-    ValueError."""
+    cusp), I3 (k > 1 + tol, cone).  The face kernel solves |k - 1| <=
+    KIND_TOL as a horocycle, which has no generalized angle, so a tol below
+    KIND_TOL (which would make it a cone) raises ValueError, as does a tol
+    that is not finite (which would make every vertex a cusp)."""
     k = _positive(k)
-    if not tol >= KIND_TOL:
-        raise ValueError(f"class tolerance {tol} is below the face kernel's "
-                         f"horocycle tolerance KIND_TOL = {KIND_TOL}")
+    if not KIND_TOL <= tol < math.inf:
+        raise ValueError(f"class tolerance {tol} must be finite and at least the face "
+                         f"kernel's horocycle tolerance KIND_TOL = {KIND_TOL}")
     kind = _kind(k, tol)
     return tuple(tuple(np.flatnonzero(kind == c).tolist()) for c in (_HYPER, _HORO, _CIRC))
 

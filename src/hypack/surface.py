@@ -53,7 +53,7 @@ class Defect:
 
 
 # the corners at the two ends of a face's pairs (0, 1), (1, 2), (0, 2),
-# the order of the edge table's pairs and of the edge form of M in flow
+# the order of the edge table's pairs and of face_kernel's J_pair columns
 _PAIR_ENDS = ((0, 1, 0), (1, 2, 2))
 _PAIRS = tuple(zip(*_PAIR_ENDS))
 # link state 2k + e of a face pivots at corner _PIVOT_CORNERS[2k + e],
@@ -495,11 +495,20 @@ def load_targets(path: str, num_vertices: int) -> np.ndarray:
     for i, v in enumerate(arr):
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
             raise ParseError(f"{path}: field 'L_hat[{i}]' must be a positive number, got {v!r}")
-        try:
-            out[i] = float(v)
-        except OverflowError:  # a JSON integer beyond the float range
-            raise ParseError(f"{path}: field 'L_hat[{i}]' exceeds the float range") from None
+        out[i] = _json_float(v, f"{path}: field 'L_hat[{i}]'")
     return out
+
+
+def _json_float(v, where: str) -> float:
+    """float(v) of a JSON number v, or ParseError naming `where` if that is not
+    finite: an integer beyond the float range, 1e400 (read as inf), Infinity, NaN."""
+    try:
+        x = float(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"{where} is not a finite number within the float range")
+    return x
 
 
 def _load_json(path: str):

@@ -211,16 +211,19 @@ class FaceGeometry:
 
 class FaceArrays:
     """face_kernel's output for F faces, corners in input order.  The kernel
-    fills arc (FaceGeometry's arc_length), L (total_curvature) and
-    J[f, i, j] = dL_i/dK_j, exactly symmetric, or None when not requested,
-    and keeps the curvatures k and its corner terms w and G, from which
-    the rest is derived on first read: the kind codes (_KINDS, a horocycle
+    fills arc (FaceGeometry's arc_length), L (total_curvature) and, under
+    jac, the exactly symmetric face Jacobians dL/dK as J_diag[f, i] =
+    dL_i/dK_i and J_pair[f, c] = dL_i/dK_j = dL_j/dK_i for the pairs
+    (i, j) = (0, 1), (1, 2), (2, 0) of the edge table (surface._PAIR_ENDS),
+    else None.  It keeps k and its corner terms w and G, from which the
+    rest is derived on first read: the kind codes (_KINDS, a horocycle
     within KIND_TOL of k = 1), FaceGeometry's gen_angle (NaN at a
     horocycle), area and polygon_area (summed in ascending order, so
     independent of the corner order)."""
 
-    def __init__(self, k, w, G, arc, L, J):
-        self.k, self.w, self.G, self.arc, self.L, self.J = k, w, G, arc, L, J
+    def __init__(self, k, w, G, arc, L, J_diag, J_pair):
+        self.k, self.w, self.G, self.arc, self.L = k, w, G, arc, L
+        self.J_diag, self.J_pair = J_diag, J_pair
 
     @cached_property
     def kind(self) -> np.ndarray:
@@ -248,10 +251,9 @@ class FaceArrays:
 _SERIES_X = 1e-3
 _H_SERIES = [(-1) ** (n + 1) * 2 * (n + 1) / (2 * n + 3) for n in range(7, -1, -1)]
 
-# column indices, built once: each corner's other two (j, m), the corner
-# after it (the pairs (0, 1), (1, 2), (2, 0)), and the corners in order
+# column indices, built once: each corner's other two (j, m), and the
+# corner after it (the pairs (0, 1), (1, 2), (2, 0) of J_pair)
 _OTHER_J, _OTHER_M, _NEXT = np.array([1, 0, 0]), np.array([2, 2, 1]), np.array([1, 2, 0])
-_CORNERS = np.arange(3)
 
 
 def _ascending(a):
@@ -278,19 +280,20 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
     and 1 only where w == 0: tan(theta/2) = w for the angle theta,
     tanh(s/2) = w for the axis segment s.  jac=True adds the exact
     Jacobian J = dL/dK, K = ln k, the derivative of the same formula with
-    G'(x) = H(x)/2:
+    G'(x) = H(x)/2, as J_diag (i = j) and J_pair (i != j, J_ij = J_ji):
       J_ij = -k_i k_j / (sqrt(D) (k_i + k_j))   (i != j),
       J_ii = L_i - k_i^2 (k_j + k_m) / (sqrt(D) (k_i + k_j)(k_i + k_m))
              + 2 k_i^3 H(x) / D^1.5,   H(x) = (1/(1 + x) - G(x)) / x,
     H from its series at |x| < _SERIES_X, where that difference cancels.
-    Only arc, L and J are computed here; FaceArrays derives kind, gen,
-    area and polygon_area from k, w and G on first read.  D and the face
-    sums are formed in ascending order, so that results commute with
-    permuting a face's corners.  Raises ValueError for a curvature that is
-    not positive, and InfeasibleGeometryError naming a face that cannot be
-    evaluated in double precision, the one per-face check: L, under jac J,
-    and P = (k_i + k_j)(k_i + k_m) = k_i^2 - 1 + D stay finite (the area
-    pi - sum L of a finite L is non-negative to rounding)."""
+    Only arc, L and the Jacobians are computed here; FaceArrays derives
+    kind, gen, area and polygon_area from k, w and G on first read.  D
+    and the face sums are formed in ascending order, so that results
+    commute with permuting a face's corners.  Raises ValueError for a
+    curvature that is not positive, and InfeasibleGeometryError naming a
+    face that cannot be evaluated in double precision, the one per-face
+    check: L, under jac J_diag and J_pair, and P = (k_i + k_j)(k_i + k_m)
+    = k_i^2 - 1 + D stay finite (the area pi - sum L of a finite L is
+    non-negative to rounding)."""
     k = _positive(k)
     with np.errstate(all="ignore"):
         a, b, c = _ascending(k)
@@ -307,24 +310,22 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
         G[w == 0.0] = 1.0
         arc = 2.0 * G / sqrt_d
         L = k * arc
-        J = None
+        J_diag = J_pair = None
         if jac:
             H = (1.0 / xp1 - G) / x
             small = np.abs(x) < _SERIES_X
             if small.any():
                 H[small] = np.polyval(_H_SERIES, x[small])
-            J = np.empty(k.shape + (3,))
             kn = k[:, _NEXT]
-            J[:, _CORNERS, _NEXT] = J[:, _NEXT, _CORNERS] = -(k * kn) / (sqrt_d * (k + kn))
-            J[:, _CORNERS, _CORNERS] = (L - k * k * (kj + km) / (sqrt_d * P)
-                                        + 2.0 * k * k * k * H / (D * sqrt_d))
+            J_pair = -(k * kn) / (sqrt_d * (k + kn))
+            J_diag = L - k * k * (kj + km) / (sqrt_d * P) + 2.0 * k * k * k * H / (D * sqrt_d)
 
     # a finite P bounds k^2 and D, so that no product overflowed into a finite L
     ok = np.isfinite(L).all(axis=1) & np.isfinite(P).all(axis=1)
     if jac:
-        ok &= np.isfinite(J).all(axis=(1, 2))
+        ok &= np.isfinite(J_diag).all(axis=1) & np.isfinite(J_pair).all(axis=1)
     _check_evaluable(k, ok)
-    return FaceArrays(k, w, G, arc, L, J)
+    return FaceArrays(k, w, G, arc, L, J_diag, J_pair)
 
 
 # c_n = |B_2n| / (2n (2n + 1)!): Cl2(x) = x - x ln|x| + sum_n c_n x^(2n+1), to 1e-17 on [-pi, pi];
@@ -406,11 +407,12 @@ def face_jacobian(k1: float, k2: float, k3: float):
     """3x3 matrix J with J[i][j] = dL_i/dS_j, S = ln k, as nested lists.
 
     Exact: the derivative of face_kernel's closed form.  J is symmetric
-    (closedness of the curvature form), has
-    positive diagonal, negative off-diagonal, and positive row sums
-    (= -d area/d S_j).
+    (closedness of the curvature form), has positive diagonal, negative
+    off-diagonal, and positive row sums (= -d area/d S_j).
     """
-    return face_kernel([[k1, k2, k3]], jac=True).J[0].tolist()
+    fa = face_kernel([[k1, k2, k3]], jac=True)
+    (d0, d1, d2), (p01, p12, p20) = fa.J_diag[0].tolist(), fa.J_pair[0].tolist()
+    return [[d0, p01, p20], [p01, d1, p12], [p20, p12, d2]]
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,10 @@ class TestUsage:
 
 
 class TestOversizedInteger:
-    """A JSON integer beyond the float range is a parse error that names
-    its field, before anything is solved or written."""
+    """A JSON number that is not finite as a float (an integer beyond the
+    float range, a decimal such as 1e400 that parses as inf, or Infinity)
+    is a parse error that names its field, before anything is solved or
+    written."""
 
     BIG = 10 ** 400
 
@@ -268,6 +270,27 @@ class TestOversizedInteger:
         out = tmp_path / "r.json"
         self.assert_rejected(["solve", "--tri", tetra_path, "--targets", unit_targets,
                               "--config", cfg, "--out", str(out)], repr(field), out, capsys)
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("number", ["1e400", "Infinity"])
+    def test_non_finite_target_entry(self, tmp_path, tetra_path, capsys, command, number):
+        targets = tmp_path / "inf.json"
+        targets.write_text('{"L_hat": [1, %s, 1, 1]}' % number)
+        out = tmp_path / "r.json"
+        argv = [command, "--tri", tetra_path, "--targets", str(targets)]
+        if command == "solve":
+            argv += ["--out", str(out)]
+        self.assert_rejected(argv, "'L_hat[1]'", out, capsys)
+
+    @pytest.mark.parametrize("field", ["class_tol", "residual_tol", "newton_switch_tol"])
+    @pytest.mark.parametrize("number", ["1e400", "Infinity", "NaN"])
+    def test_non_finite_config_field(self, tmp_path, tetra_path, unit_targets, capsys,
+                                     field, number):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"%s": %s}' % (field, number))
+        out = tmp_path / "r.json"
+        self.assert_rejected(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                              "--config", str(cfg), "--out", str(out)], repr(field), out, capsys)
 
 
 class TestFace:
@@ -336,3 +359,12 @@ class TestClassTolFlag:
                          *opts, "--out", str(out)]) == 1
             assert "KIND_TOL" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_tolerance_not_finite(self, tmp_path, tetra_path, unit_targets, capsys, tol):
+        # an infinite tolerance would label every vertex a cusp
+        out = tmp_path / "r.json"
+        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                     "--class-tol", tol, "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()

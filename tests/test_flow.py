@@ -19,7 +19,8 @@ from hypack.flow import (
     rate_estimate,
     solve,
 )
-from hypack.packing import _assemble_jacobian, vertex_curvature_sums, vertex_curvatures
+from hypack.packing import _hessian_entries, _hessian_index
+from hypack.packing import global_jacobian, vertex_curvature_sums, vertex_curvatures
 from hypack.surface import Triangulation, check_admissible, violating_subset
 from hypack.realize import realize_metric
 from hypack.tangency import FaceArrays, InfeasibleGeometryError
@@ -590,18 +591,18 @@ class TestConjugateGradientStep:
     def test_cg_raises_stiffness_error(self, torus16, fault, monkeypatch):
         tri = torus16
         K = np.random.default_rng(0).normal(0.0, 0.7, 256)
-        J = vertex_curvatures(tri, K, jac=True).arrays.J
+        entries = _hessian_entries(tri, vertex_curvatures(tri, K, jac=True).arrays)
         b = np.random.default_rng(1).normal(0.0, 1.0, 256)
-        slots = flow._edge_slots(tri)
-        assert np.max(np.abs(flow._cg_solve(tri, slots, J, b)
-                             - np.linalg.solve(_assemble_jacobian(tri, J), b))) < 1e-8
+        index = _hessian_index(tri)
+        assert np.max(np.abs(flow._cg_solve(index, entries, b)
+                             - np.linalg.solve(global_jacobian(tri, K), b))) < 1e-8
         if fault == "negated":
-            J, match = -J, "not positive definite"
+            entries, match = -entries, "not positive definite"
         else:
             monkeypatch.setattr(flow, "_CG_RTOL", 0.0)
             match = "in 256 iterations"
         with pytest.raises(StiffnessError, match=match):
-            flow._cg_solve(tri, slots, J, b)
+            flow._cg_solve(index, entries, b)
 
 
 @pytest.fixture

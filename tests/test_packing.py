@@ -10,9 +10,10 @@ from hypack.packing import (
     vertex_curvature_sums,
     vertex_curvatures,
 )
+from hypack.surface import Triangulation
 from hypack.tangency import corner_curvatures, face_jacobian
 
-from conftest import torus_grid
+from conftest import OCTA_FACES, TETRA_FACES, genus2, torus_grid
 
 VERTEX_L_ALL2 = 3.1026738590250541  # 3 * face(2,2,2) corner value
 
@@ -75,24 +76,43 @@ class TestVertexCurvatures:
                 global_jacobian(tetrahedron, K)
 
     def test_scatter_matches_loop_over_faces(self, octahedron, rng):
-        # np.bincount adds per-face values in face order, exactly as this loop
+        # np.bincount adds per-face values in face order, exactly as this
+        # loop; TestGlobalJacobian checks the Hessian against its own loop
         K = rng.uniform(-1.5, 1.5, size=6)
         k = np.exp(K).tolist()
         L = np.zeros(6)
-        M = np.zeros((6, 6))
         for f in octahedron.faces:
             Lf = corner_curvatures(*(k[v] for v in f))
-            J = face_jacobian(*(k[v] for v in f))
             for a in range(3):
                 L[f[a]] += Lf[a]
-                for b in range(3):
-                    M[f[a], f[b]] += J[a][b]
         assert np.array_equal(vertex_curvature_sums(octahedron, K), L)
         assert np.array_equal(vertex_curvatures(octahedron, K).L, L)
-        assert np.array_equal(global_jacobian(octahedron, K), M)
+
+
+def jacobian_by_face_loop(tri, K):
+    """The reference Hessian: a Python loop over the faces adds each
+    face's 3 x 3 face_jacobian block into a dense n x n matrix, in face order."""
+    k = np.exp(K).tolist()
+    M = np.zeros((tri.num_vertices, tri.num_vertices))
+    for f in tri.faces:
+        J = face_jacobian(*(k[v] for v in f))
+        for a in range(3):
+            for b in range(3):
+                M[f[a], f[b]] += J[a][b]
+    return M
 
 
 class TestGlobalJacobian:
+    @pytest.mark.parametrize("surface", [lambda: Triangulation(4, TETRA_FACES),
+                                         lambda: Triangulation(6, OCTA_FACES),
+                                         genus2, lambda: torus_grid(8, 8)],
+                             ids=["tetrahedron", "octahedron", "genus2", "torus8x8"])
+    def test_equals_the_loop_over_face_blocks(self, surface, rng):
+        tri = surface()
+        for _ in range(5):
+            K = rng.normal(0.0, 1.0, tri.num_vertices)
+            assert np.array_equal(global_jacobian(tri, K), jacobian_by_face_loop(tri, K))
+
     def test_symmetric_state_structure(self, tetrahedron):
         M = global_jacobian(tetrahedron, np.zeros(4) + 0.3)
         d = np.diag(M)
@@ -101,13 +121,12 @@ class TestGlobalJacobian:
         assert np.allclose(off, off[0], rtol=1e-6)
 
     def test_symmetry_and_dominance(self, tetrahedron, octahedron, rng):
-        # exact face Jacobians: symmetric to rounding, with no symmetrization
+        # one value per face corner pair: exactly symmetric
         for tri in (tetrahedron, octahedron):
             for _ in range(10):
                 K = rng.uniform(-1.5, 1.5, size=tri.num_vertices)
                 M = global_jacobian(tri, K)
-                scale = 1.0 + np.abs(M).max()
-                assert np.abs(M - M.T).max() <= 1e-12 * scale
+                assert np.array_equal(M, M.T)
                 for i in range(tri.num_vertices):
                     row_off = np.abs(M[i]).sum() - abs(M[i, i])
                     assert M[i, i] > row_off > 0.0

@@ -98,6 +98,12 @@ class TestClassify:
             realize_metric(tetrahedron, K, tol=0.0)
         assert realize_metric(tetrahedron, K, tol=KIND_TOL).cusps == (0,)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_not_finite(self, tol):
+        # an infinite tolerance would make every vertex a cusp
+        with pytest.raises(ValueError, match="must be finite"):
+            classify([0.5, 1.0, 2.0], tol)
+
 
 class TestConeData:
     def test_tetra_all_two(self, tetrahedron):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypack import tangency
+from hypack.surface import _PAIR_ENDS
 from hypack.tangency import (
     KIND_TOL,
     CurveKind,
@@ -312,15 +313,18 @@ class TestFaceJacobian:
             assert sum(J[i][j] for j in range(3)) == pytest.approx(-darea, rel=1e-4)
 
     def test_exact_on_all_cases(self):
-        # the forward-mode Jacobian, unsymmetrized, against central
-        # differences of L on faces of all five cases
+        # the Jacobian against central differences of L on faces of all
+        # five cases, J_ij and J_ji each from its own column; the kernel
+        # stores one value per corner pair, so the blocks are symmetric
         rng = np.random.default_rng(6)
         for signs in FACE_CASES:
             K = rng.uniform(0.05, 3.0, size=(200, 3)) * np.array(signs)
-            J = face_kernel(np.exp(K), jac=True).J
-            mag = np.abs(J).max(axis=(1, 2))
-            assert np.all(np.abs(J - J.transpose(0, 2, 1)).max(axis=(1, 2))
-                          <= 1e-12 * (1.0 + mag))
+            fa = face_kernel(np.exp(K), jac=True)
+            J = np.empty((len(K), 3, 3))
+            for c in range(3):  # J_pair column c is the pair (c, c + 1 mod 3)
+                i, j = c, (c + 1) % 3
+                J[:, i, i] = fa.J_diag[:, i]
+                J[:, i, j] = J[:, j, i] = fa.J_pair[:, c]
             h = 1e-4
             for j in range(3):
                 up, dn = K.copy(), K.copy()
@@ -330,10 +334,28 @@ class TestFaceJacobian:
                 assert np.abs(J[:, :, j] - fd).max() < 1e-7
             assert face_jacobian(*np.exp(K[0])) == J[0].tolist()
 
+    def test_pair_columns_follow_the_edge_table(self):
+        # packing scatters J_pair column c onto the edge slot of the edge
+        # table's column c, so both must name the same corner pair (a, b):
+        # the column is dL_a/dK_b and dL_b/dK_a, by central differences,
+        # on faces whose three pair values differ
+        rng = np.random.default_rng(24)
+        K = rng.uniform(-2.0, 2.0, size=(300, 3))
+        J_pair = face_kernel(np.exp(K), jac=True).J_pair
+        h = 1e-5
+        for c, (a, b) in enumerate(zip(*_PAIR_ENDS)):
+            for i, j in ((a, b), (b, a)):
+                up, dn = K.copy(), K.copy()
+                up[:, j] += h
+                dn[:, j] -= h
+                fd = (face_kernel(np.exp(up)).L[:, i] - face_kernel(np.exp(dn)).L[:, i]) / (2 * h)
+                assert np.abs(J_pair[:, c] - fd).max() < 1e-8, (c, i, j)
+
 
 class TestFaceKernel:
     def test_value_path_carries_no_jacobian(self):
-        assert face_kernel([(2.0, 0.5, 1.0)]).J is None
+        fa = face_kernel([(2.0, 0.5, 1.0)])
+        assert fa.J_diag is None and fa.J_pair is None
 
     def test_jacobian_path_keeps_the_values(self):
         # a Newton solve reads its residual, areas and certificate from the
@@ -371,7 +393,8 @@ class TestFaceKernel:
         # the check reads L where it read the area pi - sum L: on extreme
         # faces, |ln k| up to 700, with corners at k = 1 +- 1e-15 and pairs
         # k_j = 1/k_i, the kernel rejects exactly the faces whose area or
-        # P = (k_i + k_j)(k_i + k_m) is not finite (or, under jac, whose J)
+        # P = (k_i + k_j)(k_i + k_m) is not finite (or, under jac, whose
+        # J_diag or J_pair)
         rng = np.random.default_rng(22)
         n = 4000
         mags = np.where(rng.random((n, 3)) < 0.5, rng.uniform(0.0, 700.0, (n, 3)),
@@ -390,7 +413,7 @@ class TestFaceKernel:
                 ok = (np.isfinite(np.pi - np.sort(fa.L, axis=1).sum(axis=1))
                       & np.isfinite(P).all(axis=1))
             if jac:
-                ok &= np.isfinite(fa.J).all(axis=(1, 2))
+                ok &= np.isfinite(fa.J_diag).all(axis=1) & np.isfinite(fa.J_pair).all(axis=1)
             assert np.array_equal(decided.pop(), ok)
             assert 100 < ok.sum() < n - 100
         # a finite L lies in [0, pi] to rounding, so its area is finite too
