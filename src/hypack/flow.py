@@ -14,15 +14,15 @@ one dense solve below _CG_MIN_VERTICES vertices, and from there up, where
 allocating an n x n array costs more than all of CG, by
 Jacobi-preconditioned conjugate gradients, which make none.  The start
 and every Newton trial are one face-kernel evaluation (_evaluate), which
-computes only L and the face Jacobians: an accepted trial's Jacobians
-make the next step's matrix, and the last one's arrays derive the
-certificate's face areas, once.  With newton=False it integrates the
-flow instead, with an embedded Dormand-Prince 5(4) pair under per-step
-error control; with a finite newton_switch_tol it integrates the flow
-until the residual is below that bound and takes Newton steps from there
-on.  A converged K whose residual is small against its face areas proves
-the target admissible (_certified); only a solve without that proof runs
-the maximum flow.
+computes only L: the face Jacobians of an iterate that a Newton step
+starts from are derived from its arrays on first read, once, and the
+last iterate's arrays derive the certificate's face areas, once.  With
+newton=False it integrates the flow instead, with an embedded
+Dormand-Prince 5(4) pair under per-step error control; with a finite
+newton_switch_tol it integrates the flow until the residual is below
+that bound and takes Newton steps from there on.  A converged K whose
+residual is small against its face areas proves the target admissible
+(_certified); only a solve without that proof runs the maximum flow.
 """
 
 from __future__ import annotations
@@ -158,9 +158,10 @@ class FlowConfig:
     check_admissibility: bool = True
 
     def __post_init__(self):
-        for name in ("residual_tol", "newton_switch_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be positive and finite")
+        if not self.newton_switch_tol > 0:
+            raise ValueError("newton_switch_tol must be positive")
         _count(self.max_steps, "max_steps", 0)
         if self.newton_switch_tol <= self.residual_tol:
             raise ValueError("newton_switch_tol must exceed residual_tol")
@@ -227,11 +228,10 @@ def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
     return K5, float(np.max(np.abs(K5 - K4))), ks[6]
 
 
-def _evaluate(tri: Triangulation, K, target, *, jac: bool = True) -> tuple[np.ndarray, FaceArrays]:
-    """The residual L(K) - Lhat and the kernel's arrays at K, with the face
-    Jacobians under jac (the face areas derived on first read), from one
-    face_kernel call."""
-    rep = vertex_curvatures(tri, K, jac=jac)
+def _evaluate(tri: Triangulation, K, target) -> tuple[np.ndarray, FaceArrays]:
+    """The residual L(K) - Lhat and the kernel's arrays at K (the face
+    Jacobians and areas derived on first read), from one face_kernel call."""
+    rep = vertex_curvatures(tri, K)
     return rep.L - target, rep.arrays
 
 
@@ -269,7 +269,7 @@ def _cg_solve(index, entries, b) -> np.ndarray:
                          f"in {n} iterations")
 
 
-def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index):
+def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index, residual_tol):
     """One Newton step on L(K) = Lhat, then alpha halved from
     min(1, _NEWTON_MAX_STEP / max|d|) until the residual 2-norm falls.
     The direction d solves M d = res, res_norm = |res|_2, for the Hessian
@@ -277,10 +277,12 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index):
     entries at index = packing._hessian_index(tri): by one dense solve
     below _CG_MIN_VERTICES vertices and by _cg_solve from there up (the
     comment at _CG_MIN_VERTICES says why).  Each trial is one _evaluate
-    call, and a trial whose values or Jacobians the kernel cannot evaluate
-    fails.  Returns (K', residual at K', its 2-norm, arrays at K', alpha);
-    raises StiffnessError once alpha is below 1e-12 of its first trial, or
-    from _cg_solve."""
+    call.  A trial fails where the kernel cannot evaluate its values, and,
+    unless its residual max-norm is below residual_tol (where the solve
+    ends), its Jacobians, which the next step reads.  Returns (K',
+    residual at K', its 2-norm, arrays at K', alpha); raises
+    StiffnessError once alpha is below 1e-12 of its first trial, or from
+    _cg_solve."""
     entries = _hessian_entries(tri, fa)
     if tri.num_vertices < _CG_MIN_VERTICES:
         direction = np.linalg.solve(_dense_hessian(tri, index, entries), res)
@@ -293,9 +295,12 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index):
         K_try = K - alpha * direction
         try:
             res_try, fa_try = _evaluate(tri, K_try, target)
+            norm_try = math.sqrt(res_try @ res_try)
+            if norm_try < res_norm and np.max(np.abs(res_try)) >= residual_tol:
+                fa_try.J_diag, fa_try.J_pair  # derived here: overflow fails the trial
         except ValueError:  # the trial left the range the face kernel can evaluate
-            res_try = None
-        if res_try is not None and (norm_try := math.sqrt(res_try @ res_try)) < res_norm:
+            norm_try = math.inf
+        if norm_try < res_norm:
             return K_try, res_try, norm_try, fa_try, alpha
         alpha *= 0.5
     raise StiffnessError("Newton backtracking stalled", K=K)
@@ -307,10 +312,11 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
 
     Each pass takes a Newton step or, with newton off or until a finite
     newton_switch_tol is reached, a flow step; max_steps counts both.  A
-    trial the kernel cannot evaluate fails (a Newton trial, also when only
-    its Jacobians overflow).  The first divergence (some
-    K_i beyond +-15 while the residual stalls) runs check_admissible's
-    maximum flow once, and a witness ends the solve as INFEASIBLE.  With
+    trial the kernel cannot evaluate fails (a Newton trial that does not
+    end the solve, also when only its Jacobians overflow).  The first
+    divergence (some K_i beyond +-15 while the residual stalls) runs
+    check_admissible's maximum flow once, and a witness ends the solve as
+    INFEASIBLE.  With
     check_admissibility on (the default), a converged solve must also
     certify the target (_certified); any other ending (a failed
     certificate, max_steps, a StiffnessError or a kernel failure) runs
@@ -340,10 +346,8 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     checked = False  # violating_subset ran, at most once
     witness = status = failure = None
     try:
-        # fa: the kernel's arrays at K, or None when K came from a flow step.
-        # Only Newton steps use the Jacobians, so with newton off the start
-        # goes without them
-        res, fa = _evaluate(tri, K, target, jac=cfg.newton)
+        # fa: the kernel's arrays at K, or None when K came from a flow step
+        res, fa = _evaluate(tri, K, target)
         trace.append(t, K, res, math.sqrt(res @ res), "flow")
         while True:
             res_max = trace.residual_max[-1]  # of res, the residual at K
@@ -364,8 +368,8 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             if newton:
                 if fa is None:  # the handover from the flow
                     fa = _evaluate(tri, K, target)[1]
-                K, res, res_2norm, fa, alpha = _newton_step(
-                    tri, K, res, trace.residual_2norm[-1], fa, target, index)
+                K, res, res_2norm, fa, alpha = _newton_step(tri, K, res, trace.residual_2norm[-1],
+                                                            fa, target, index, cfg.residual_tol)
                 t += alpha
                 trace.append(t, K, res, res_2norm, "newton")
                 continue

@@ -3,15 +3,15 @@ the Hessian M = [dL_i/dK_j], and the convex potential.
 
 The state is K = ln k, which makes the domain all of R^|V|.  Every
 evaluation is one call of the array face kernel (tangency.face_kernel)
-over all faces, with no loop over faces: it computes L and, on request,
-the face Jacobians, and derives face kinds, angles and areas only when
-read.  The potential sums the closed-form tangency.face_potential over
-the faces.  Scatters to the vertices add in face order, so results are
-deterministic.  M is exactly symmetric, and its entries are built here
-alone (_hessian_entries): one weight per edge of the edge table, at
-(u, w) and at (w, u), then the diagonal.  global_jacobian and the Newton
-step below flow._CG_MIN_VERTICES vertices densify them (_dense_hessian);
-from there up the Newton step runs conjugate gradients on them as they are.
+over all faces, with no loop over faces: it computes L, and derives the
+face Jacobians, kinds, angles and areas only when read.  The potential
+sums the closed-form tangency.face_potential over the faces.  Scatters
+to the vertices add in face order, so results are deterministic.  M is
+exactly symmetric, and its entries are built here alone
+(_hessian_entries): one weight per edge of the edge table, at (u, w) and
+at (w, u), then the diagonal.  global_jacobian and the Newton step below
+flow._CG_MIN_VERTICES vertices densify them (_dense_hessian); from there
+up the Newton step runs conjugate gradients on them as they are.
 """
 
 from __future__ import annotations
@@ -38,16 +38,15 @@ __all__ = [
 @dataclass(frozen=True)
 class CurvatureReport:
     """Per-vertex curvature sums L, with the face kernel's arrays for all
-    faces (whose areas are derived on first read) and their (F, 3)
-    curvatures k; the FaceGeometry records `faces` are built on first read."""
+    faces (whose Jacobians and areas are derived on first read); the
+    FaceGeometry records `faces` are built on first read."""
 
     L: np.ndarray
     arrays: FaceArrays
-    k: np.ndarray
 
     @cached_property
     def faces(self) -> tuple[FaceGeometry, ...]:
-        return tuple(face_records(self.k, self.arrays))
+        return tuple(face_records(self.arrays))
 
 
 def _face_curvatures(tri: Triangulation, K) -> np.ndarray:
@@ -67,14 +66,12 @@ def vertex_curvature_sums(tri: Triangulation, K) -> np.ndarray:
     return _sum_at_vertices(tri, face_kernel(_face_curvatures(tri, K)).L)
 
 
-def vertex_curvatures(tri: Triangulation, K, *, jac: bool = False) -> CurvatureReport:
+def vertex_curvatures(tri: Triangulation, K) -> CurvatureReport:
     """Full report from one face_kernel call: curvature sums and the
-    solved faces, with the face Jacobians under jac=True.  Raises
-    InfeasibleGeometryError, from the kernel, for a face that cannot be
-    evaluated in double precision."""
-    k = _face_curvatures(tri, K)
-    fa = face_kernel(k, jac=jac)
-    return CurvatureReport(L=_sum_at_vertices(tri, fa.L), arrays=fa, k=k)
+    solved faces.  Raises InfeasibleGeometryError, from the kernel, for a
+    face that cannot be evaluated in double precision."""
+    fa = face_kernel(_face_curvatures(tri, K))
+    return CurvatureReport(L=_sum_at_vertices(tri, fa.L), arrays=fa)
 
 
 def _sum_at_vertices(tri: Triangulation, corner_values: np.ndarray) -> np.ndarray:
@@ -91,7 +88,7 @@ def global_jacobian(tri: Triangulation, K) -> np.ndarray:
     one face_kernel call: exactly symmetric, strictly diagonally dominant
     with positive diagonal, hence positive definite.  Always a dense n x n
     ndarray, which costs 8*n^2 bytes: 0.5 MB at 256 vertices, 8 MB at 1024."""
-    fa = face_kernel(_face_curvatures(tri, K), jac=True)
+    fa = face_kernel(_face_curvatures(tri, K))
     return _dense_hessian(tri, _hessian_index(tri), _hessian_entries(tri, fa))
 
 

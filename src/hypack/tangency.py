@@ -13,10 +13,10 @@ circles/horocycles/hypercycles.  This module solves faces two ways:
 * ``face_kernel`` — one closed form for every corner of every face,
   over an (F, 3) array of faces: the chord between a corner's two
   tangency points depends on the curvatures alone, and with it the
-  corner's arc length and total curvature L, and the exact Jacobian
-  dL/dK, K = ln k, by the derivative of the same formula; the kinds,
-  generalized angles and areas that only realization reads are derived
-  on first read.  ``solve_face``, ``corner_curvatures`` and
+  corner's arc length and total curvature L; the exact Jacobian dL/dK,
+  K = ln k, that only a Newton step reads, and the kinds, generalized
+  angles and areas that only realization reads, are derived on first
+  read.  ``solve_face``, ``corner_curvatures`` and
   ``face_jacobian`` call it on one face;
 * ``realize_face`` — explicit upper half-plane embedding, the
   quadrature oracle: its arc lengths integrate ds = |dz|/y along the
@@ -48,7 +48,6 @@ __all__ = [
     "EmbeddedCircle",
     "EmbeddedFace",
     "classify_curvature",
-    "curvature_to_radius",
     "solve_quadrilateral",
     "solve_pentagon",
     "face_kernel",
@@ -114,12 +113,6 @@ def _check_evaluable(k, ok):
 def classify_curvature(k: float) -> CurveKind:
     """Kind of the constant-curvature curve with geodesic curvature k."""
     return _KINDS[int(_kind(_positive(k)))]
-
-
-def curvature_to_radius(k: float) -> float:
-    """Generalized radius of the curve with curvature k (inf for horocycles)."""
-    k = _positive(k)
-    return float(_radius(k, _kind(k)))
 
 
 @dataclass(frozen=True)
@@ -211,19 +204,41 @@ class FaceGeometry:
 
 class FaceArrays:
     """face_kernel's output for F faces, corners in input order.  The kernel
-    fills arc (FaceGeometry's arc_length), L (total_curvature) and, under
-    jac, the exactly symmetric face Jacobians dL/dK as J_diag[f, i] =
-    dL_i/dK_i and J_pair[f, c] = dL_i/dK_j = dL_j/dK_i for the pairs
-    (i, j) = (0, 1), (1, 2), (2, 0) of the edge table (surface._PAIR_ENDS),
-    else None.  It keeps k and its corner terms w and G, from which the
-    rest is derived on first read: the kind codes (_KINDS, a horocycle
-    within KIND_TOL of k = 1), FaceGeometry's gen_angle (NaN at a
-    horocycle), area and polygon_area (summed in ascending order, so
-    independent of the corner order)."""
+    fills arc (FaceGeometry's arc_length) and L (total_curvature), and
+    keeps k and its corner terms D, P, x, w and G, from which the rest is
+    derived on first read: the exactly symmetric face Jacobians dL/dK as
+    J_diag[f, i] = dL_i/dK_i and J_pair[f, c] = dL_i/dK_j = dL_j/dK_i for
+    the pairs (i, j) = (0, 1), (1, 2), (2, 0) of the edge table
+    (surface._PAIR_ENDS), each checked finite on first read; the kind codes
+    (_KINDS, a horocycle within KIND_TOL of k = 1), FaceGeometry's
+    gen_angle (NaN at a horocycle), area and polygon_area (summed in
+    ascending order, so independent of the corner order)."""
 
-    def __init__(self, k, w, G, arc, L, J_diag, J_pair):
-        self.k, self.w, self.G, self.arc, self.L = k, w, G, arc, L
-        self.J_diag, self.J_pair = J_diag, J_pair
+    def __init__(self, k, D, P, x, w, G, arc, L):
+        self.k, self.D, self.P, self.x, self.w, self.G = k, D, P, x, w, G
+        self.arc, self.L = arc, L
+
+    @cached_property
+    def J_pair(self) -> np.ndarray:
+        k, kn = self.k, self.k[:, _NEXT]
+        with np.errstate(all="ignore"):
+            J_pair = -(k * kn) / (np.sqrt(self.D) * (k + kn))
+        _check_evaluable(k, np.isfinite(J_pair).all(axis=1))
+        return J_pair
+
+    @cached_property
+    def J_diag(self) -> np.ndarray:
+        k, D, x = self.k, self.D, self.x
+        with np.errstate(all="ignore"):
+            sqrt_d = np.sqrt(D)
+            H = (1.0 / (self.P / D) - self.G) / x
+            small = np.abs(x) < _SERIES_X
+            if small.any():
+                H[small] = np.polyval(_H_SERIES, x[small])
+            J_diag = (self.L - k * k * (k[:, _OTHER_J] + k[:, _OTHER_M]) / (sqrt_d * self.P)
+                      + 2.0 * k * k * k * H / (D * sqrt_d))
+        _check_evaluable(k, np.isfinite(J_diag).all(axis=1))
+        return J_diag
 
     @cached_property
     def kind(self) -> np.ndarray:
@@ -264,7 +279,7 @@ def _ascending(a):
     return np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
 
 
-def face_kernel(k, *, jac: bool = False) -> FaceArrays:
+def face_kernel(k) -> FaceArrays:
     """Solve the faces with (F, 3) curvatures k in one pass of array
     operations over all corners.
 
@@ -278,54 +293,39 @@ def face_kernel(k, *, jac: bool = False) -> FaceArrays:
       l_i = 2 G(x) / sqrt(D),  L_i = k_i l_i,  gen_i = 2 w G(x),  w = sqrt|x|,
     G = atan(w)/w at a circle (x > 0), atanh(w)/w at a hypercycle (x < 0)
     and 1 only where w == 0: tan(theta/2) = w for the angle theta,
-    tanh(s/2) = w for the axis segment s.  jac=True adds the exact
-    Jacobian J = dL/dK, K = ln k, the derivative of the same formula with
-    G'(x) = H(x)/2, as J_diag (i = j) and J_pair (i != j, J_ij = J_ji):
+    tanh(s/2) = w for the axis segment s.  The exact Jacobian J = dL/dK,
+    K = ln k, is the derivative of the same formula with G'(x) = H(x)/2,
+    as J_diag (i = j) and J_pair (i != j, J_ij = J_ji):
       J_ij = -k_i k_j / (sqrt(D) (k_i + k_j))   (i != j),
       J_ii = L_i - k_i^2 (k_j + k_m) / (sqrt(D) (k_i + k_j)(k_i + k_m))
              + 2 k_i^3 H(x) / D^1.5,   H(x) = (1/(1 + x) - G(x)) / x,
     H from its series at |x| < _SERIES_X, where that difference cancels.
-    Only arc, L and the Jacobians are computed here; FaceArrays derives
-    kind, gen, area and polygon_area from k, w and G on first read.  D
-    and the face sums are formed in ascending order, so that results
-    commute with permuting a face's corners.  Raises ValueError for a
-    curvature that is not positive, and InfeasibleGeometryError naming a
-    face that cannot be evaluated in double precision, the one per-face
-    check: L, under jac J_diag and J_pair, and P = (k_i + k_j)(k_i + k_m)
-    = k_i^2 - 1 + D stay finite (the area pi - sum L of a finite L is
-    non-negative to rounding)."""
+    Only arc and L are computed here; FaceArrays derives the Jacobians,
+    kind, gen, area and polygon_area on first read.  D and the face sums
+    are formed in ascending order, so that results commute with permuting
+    a face's corners.  Raises ValueError for a curvature that is not
+    positive, and InfeasibleGeometryError naming a face that cannot be
+    evaluated in double precision, the one per-call check: L and
+    P = (k_i + k_j)(k_i + k_m) = k_i^2 - 1 + D stay finite (the area
+    pi - sum L of a finite L is non-negative to rounding)."""
     k = _positive(k)
     with np.errstate(all="ignore"):
         a, b, c = _ascending(k)
         D = (1.0 + a * b + a * c + b * c)[:, None]
-        sqrt_d = np.sqrt(D)
-        kj, km = k[:, _OTHER_J], k[:, _OTHER_M]
-        P = (k + kj) * (k + km)
+        P = (k + k[:, _OTHER_J]) * (k + k[:, _OTHER_M])
         x = (k - 1.0) * (k + 1.0) / D
-        xp1 = P / D  # 1 + x, without the cancellation of adding
         w = np.sqrt(np.abs(x))
-        # atanh w = log1p(2w/(1 - w))/2 with 1 - w = (1 + x)/(1 + w): no
-        # series, as nothing cancels near w = 0 or w = 1
-        G = np.where(x > 0.0, np.arctan(w), 0.5 * np.log1p(2.0 * w * (1.0 + w) / xp1)) / w
+        # atanh w = log1p(2w/(1 - w))/2 with 1 - w = (1 + x)/(1 + w), 1 + x
+        # = P/D without the cancellation of adding: no series, as nothing
+        # cancels near w = 0 or w = 1
+        G = np.where(x > 0.0, np.arctan(w), 0.5 * np.log1p(2.0 * w * (1.0 + w) / (P / D))) / w
         G[w == 0.0] = 1.0
-        arc = 2.0 * G / sqrt_d
+        arc = 2.0 * G / np.sqrt(D)
         L = k * arc
-        J_diag = J_pair = None
-        if jac:
-            H = (1.0 / xp1 - G) / x
-            small = np.abs(x) < _SERIES_X
-            if small.any():
-                H[small] = np.polyval(_H_SERIES, x[small])
-            kn = k[:, _NEXT]
-            J_pair = -(k * kn) / (sqrt_d * (k + kn))
-            J_diag = L - k * k * (kj + km) / (sqrt_d * P) + 2.0 * k * k * k * H / (D * sqrt_d)
 
     # a finite P bounds k^2 and D, so that no product overflowed into a finite L
-    ok = np.isfinite(L).all(axis=1) & np.isfinite(P).all(axis=1)
-    if jac:
-        ok &= np.isfinite(J_diag).all(axis=1) & np.isfinite(J_pair).all(axis=1)
-    _check_evaluable(k, ok)
-    return FaceArrays(k, w, G, arc, L, J_diag, J_pair)
+    _check_evaluable(k, np.isfinite(L).all(axis=1) & np.isfinite(P).all(axis=1))
+    return FaceArrays(k, D, P, x, w, G, arc, L)
 
 
 # c_n = |B_2n| / (2n (2n + 1)!): Cl2(x) = x - x ln|x| + sum_n c_n x^(2n+1), to 1e-17 on [-pi, pi];
@@ -375,17 +375,16 @@ def face_potential(k) -> np.ndarray:
     return w
 
 
-def face_records(k, fa: FaceArrays) -> list[FaceGeometry]:
-    """FaceGeometry records of the faces with (F, 3) curvatures k, from
-    their face_kernel output fa."""
-    r = _radius(k, fa.kind)
+def face_records(fa: FaceArrays) -> list[FaceGeometry]:
+    """FaceGeometry records of the faces of the face_kernel output fa."""
+    r = _radius(fa.k, fa.kind)
     edges = r[:, [0, 0, 1]] + r[:, [1, 2, 2]]  # in the order of _PAIRS
     return [FaceGeometry(curvatures=tuple(ks), kinds=tuple(_KINDS[c] for c in kd),
                          gen_angle=tuple(None if c == _HORO else g for c, g in zip(kd, gen)),
                          arc_length=tuple(arc), total_curvature=tuple(L), area=area,
                          polygon_area=poly, edge_lengths=tuple(e))
             for ks, kd, gen, arc, L, area, poly, e in zip(
-                k.tolist(), fa.kind.tolist(), fa.gen.tolist(), fa.arc.tolist(),
+                fa.k.tolist(), fa.kind.tolist(), fa.gen.tolist(), fa.arc.tolist(),
                 fa.L.tolist(), fa.area.tolist(), fa.polygon_area.tolist(), edges.tolist())]
 
 
@@ -393,8 +392,7 @@ def solve_face(k1: float, k2: float, k3: float) -> FaceGeometry:
     """Solve the mutually tangent configuration with curvatures k1..k3
     (face_kernel on one face).  The output is symmetric under
     simultaneous permutation of the inputs and corners."""
-    k = np.array([[k1, k2, k3]], dtype=float)
-    return face_records(k, face_kernel(k))[0]
+    return face_records(face_kernel([[k1, k2, k3]]))[0]
 
 
 def corner_curvatures(k1: float, k2: float, k3: float) -> tuple[float, float, float]:
@@ -410,7 +408,7 @@ def face_jacobian(k1: float, k2: float, k3: float):
     (closedness of the curvature form), has positive diagonal, negative
     off-diagonal, and positive row sums (= -d area/d S_j).
     """
-    fa = face_kernel([[k1, k2, k3]], jac=True)
+    fa = face_kernel([[k1, k2, k3]])
     (d0, d1, d2), (p01, p12, p20) = fa.J_diag[0].tolist(), fa.J_pair[0].tolist()
     return [[d0, p01, p20], [p01, d1, p12], [p20, p12, d2]]
 

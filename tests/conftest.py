@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypack.surface import Triangulation
+from hypack.tangency import solve_face
 
 TETRA_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 OCTA_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
@@ -16,6 +17,12 @@ def tetrahedron():
 @pytest.fixture
 def octahedron():
     return Triangulation(6, OCTA_FACES)
+
+
+def radius(k: float) -> float:
+    """Generalized radius of the curve with curvature k (inf for a
+    horocycle): half the edge r + r between two equal corners, exactly r."""
+    return solve_face(k, k, k).edge_lengths[0] / 2
 
 
 def torus_grid(n: int, m: int) -> Triangulation:

@@ -151,6 +151,17 @@ class TestSolve:
         k = doc["vertices"][0]["k"]
         assert abs(k - 0.05861660657695536) < 1e-8
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tolerance_not_positive_and_finite(self, tmp_path, tetra_path, unit_targets,
+                                               capsys, tol):
+        # --tol inf was blamed on newton_switch_tol, whose default is infinite
+        out = tmp_path / "r.json"
+        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                     "--tol", tol, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "residual_tol must be positive and finite" in err
+        assert "newton_switch_tol" not in err and not out.exists()
+
     def test_unknown_config_key(self, tmp_path, tetra_path, unit_targets, capsys):
         # max_steps is the only budget, so max_time is an unknown key
         for doc in ({"bogus": 1}, {"max_time": 1e5}):

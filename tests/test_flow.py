@@ -19,7 +19,7 @@ from hypack.flow import (
     rate_estimate,
     solve,
 )
-from hypack.packing import _hessian_entries, _hessian_index
+from hypack.packing import _face_curvatures, _hessian_entries, _hessian_index
 from hypack.packing import global_jacobian, vertex_curvature_sums, vertex_curvatures
 from hypack.surface import Triangulation, check_admissible, violating_subset
 from hypack.realize import realize_metric
@@ -141,6 +141,35 @@ class TestSolve:
         _unevaluable_after_first_call(monkeypatch)
         with pytest.raises(StiffnessError, match="backtracking stalled"):
             solve(tetrahedron, np.ones(4), config=FlowConfig(newton_switch_tol=1e9))
+
+    @pytest.mark.parametrize("offset", [1e-7, 1.0])
+    def test_unevaluable_jacobians_fail_a_trial_unless_it_ends_the_solve(
+            self, tetrahedron, monkeypatch, offset):
+        # every J_diag after the starting one raises: from near the solution
+        # the first full trial is below residual_tol and ends the solve
+        # without its Jacobians; from far, every trial would need them for
+        # the next step, so each fails and backtracking stalls
+        derive = FaceArrays.__dict__["J_diag"].func
+        reads = []
+
+        def first_read_only(self):
+            reads.append(self)
+            if len(reads) > 1:
+                raise InfeasibleGeometryError("unevaluable Jacobian")
+            return derive(self)
+
+        prop = cached_property(first_read_only)
+        prop.__set_name__(FaceArrays, "J_diag")
+        monkeypatch.setattr(FaceArrays, "J_diag", prop)
+        K0 = np.full(4, K_STAR_TETRA + offset)
+        if offset < 1e-3:
+            res = solve(tetrahedron, np.ones(4), K0)
+            assert res.status is SolveStatus.CONVERGED and len(res.trace.K) == 2
+            assert len(reads) == 1
+        else:
+            with pytest.raises(StiffnessError, match="backtracking stalled"):
+                solve(tetrahedron, np.ones(4), K0)
+            assert len(reads) > 10
 
     def test_six_curvature_evaluations_per_flow_step(self, tetrahedron, monkeypatch):
         import hypack.flow as flow_module
@@ -411,12 +440,15 @@ ITERATE_CASES = {
 }
 
 
-def _count_derived(monkeypatch):
-    """Count the evaluations of each field FaceArrays derives on first read."""
-    counts = dict.fromkeys(("kind", "gen", "area", "polygon_area"), 0)
+def _count_derived(monkeypatch, log=None):
+    """Count the evaluations of each field FaceArrays derives on first read,
+    and append (name, arrays) of each to log, if given."""
+    counts = dict.fromkeys(("kind", "gen", "area", "polygon_area", "J_diag", "J_pair"), 0)
     for name in counts:
         def counted(self, derive=FaceArrays.__dict__[name].func, name=name):
             counts[name] += 1
+            if log is not None:
+                log.append((name, self))
             return derive(self)
         prop = cached_property(counted)
         prop.__set_name__(FaceArrays, name)
@@ -448,35 +480,58 @@ class TestOneEvaluationPerIterate:
     @pytest.mark.parametrize("case", ["genus2-0", "torus8x8", "far-backtracks"])
     def test_one_kernel_call_per_evaluated_iterate(self, case, monkeypatch):
         # the start and each Newton trial: no Jacobian call per step and no
-        # call for the certificate
+        # call for the certificate.  The Jacobians are derived once per
+        # Newton step, from the iterate it starts at: never of a rejected
+        # trial, nor of the final one, which ends the solve
         import hypack.packing
         tri, target, K0, cfg = self._problem(case)
         calls = []
         kernel = hypack.packing.face_kernel
 
-        def counted(k, *, jac=False):
-            calls.append(jac)
-            return kernel(k, jac=jac)
+        def counted(k):
+            calls.append(k)
+            return kernel(k)
 
         monkeypatch.setattr(hypack.packing, "face_kernel", counted)
+        log = []
+        _count_derived(monkeypatch, log)
         res = solve(tri, target, K0, config=cfg)
         assert res.status is SolveStatus.CONVERGED
-        assert len(calls) == 1 + _newton_trials(res.trace) and all(calls)
+        assert len(calls) == 1 + _newton_trials(res.trace)
+        steps = res.trace.phase.count("newton")
+        assert steps == len(res.trace.K) - 1 >= 3
+        for name in ("J_diag", "J_pair"):
+            derived_at = [fa.k for n, fa in log if n == name]
+            assert len(derived_at) == steps
+            assert all(np.array_equal(k, _face_curvatures(tri, K))
+                       for k, K in zip(derived_at, res.trace.K[:-1]))
 
     @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(16, 16)],
                              ids=["genus2", "torus16x16"])
     def test_a_newton_solve_derives_only_the_certificate_areas(self, surface, monkeypatch):
-        # the iterates read L and J alone; the certificate reads the face
-        # areas of the converged K once, and realization the angles and
-        # polygon areas once each
+        # the iterates read L and, once per Newton step, J alone; the
+        # certificate reads the face areas of the converged K once, and
+        # realization the angles and polygon areas once each, and no J
         tri = surface()
         counts = _count_derived(monkeypatch)
         res = solve(tri, _planted(tri, 0))
-        assert res.status is SolveStatus.CONVERGED and len(res.trace.K) > 2
-        assert counts == {"kind": 0, "gen": 0, "area": 1, "polygon_area": 0}
+        steps = len(res.trace.K) - 1
+        assert res.status is SolveStatus.CONVERGED and steps > 1
+        assert counts == {"kind": 0, "gen": 0, "area": 1, "polygon_area": 0,
+                          "J_diag": steps, "J_pair": steps}
         counts.update(dict.fromkeys(counts, 0))
         realize_metric(tri, res.K)
-        assert counts == {"kind": 1, "gen": 1, "area": 0, "polygon_area": 1}
+        assert counts == {"kind": 1, "gen": 1, "area": 0, "polygon_area": 1,
+                          "J_diag": 0, "J_pair": 0}
+
+    @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(8, 8)],
+                             ids=["genus2", "torus8x8"])
+    def test_a_flow_solve_derives_no_jacobian(self, surface, monkeypatch):
+        tri = surface()
+        counts = _count_derived(monkeypatch)
+        res = solve(tri, _planted(tri, 0), config=FlowConfig(newton=False))
+        assert res.status is SolveStatus.CONVERGED
+        assert counts["J_diag"] == counts["J_pair"] == 0 and counts["area"] == 1
 
 
 @pytest.mark.parametrize("K0", [-6.0, -8.0])
@@ -591,7 +646,7 @@ class TestConjugateGradientStep:
     def test_cg_raises_stiffness_error(self, torus16, fault, monkeypatch):
         tri = torus16
         K = np.random.default_rng(0).normal(0.0, 0.7, 256)
-        entries = _hessian_entries(tri, vertex_curvatures(tri, K, jac=True).arrays)
+        entries = _hessian_entries(tri, vertex_curvatures(tri, K).arrays)
         b = np.random.default_rng(1).normal(0.0, 1.0, 256)
         index = _hessian_index(tri)
         assert np.max(np.abs(flow._cg_solve(index, entries, b)

@@ -16,9 +16,9 @@ from hypack.realize import (
     report_document,
 )
 from hypack.surface import Triangulation
-from hypack.tangency import KIND_TOL, curvature_to_radius
+from hypack.tangency import KIND_TOL
 
-from conftest import OCTA_FACES, torus_grid
+from conftest import OCTA_FACES, radius, torus_grid
 
 CONE_ALL2 = 2.6869943815735949          # 3 * arccos(5/8)
 BOUNDARY_TETRA = 17.030678280288161     # 3 * s(r*)
@@ -121,7 +121,7 @@ class TestConeData:
         rep = vertex_curvatures(octahedron, K)
         cones = realize_metric(octahedron, K).cone_angles
         for v in range(6):
-            r = curvature_to_radius(math.exp(K[v]))
+            r = radius(math.exp(K[v]))
             assert abs(rep.L[v] - cones[v] * math.cosh(r)) < 1e-10
 
     def test_non_circle_vertex_rejected(self, tetrahedron):
@@ -145,7 +145,7 @@ class TestBoundaryData:
         rep = vertex_curvatures(tetrahedron, K)
         lengths = realize_metric(tetrahedron, K).boundary_lengths
         for v in range(4):
-            r = curvature_to_radius(math.exp(K[v]))
+            r = radius(math.exp(K[v]))
             assert rep.L[v] == pytest.approx(lengths[v] * math.sinh(r), rel=1e-10)
 
     def test_cusp_listed_without_length(self, tetrahedron):

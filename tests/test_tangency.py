@@ -15,15 +15,17 @@ from hypack.tangency import (
     InfeasibleGeometryError,
     classify_curvature,
     corner_curvatures,
-    curvature_to_radius,
     face_jacobian,
     face_kernel,
     face_potential,
+    face_records,
     realize_face,
     solve_face,
     solve_pentagon,
     solve_quadrilateral,
 )
+
+from conftest import radius
 
 LN3 = 1.0986122886681098
 HALF_LN3 = 0.5493061443340548  # 0.5 * ln 3
@@ -75,7 +77,7 @@ class TestSolveFace:
             fg = solve_face(*ks)
             for i in range(3):
                 k = fg.curvatures[i]
-                r = curvature_to_radius(k)
+                r = radius(k)
                 if fg.kinds[i] is CurveKind.CIRCLE:
                     assert fg.arc_length[i] == pytest.approx(
                         fg.gen_angle[i] * math.sinh(r), rel=1e-12)
@@ -126,7 +128,7 @@ class TestPerFaceGaussBonnet:
         area = fg.polygon_area
         for i in range(3):
             k = fg.curvatures[i]
-            r = curvature_to_radius(k)
+            r = radius(k)
             if fg.kinds[i] is CurveKind.CIRCLE:
                 area -= fg.gen_angle[i] * (math.cosh(r) - 1.0)
             elif fg.kinds[i] is CurveKind.HYPERCYCLE:
@@ -319,7 +321,7 @@ class TestFaceJacobian:
         rng = np.random.default_rng(6)
         for signs in FACE_CASES:
             K = rng.uniform(0.05, 3.0, size=(200, 3)) * np.array(signs)
-            fa = face_kernel(np.exp(K), jac=True)
+            fa = face_kernel(np.exp(K))
             J = np.empty((len(K), 3, 3))
             for c in range(3):  # J_pair column c is the pair (c, c + 1 mod 3)
                 i, j = c, (c + 1) % 3
@@ -341,7 +343,7 @@ class TestFaceJacobian:
         # on faces whose three pair values differ
         rng = np.random.default_rng(24)
         K = rng.uniform(-2.0, 2.0, size=(300, 3))
-        J_pair = face_kernel(np.exp(K), jac=True).J_pair
+        J_pair = face_kernel(np.exp(K)).J_pair
         h = 1e-5
         for c, (a, b) in enumerate(zip(*_PAIR_ENDS)):
             for i, j in ((a, b), (b, a)):
@@ -354,47 +356,61 @@ class TestFaceJacobian:
 
 class TestFaceKernel:
     def test_value_path_carries_no_jacobian(self):
-        fa = face_kernel([(2.0, 0.5, 1.0)])
-        assert fa.J_diag is None and fa.J_pair is None
+        # a value-only use derives no Jacobian: neither the kernel, nor
+        # reading every other field, nor the FaceGeometry records
+        fa = face_kernel([(2.0, 0.5, 1.0), (0.3, 0.2, 0.1), (4.0, 3.0, 2.0)])
+        face_records(fa)
+        assert "J_diag" not in vars(fa) and "J_pair" not in vars(fa)
+        assert fa.J_pair is fa.J_pair and "J_diag" not in vars(fa)
 
     def test_jacobian_path_keeps_the_values(self):
-        # a Newton solve reads its residual, areas and certificate from the
-        # jac=True output, so every value must be bit-identical to jac=False:
-        # faces of all five cases, with |ln k| down to 1e-6 so that H takes
-        # its series on some corners, K = 0, where every corner is a
-        # horocycle, and corners within and just past KIND_TOL of k = 1
+        # a Newton solve reads its residual, Jacobians and certificate from
+        # one kernel call, so reading any field first must leave the others
+        # bit-identical: faces of all five cases, with |ln k| down to 1e-6 so
+        # that H takes its series on some corners, K = 0, where every corner
+        # is a horocycle, and corners within and just past KIND_TOL of k = 1
         rng = np.random.default_rng(19)
         K = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(4.0), (300, 3)))
                             * np.array(signs) for signs in FACE_CASES] + [np.zeros((2, 3))])
         k = np.concatenate([np.exp(rng.permuted(K, axis=1)),
                             [(1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 1e-11), (1.0 - 1e-11, 2.0, 0.5)]])
-        with_jac, values = face_kernel(k, jac=True), face_kernel(k)
+        values = face_kernel(k)
         assert np.isnan(values.gen).any()
-        for name in ("kind", "gen", "arc", "L", "area", "polygon_area"):
-            assert np.array_equal(getattr(with_jac, name), getattr(values, name),
-                                  equal_nan=True), name
         # the fields derived on first read, read in every order, are the
         # kernel's former eager expressions bit for bit: kind codes 0, 1, 2
-        # for horocycle, circle and hypercycle, and face sums in ascending order
+        # for horocycle, circle and hypercycle, face sums in ascending
+        # order, and the Jacobians with H from its series at |x| < 1e-3
         kind = np.where(np.abs(k - 1.0) <= KIND_TOL, 0, np.where(k > 1.0, 1, 2))
         gen = np.where(kind == 0, np.nan, 2.0 * values.w * values.G)
+        with np.errstate(all="ignore"):
+            a, b, c = np.sort(k, axis=1).T
+            D = (1.0 + a * b + a * c + b * c)[:, None]
+            sqrt_d = np.sqrt(D)
+            kj, km, kn = k[:, [1, 0, 0]], k[:, [2, 2, 1]], k[:, [1, 2, 0]]
+            P = (k + kj) * (k + km)
+            x = (k - 1.0) * (k + 1.0) / D
+            H = np.where(np.abs(x) < 1e-3, np.polyval(tangency._H_SERIES, x),
+                         (1.0 / (P / D) - values.G) / x)
+            J_diag = (values.L - k * k * (kj + km) / (sqrt_d * P)
+                      + 2.0 * k * k * k * H / (D * sqrt_d))
         expected = {"kind": kind, "gen": gen,
                     "area": np.pi - np.sort(values.L, axis=1).sum(axis=1),
                     "polygon_area": np.pi - np.sort(np.where(kind == 1, gen, 0.0),
-                                                    axis=1).sum(axis=1)}
+                                                    axis=1).sum(axis=1),
+                    "J_diag": J_diag, "J_pair": -(k * kn) / (sqrt_d * (k + kn))}
         for order in itertools.permutations(expected):
-            for jac in (False, True):
-                fa = face_kernel(k, jac=jac)
-                for name in order:
-                    assert np.array_equal(getattr(fa, name), expected[name],
-                                          equal_nan=True), (order, name)
+            fa = face_kernel(k)
+            for name in order:
+                assert np.array_equal(getattr(fa, name), expected[name],
+                                      equal_nan=True), (order, name)
+            assert np.array_equal(fa.arc, values.arc) and np.array_equal(fa.L, values.L)
 
     def test_evaluability_is_decided_as_from_the_area(self, monkeypatch):
         # the check reads L where it read the area pi - sum L: on extreme
         # faces, |ln k| up to 700, with corners at k = 1 +- 1e-15 and pairs
         # k_j = 1/k_i, the kernel rejects exactly the faces whose area or
-        # P = (k_i + k_j)(k_i + k_m) is not finite (or, under jac, whose
-        # J_diag or J_pair)
+        # P = (k_i + k_j)(k_i + k_m) is not finite, and each Jacobian, on
+        # first read, the faces where it is not finite
         rng = np.random.default_rng(22)
         n = 4000
         mags = np.where(rng.random((n, 3)) < 0.5, rng.uniform(0.0, 700.0, (n, 3)),
@@ -406,32 +422,40 @@ class TestFaceKernel:
         k = rng.permuted(k, axis=1)
         decided = []
         monkeypatch.setattr(tangency, "_check_evaluable", lambda k, ok: decided.append(ok))
-        for jac in (False, True):
-            fa = face_kernel(k, jac=jac)
-            with np.errstate(all="ignore"):
-                P = (k + k[:, [1, 0, 0]]) * (k + k[:, [2, 2, 1]])
-                ok = (np.isfinite(np.pi - np.sort(fa.L, axis=1).sum(axis=1))
-                      & np.isfinite(P).all(axis=1))
-            if jac:
-                ok &= np.isfinite(fa.J_diag).all(axis=1) & np.isfinite(fa.J_pair).all(axis=1)
-            assert np.array_equal(decided.pop(), ok)
-            assert 100 < ok.sum() < n - 100
+        fa = face_kernel(k)
+        with np.errstate(all="ignore"):
+            P = (k + k[:, [1, 0, 0]]) * (k + k[:, [2, 2, 1]])
+            ok = (np.isfinite(np.pi - np.sort(fa.L, axis=1).sum(axis=1))
+                  & np.isfinite(P).all(axis=1))
+        assert len(decided) == 1 and np.array_equal(decided.pop(), ok)
+        assert 100 < ok.sum() < n - 100
+        for name in ("J_diag", "J_pair"):
+            J = getattr(fa, name)
+            assert np.array_equal(decided.pop(), np.isfinite(J).all(axis=1))
+            ok &= np.isfinite(J).all(axis=1)
         # a finite L lies in [0, pi] to rounding, so its area is finite too
         finite = np.isfinite(fa.L).all(axis=1)
         assert 0.0 <= fa.L[finite].min() and fa.L[finite].max() <= math.pi + 1e-14
         monkeypatch.undo()
-        face_kernel(k[ok], jac=True)
+
+        def jacobians(k):
+            fa = face_kernel(k)
+            return fa.J_diag, fa.J_pair
+
+        jacobians(k[ok])
         for face in k[~ok]:
             with pytest.raises(InfeasibleGeometryError, match="curvatures"):
-                face_kernel([face], jac=True)
+                jacobians([face])
 
     def test_unevaluable_face_raises(self):
         # exp(-400) hypercycles: (k_i + k_j)(k_i + k_m) underflows to 0, so L = inf
         k = math.exp(-400.0)
         with pytest.raises(InfeasibleGeometryError, match="curvatures"):
             face_kernel([(2.0, 2.0, 2.0), (k, k, k)])
-        with pytest.raises(InfeasibleGeometryError, match="curvatures"):
-            face_kernel([(k, k, k)], jac=True)
+        # L and P are finite, but k^3 overflows in J_diag, which raises on first read
+        fa = face_kernel([(2.0, 2.0, 2.0), (1e110, 1e-110, 1e-110)])
+        with pytest.raises(InfeasibleGeometryError, match="1e-110"):
+            fa.J_diag
         with pytest.raises(ValueError, match="positive"):
             face_kernel([(2.0, 0.0, 2.0)])
 
@@ -499,19 +523,19 @@ class TestFacePotential:
 
 class TestCurvatureRadius:
     def test_circle(self):
-        assert curvature_to_radius(2.0) == pytest.approx(HALF_LN3, abs=1e-15)
+        assert radius(2.0) == pytest.approx(HALF_LN3, abs=1e-15)
 
     def test_horocycle(self):
-        assert curvature_to_radius(1.0) == math.inf
+        assert radius(1.0) == math.inf
 
     def test_hypercycle(self):
-        assert curvature_to_radius(0.5) == pytest.approx(HALF_LN3, abs=1e-15)
+        assert radius(0.5) == pytest.approx(HALF_LN3, abs=1e-15)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            curvature_to_radius(0.0)
+            radius(0.0)
         with pytest.raises(ValueError):
-            curvature_to_radius(-3.0)
+            radius(-3.0)
 
     def test_near_one_dispatches_horocycle(self):
         assert classify_curvature(1.0 + 1e-13) is CurveKind.HOROCYCLE
@@ -524,14 +548,14 @@ class TestCurvatureRadius:
         kind = classify_curvature(k)
         if kind is CurveKind.HOROCYCLE:
             return
-        r = curvature_to_radius(k)
+        r = radius(k)
         back = 1.0 / math.tanh(r) if kind is CurveKind.CIRCLE else math.tanh(r)
         assert abs(back - k) <= 1e-14 * k
 
     def test_round_trip_extremes(self):
         for k in (1e-6, 1e-3, 0.999999, 1.000001, 1e3, 1e6):
             kind = classify_curvature(k)
-            r = curvature_to_radius(k)
+            r = radius(k)
             back = 1.0 / math.tanh(r) if kind is CurveKind.CIRCLE else math.tanh(r)
             assert abs(back - k) <= 1e-14 * k
 
