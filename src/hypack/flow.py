@@ -12,8 +12,9 @@ safeguard measured on random starts, not a proof).  A step solves for
 its direction from the Hessian's entries (packing._hessian_entries): by
 one dense solve below _CG_MIN_VERTICES vertices, and from there up, where
 allocating an n x n array costs more than all of CG, by
-Jacobi-preconditioned conjugate gradients, which make none.  The start
-and every Newton trial are one face-kernel evaluation (_evaluate), which
+Jacobi-preconditioned conjugate gradients, which make none, to a
+tolerance that shrinks with the residual (_CG_RTOL).  The start and
+every Newton trial are one face-kernel evaluation (_evaluate), which
 computes only L: the face Jacobians of an iterate that a Newton step
 starts from are derived from its arrays on first read, once, and the
 last iterate's arrays derive the certificate's face areas, once.  With
@@ -97,15 +98,17 @@ _DRIFT_LIMIT = 15.0
 # dense side's cost jumps with its n x n arrays, whose allocation and
 # first touch take more than the LAPACK call from ~200 vertices up.
 _CG_MIN_VERTICES = 190
-# CG stops once r.D^-1 r <= _CG_RTOL^2 b.D^-1 b, for its residual r, the
+# CG stops once r.D^-1 r <= rtol^2 b.D^-1 b, for its residual r, the
 # right-hand side b and M's diagonal D.  The D^-1 weights stress the
 # vertices whose diagonal is small (circles of large curvature), where a
 # residual moves the direction most; with them the final K is within
 # 1e-12 of the dense route's at sigma = 6, where the plain 2-norm misses by
-# 1.8e-12.  A fixed tolerance, not one that shrinks with the residual: a
-# warm re-solve takes one Newton step from a residual of ~1e-5, and a
-# tolerance of that order would leave a residual that costs a second step.
+# 1.8e-12.  rtol = max(_CG_RTOL, min(_CG_ETA_MAX, |b|_2^2)) is a forcing
+# term (Dembo, Eisenstat & Steihaug 1982): the step leaves a second-order
+# remainder of order |b|_2^2, and CG solves no further.  The cap keeps far
+# steps as they were; at 1e-3 a 16 x 16 solve at sigma = 6 moved 2e-6.
 _CG_RTOL = 1e-10
+_CG_ETA_MAX = 1e-4
 
 # The first trial of a Newton step moves no K_i by more than this, and
 # backtracking gives up once the fraction is below 1e-12 times that first
@@ -235,37 +238,37 @@ def _evaluate(tri: Triangulation, K, target) -> tuple[np.ndarray, FaceArrays]:
     return rep.L - target, rep.arrays
 
 
-def _cg_solve(index, entries, b) -> np.ndarray:
+def _cg_solve(index, entries, b, rtol) -> np.ndarray:
     """The solution d of M d = b by Jacobi-preconditioned conjugate
     gradients (Hestenes & Stiefel 1952), for M's entries (the diagonal
     last) at index = (rows, cols): a matrix-vector product is one gather,
-    one multiply and one np.bincount, with no n x n array.  Stops at a
-    relative residual of _CG_RTOL in the norm of the inverse diagonal;
-    raises StiffnessError after n iterations, or on a direction p with
-    p.M p <= 0 (M not positive definite)."""
+    one multiply and one np.bincount, with no n x n array.  That is plain
+    CG on S M S, S = |D|^-1/2 for M's diagonal D.  Stops once r.D^-1 r <=
+    rtol^2 b.D^-1 b for the residual r; raises StiffnessError after n
+    iterations, or on a direction p with p.M p <= 0 (M, congruent to
+    S M S, not positive definite)."""
     rows, cols = index
     n = len(b)
-    inv_diag = 1.0 / entries[-n:]
-    d = np.zeros(n)
-    r = np.array(b, dtype=float)
-    z = r * inv_diag
-    p = z
-    rz = float(r @ z)
-    stop = (_CG_RTOL * _CG_RTOL) * rz
+    scale = 1.0 / np.sqrt(np.abs(entries[-n:]))
+    scaled = entries * scale[rows] * scale[cols]
+    y = np.zeros(n)
+    r = b * scale
+    p = r.copy()
+    rr = r.dot(r)
+    stop = (rtol * rtol) * rr
     for _ in range(n):
-        q = np.bincount(rows, weights=entries * p[cols], minlength=n)
-        pq = float(p @ q)
+        q = np.bincount(rows, weights=scaled * p[cols], minlength=n)
+        pq = p.dot(q)
         if not pq > 0.0:
             raise StiffnessError(f"CG met p.M p = {pq:.3e}: M is not positive definite")
-        alpha = rz / pq
-        d += alpha * p
+        alpha = rr / pq
+        y += alpha * p
         r -= alpha * q
-        z = r * inv_diag
-        rz, rz_prev = float(r @ z), rz
-        if rz <= stop:
-            return d
-        p = z + (rz / rz_prev) * p
-    raise StiffnessError(f"CG did not reach a relative residual of {_CG_RTOL:.0e} "
+        rr, rr_prev = r.dot(r), rr
+        if rr <= stop:
+            return y * scale
+        p = r + (rr / rr_prev) * p
+    raise StiffnessError(f"CG did not reach a relative residual of {rtol:.0e} "
                          f"in {n} iterations")
 
 
@@ -287,7 +290,8 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index, residu
     if tri.num_vertices < _CG_MIN_VERTICES:
         direction = np.linalg.solve(_dense_hessian(tri, index, entries), res)
     else:
-        direction = _cg_solve(index, entries, res)
+        rtol = max(_CG_RTOL, min(_CG_ETA_MAX, res_norm ** 2))
+        direction = _cg_solve(index, entries, res, rtol)
     longest = float(np.max(np.abs(direction)))
     alpha = _NEWTON_MAX_STEP / longest if longest > _NEWTON_MAX_STEP else 1.0
     floor = 1e-12 * alpha

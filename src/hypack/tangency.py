@@ -102,9 +102,11 @@ def _radius(k, kind) -> np.ndarray:
                         np.where(kind == _HYPER, np.arctanh(k), np.inf))
 
 
-def _check_evaluable(k, ok):
-    """InfeasibleGeometryError naming the first face of k where ok is False."""
-    if not ok.all():
+def _check_evaluable(k, *arrays):
+    """InfeasibleGeometryError naming the first face of k where an array
+    (a row or an entry per face) is not finite: the per-face mask only then."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        ok = np.all([np.isfinite(a).reshape(len(k), -1).all(axis=1) for a in arrays], axis=0)
         bad = tuple(k[int(np.argmin(ok))].tolist())
         raise InfeasibleGeometryError(
             f"face with curvatures {bad} cannot be evaluated in double precision")
@@ -205,14 +207,15 @@ class FaceGeometry:
 class FaceArrays:
     """face_kernel's output for F faces, corners in input order.  The kernel
     fills arc (FaceGeometry's arc_length) and L (total_curvature), and
-    keeps k and its corner terms D, P, x, w and G, from which the rest is
-    derived on first read: the exactly symmetric face Jacobians dL/dK as
-    J_diag[f, i] = dL_i/dK_i and J_pair[f, c] = dL_i/dK_j = dL_j/dK_i for
-    the pairs (i, j) = (0, 1), (1, 2), (2, 0) of the edge table
-    (surface._PAIR_ENDS), each checked finite on first read; the kind codes
-    (_KINDS, a horocycle within KIND_TOL of k = 1), FaceGeometry's
-    gen_angle (NaN at a horocycle), area and polygon_area (summed in
-    ascending order, so independent of the corner order)."""
+    keeps k and its (F, 3) corner terms D (a face's value in each column),
+    P, x, w and G, from which the rest is derived on first read: the
+    exactly symmetric face Jacobians dL/dK as J_diag[f, i] = dL_i/dK_i and
+    J_pair[f, c] = dL_i/dK_j = dL_j/dK_i for the pairs (i, j) = (0, 1),
+    (1, 2), (2, 0) of the edge table (surface._PAIR_ENDS), each checked
+    finite in one test on first read; the kind codes (_KINDS, a horocycle within
+    KIND_TOL of k = 1), FaceGeometry's gen_angle (NaN at a horocycle), area
+    and polygon_area (summed in ascending order, so independent of the
+    corner order)."""
 
     def __init__(self, k, D, P, x, w, G, arc, L):
         self.k, self.D, self.P, self.x, self.w, self.G = k, D, P, x, w, G
@@ -223,7 +226,7 @@ class FaceArrays:
         k, kn = self.k, self.k[:, _NEXT]
         with np.errstate(all="ignore"):
             J_pair = -(k * kn) / (np.sqrt(self.D) * (k + kn))
-        _check_evaluable(k, np.isfinite(J_pair).all(axis=1))
+        _check_evaluable(k, J_pair)
         return J_pair
 
     @cached_property
@@ -234,10 +237,13 @@ class FaceArrays:
             H = (1.0 / (self.P / D) - self.G) / x
             small = np.abs(x) < _SERIES_X
             if small.any():
-                H[small] = np.polyval(_H_SERIES, x[small])
+                xs, h = x[small], _H_SERIES[0]
+                for c in _H_SERIES[1:]:
+                    h = h * xs + c
+                H[small] = h
             J_diag = (self.L - k * k * (k[:, _OTHER_J] + k[:, _OTHER_M]) / (sqrt_d * self.P)
                       + 2.0 * k * k * k * H / (D * sqrt_d))
-        _check_evaluable(k, np.isfinite(J_diag).all(axis=1))
+        _check_evaluable(k, J_diag)
         return J_diag
 
     @cached_property
@@ -262,7 +268,7 @@ class FaceArrays:
 
 # below this |x| the closed form of H cancels; its Taylor series
 # H = sum_{n>=1} (-1)^n 2n x^(n-1) / (2n + 1) to this order is exact there;
-# coefficients highest power first, as np.polyval takes them
+# coefficients highest power first, for Horner's rule, as in np.polyval
 _SERIES_X = 1e-3
 _H_SERIES = [(-1) ** (n + 1) * 2 * (n + 1) / (2 * n + 3) for n in range(7, -1, -1)]
 
@@ -305,13 +311,14 @@ def face_kernel(k) -> FaceArrays:
     are formed in ascending order, so that results commute with permuting
     a face's corners.  Raises ValueError for a curvature that is not
     positive, and InfeasibleGeometryError naming a face that cannot be
-    evaluated in double precision, the one per-call check: L and
-    P = (k_i + k_j)(k_i + k_m) = k_i^2 - 1 + D stay finite (the area
+    evaluated in double precision, from one whole-array check per call:
+    L and P = (k_i + k_j)(k_i + k_m) = k_i^2 - 1 + D stay finite (the area
     pi - sum L of a finite L is non-negative to rounding)."""
     k = _positive(k)
     with np.errstate(all="ignore"):
         a, b, c = _ascending(k)
-        D = (1.0 + a * b + a * c + b * c)[:, None]
+        # D at full width: no operation below broadcasts an (F, 1) column
+        D = np.repeat(1.0 + a * b + a * c + b * c, 3).reshape(-1, 3)
         P = (k + k[:, _OTHER_J]) * (k + k[:, _OTHER_M])
         x = (k - 1.0) * (k + 1.0) / D
         w = np.sqrt(np.abs(x))
@@ -324,7 +331,7 @@ def face_kernel(k) -> FaceArrays:
         L = k * arc
 
     # a finite P bounds k^2 and D, so that no product overflowed into a finite L
-    _check_evaluable(k, np.isfinite(L).all(axis=1) & np.isfinite(P).all(axis=1))
+    _check_evaluable(k, L, P)
     return FaceArrays(k, D, P, x, w, G, arc, L)
 
 
@@ -371,7 +378,7 @@ def face_potential(k) -> np.ndarray:
         q = np.where(circ, np.pi, 2.0 * np.arcsin(k))
         C = _clausen(np.stack([2.0 * a1, 2.0 * a2, 2.0 * a1 + q, 2.0 * a2 - q]))
         w = sum(_ascending(2.0 * m * (a1 - a2) + C[0] + C[1] - C[2] - C[3]))
-    _check_evaluable(k, np.isfinite(w))  # e2 = inf gives U = 0, so Cl2(0) = 0 * inf = nan
+    _check_evaluable(k, w)  # e2 = inf gives U = 0, so Cl2(0) = 0 * inf = nan
     return w
 
 
@@ -485,7 +492,7 @@ def realize_face(k1: float, k2: float, k3: float) -> EmbeddedFace:
     """Embed the tangent configuration in the upper half-plane."""
     ks = (k1, k2, k3)
     circles, points = _embedding(*_positive(ks).tolist())
-    _check_evaluable(np.array([ks]), np.isfinite(circles).all())
+    _check_evaluable(np.array([ks]), circles)
     return EmbeddedFace(
         circles=tuple(EmbeddedCircle(float(x), float(y), float(r), k)
                       for (x, y, r), k in zip(circles, ks)),

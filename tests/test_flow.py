@@ -642,22 +642,54 @@ class TestConjugateGradientStep:
         assert res.status is SolveStatus.CONVERGED
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("n, sigma, seed",
+                             [(32, 0.7, 0), (32, 0.7, 1), (16, 2, 0), (16, 2, 1)])
+    def test_the_forcing_term_keeps_the_newton_path(self, n, sigma, seed, monkeypatch):
+        # CG solves a step only to max(_CG_RTOL, min(_CG_ETA_MAX, |b|_2^2)):
+        # the steps and the final K are those of solving every step to _CG_RTOL
+        tri = torus_grid(n, n)
+        target = _planted(tri, seed, sigma)
+        res = solve(tri, target)
+        monkeypatch.setattr(flow, "_CG_ETA_MAX", 0.0)
+        exact = solve(tri, target)
+        assert res.status is exact.status is SolveStatus.CONVERGED
+        assert res.trace.phase.count("newton") == exact.trace.phase.count("newton")
+        assert np.max(np.abs(res.K - exact.K)) <= 1e-11
+
+    def test_a_warm_step_solves_to_its_forcing_term(self, torus16, monkeypatch):
+        K0, target = _resolve_problem(torus16, 0)
+        b = vertex_curvature_sums(torus16, K0) - target
+        calls = []
+        cg = flow._cg_solve
+
+        def recorded(index, entries, rhs, rtol):
+            calls.append((rhs, rtol))
+            return cg(index, entries, rhs, rtol)
+
+        monkeypatch.setattr(flow, "_cg_solve", recorded)
+        res = solve(torus16, target, K0)
+        assert res.status is SolveStatus.CONVERGED and res.trace.phase == ["flow", "newton"]
+        [(rhs, rtol)] = calls
+        norm2 = math.sqrt(b @ b) ** 2
+        assert np.array_equal(rhs, b) and flow._CG_RTOL < norm2 < flow._CG_ETA_MAX
+        assert rtol == max(flow._CG_RTOL, min(flow._CG_ETA_MAX, norm2))
+
     @pytest.mark.parametrize("fault", ["negated", "no iterations left"])
-    def test_cg_raises_stiffness_error(self, torus16, fault, monkeypatch):
+    def test_cg_raises_stiffness_error(self, torus16, fault):
         tri = torus16
         K = np.random.default_rng(0).normal(0.0, 0.7, 256)
         entries = _hessian_entries(tri, vertex_curvatures(tri, K).arrays)
         b = np.random.default_rng(1).normal(0.0, 1.0, 256)
         index = _hessian_index(tri)
-        assert np.max(np.abs(flow._cg_solve(index, entries, b)
+        assert np.max(np.abs(flow._cg_solve(index, entries, b, flow._CG_RTOL)
                              - np.linalg.solve(global_jacobian(tri, K), b))) < 1e-8
+        rtol = flow._CG_RTOL
         if fault == "negated":
             entries, match = -entries, "not positive definite"
         else:
-            monkeypatch.setattr(flow, "_CG_RTOL", 0.0)
-            match = "in 256 iterations"
+            rtol, match = 0.0, "in 256 iterations"
         with pytest.raises(StiffnessError, match=match):
-            flow._cg_solve(index, entries, b)
+            flow._cg_solve(index, entries, b, rtol)
 
 
 @pytest.fixture

@@ -421,7 +421,8 @@ class TestFaceKernel:
         k[1::4, 2], k[2::4, 2] = 1.0 + 1e-15, 1.0 - 1e-15
         k = rng.permuted(k, axis=1)
         decided = []
-        monkeypatch.setattr(tangency, "_check_evaluable", lambda k, ok: decided.append(ok))
+        monkeypatch.setattr(tangency, "_check_evaluable", lambda k, *arrays: decided.append(
+            np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in arrays])))
         fa = face_kernel(k)
         with np.errstate(all="ignore"):
             P = (k + k[:, [1, 0, 0]]) * (k + k[:, [2, 2, 1]])
@@ -429,6 +430,7 @@ class TestFaceKernel:
                   & np.isfinite(P).all(axis=1))
         assert len(decided) == 1 and np.array_equal(decided.pop(), ok)
         assert 100 < ok.sum() < n - 100
+        bad = np.flatnonzero(~ok)[:2]  # two faces the kernel's own check rejects
         for name in ("J_diag", "J_pair"):
             J = getattr(fa, name)
             assert np.array_equal(decided.pop(), np.isfinite(J).all(axis=1))
@@ -446,6 +448,10 @@ class TestFaceKernel:
         for face in k[~ok]:
             with pytest.raises(InfeasibleGeometryError, match="curvatures"):
                 jacobians([face])
+        # among good faces, the error names the first bad one
+        with pytest.raises(InfeasibleGeometryError) as err:
+            face_kernel(np.concatenate([k[ok][:5], k[bad], k[ok][5:10]]))
+        assert str(tuple(k[bad[0]].tolist())) in str(err.value)
 
     def test_unevaluable_face_raises(self):
         # exp(-400) hypercycles: (k_i + k_j)(k_i + k_m) underflows to 0, so L = inf
