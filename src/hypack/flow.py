@@ -3,8 +3,10 @@
 The flow is the negative gradient flow of a smooth strictly convex
 potential, so for admissible targets it converges exponentially to the
 unique log-curvature vector realizing the prescribed per-vertex total
-geodesic curvatures.  One loop takes Newton steps from K0 by default,
-each halved until the residual 2-norm falls, from the full step or from
+geodesic curvatures.  Without K0 a solve starts each vertex where one
+corner between two horocycles takes its share Lhat_i / deg(i) of the
+target (_START_L).  One loop takes Newton steps from K0 by default, each
+halved until the residual 2-norm falls, from the full step or from
 the fraction that moves no K_i by more than _NEWTON_MAX_STEP.  That cap
 keeps a start far from the solution from stepping to where M is
 singular to rounding, so Newton converges from far starts too (a
@@ -38,7 +40,7 @@ from .packing import _dense_hessian, _hessian_entries, _hessian_index, _sum_at_v
 from .packing import vertex_curvature_sums, vertex_curvatures
 # global_jacobian stays importable from here, where perfbench's tracer wraps it
 from .packing import global_jacobian  # noqa: F401
-from .tangency import FaceArrays
+from .tangency import FaceArrays, face_kernel
 # check_admissible stays importable from here, where perfbench's tracer wraps it
 from .surface import Triangulation, check_admissible, violating_subset  # noqa: F401
 from .surface import _checked_targets, _count
@@ -106,9 +108,10 @@ _CG_MIN_VERTICES = 190
 # 1.8e-12.  rtol = max(_CG_RTOL, min(_CG_ETA_MAX, |b|_2^2)) is a forcing
 # term (Dembo, Eisenstat & Steihaug 1982): the step leaves a second-order
 # remainder of order |b|_2^2, and CG solves no further.  The cap keeps far
-# steps as they were; at 1e-3 a 16 x 16 solve at sigma = 6 moved 2e-6.
+# steps near the dense route's: from the default start, a 16 x 16 solve at
+# sigma = 4 ended 7.2e-9 from it at 1e-4 and 1.0e-9 at 1e-5.
 _CG_RTOL = 1e-10
-_CG_ETA_MAX = 1e-4
+_CG_ETA_MAX = 1e-5
 
 # The first trial of a Newton step moves no K_i by more than this, and
 # backtracking gives up once the fraction is below 1e-12 times that first
@@ -122,6 +125,13 @@ _CG_ETA_MAX = 1e-4
 # (median 11 steps, at most 22), where 77 of 300 did without the cap.
 # Near the solution the step is short and the cap never binds.
 _NEWTON_MAX_STEP = 4.0
+
+# The default start puts vertex i where one corner between two horocycles,
+# L(e^K, 1, 1), is its share Lhat_i / deg(i) of the target, read off this
+# table by np.interp.  The curve rises strictly, from 5.9e-4 at K = -8 to
+# 3.09 at K = 8; a share beyond it clamps to an end, inside _DRIFT_LIMIT.
+_START_K = np.linspace(-8.0, 8.0, 129)
+_START_L = face_kernel(np.stack([np.exp(_START_K), np.ones(129), np.ones(129)], 1)).L[:, 0]
 
 # rate_estimate fits residuals below this: the flow's exponential tail,
 # past the transient of its first steps
@@ -152,7 +162,7 @@ class FlowConfig:
     time stepper; with a finite newton_switch_tol the flow hands over to
     Newton for good once the residual is below it.  max_steps, the only
     budget, counts flow step attempts and Newton steps alike; at 0 the
-    solve only evaluates the residual at K0."""
+    solve only evaluates the residual at K0, or at the default start."""
 
     residual_tol: float = 1e-10
     max_steps: int = 50_000
@@ -170,6 +180,9 @@ class FlowConfig:
             raise ValueError("newton_switch_tol must exceed residual_tol")
 
 
+_DEFAULT_CONFIG = FlowConfig()
+
+
 @dataclass
 class FlowTrace:
     """Accepted-step history: strictly increasing times, state snapshots,
@@ -182,10 +195,10 @@ class FlowTrace:
     phase: list[str] = field(default_factory=list)
     config: FlowConfig | None = None
 
-    def append(self, t, K, res, res_2norm, phase):
+    def append(self, t, K, res_max, res_2norm, phase):
         self.ts.append(t)
         self.K.append(np.array(K, copy=True))
-        self.residual_max.append(float(np.max(np.abs(res))))
+        self.residual_max.append(float(res_max))
         self.residual_2norm.append(res_2norm)
         self.phase.append(phase)
 
@@ -228,7 +241,7 @@ def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
         ks.append(target - vertex_curvature_sums(tri, y))
     K5 = K + h * sum(b * kk for b, kk in zip(_DP_B5, ks))
     K4 = K + h * sum(b * kk for b, kk in zip(_DP_B4, ks))
-    return K5, float(np.max(np.abs(K5 - K4))), ks[6]
+    return K5, float(np.abs(K5 - K4).max()), ks[6]
 
 
 def _evaluate(tri: Triangulation, K, target) -> tuple[np.ndarray, FaceArrays]:
@@ -283,7 +296,7 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index, residu
     call.  A trial fails where the kernel cannot evaluate its values, and,
     unless its residual max-norm is below residual_tol (where the solve
     ends), its Jacobians, which the next step reads.  Returns (K',
-    residual at K', its 2-norm, arrays at K', alpha); raises
+    residual at K', its 2-norm, its max-norm, arrays at K', alpha); raises
     StiffnessError once alpha is below 1e-12 of its first trial, or from
     _cg_solve."""
     entries = _hessian_entries(tri, fa)
@@ -292,27 +305,29 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index, residu
     else:
         rtol = max(_CG_RTOL, min(_CG_ETA_MAX, res_norm ** 2))
         direction = _cg_solve(index, entries, res, rtol)
-    longest = float(np.max(np.abs(direction)))
+    longest = float(np.abs(direction).max())
     alpha = _NEWTON_MAX_STEP / longest if longest > _NEWTON_MAX_STEP else 1.0
     floor = 1e-12 * alpha
     while alpha >= floor:
         K_try = K - alpha * direction
         try:
             res_try, fa_try = _evaluate(tri, K_try, target)
-            norm_try = math.sqrt(res_try @ res_try)
-            if norm_try < res_norm and np.max(np.abs(res_try)) >= residual_tol:
+            norm_try, max_try = math.sqrt(res_try @ res_try), float(np.abs(res_try).max())
+            if norm_try < res_norm and max_try >= residual_tol:
                 fa_try.J_diag, fa_try.J_pair  # derived here: overflow fails the trial
         except ValueError:  # the trial left the range the face kernel can evaluate
             norm_try = math.inf
         if norm_try < res_norm:
-            return K_try, res_try, norm_try, fa_try, alpha
+            return K_try, res_try, norm_try, max_try, fa_try, alpha
         alpha *= 0.5
     raise StiffnessError("Newton backtracking stalled", K=K)
 
 
 def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) -> SolveResult:
     """Take Newton steps from K0 (by default) or flow steps to the packing
-    with prescribed total geodesic curvatures.
+    with prescribed total geodesic curvatures.  Without K0 the start is
+    the K at which one corner between two horocycles, L(e^K, 1, 1), is
+    each vertex's share Lhat_i / deg(i), from the table _START_L.
 
     Each pass takes a Newton step or, with newton off or until a finite
     newton_switch_tol is reached, a flow step; max_steps counts both.  A
@@ -329,14 +344,14 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     A K0 of the wrong shape or with an entry that is not finite raises
     ValueError before any kernel call.
     """
-    cfg = config or FlowConfig()
+    cfg = config or _DEFAULT_CONFIG
     defects = tri.validate()
     if defects:
         raise ValueError("triangulation is not a closed surface: "
                          + "; ".join(str(d) for d in defects[:5]))
     target = _checked_targets(tri, l_hat)
-    K = (np.zeros(tri.num_vertices) if K0 is None
-         else np.array(K0, dtype=float, copy=True))
+    K = (np.interp(target / np.bincount(tri.face_array.ravel()), _START_L, _START_K)
+         if K0 is None else np.array(K0, dtype=float, copy=True))
     if K.shape != target.shape or not np.isfinite(K).all():
         raise ValueError(f"K0 must hold {tri.num_vertices} finite entries; got shape "
                          f"{K.shape} with {np.count_nonzero(~np.isfinite(K))} not finite")
@@ -352,7 +367,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     try:
         # fa: the kernel's arrays at K, or None when K came from a flow step
         res, fa = _evaluate(tri, K, target)
-        trace.append(t, K, res, math.sqrt(res @ res), "flow")
+        trace.append(t, K, np.abs(res).max(), math.sqrt(res @ res), "flow")
         while True:
             res_max = trace.residual_max[-1]  # of res, the residual at K
             if res_max < cfg.residual_tol:
@@ -362,7 +377,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                 status = SolveStatus.MAX_STEPS_EXCEEDED
                 break
             if (not checked and res_max > cfg.residual_tol * 10
-                    and float(np.max(np.abs(K))) > _DRIFT_LIMIT):
+                    and float(np.abs(K).max()) > _DRIFT_LIMIT):
                 checked = True
                 witness = violating_subset(tri, target)
                 if witness is not None:
@@ -372,10 +387,10 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             if newton:
                 if fa is None:  # the handover from the flow
                     fa = _evaluate(tri, K, target)[1]
-                K, res, res_2norm, fa, alpha = _newton_step(tri, K, res, trace.residual_2norm[-1],
-                                                            fa, target, index, cfg.residual_tol)
+                K, res, res_2norm, res_max, fa, alpha = _newton_step(
+                    tri, K, res, trace.residual_2norm[-1], fa, target, index, cfg.residual_tol)
                 t += alpha
-                trace.append(t, K, res, res_2norm, "newton")
+                trace.append(t, K, res_max, res_2norm, "newton")
                 continue
             h = min(h, _MAX_STEP)
             eff_tol = min(_STEP_ERROR_TOL, _REL_STEP_ERROR * res_max)
@@ -385,7 +400,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                 err = math.inf
             if err < eff_tol:
                 t, K, res, fa = t + h, K_new, -rate_new, None
-                trace.append(t, K, res, math.sqrt(res @ res), "flow")
+                trace.append(t, K, np.abs(res).max(), math.sqrt(res @ res), "flow")
                 h *= min(5.0, 0.9 * (eff_tol / err) ** 0.2) if err > 0.0 else 5.0
             else:
                 h *= 0.5
@@ -435,7 +450,7 @@ def rate_estimate(trace: FlowTrace) -> RateEstimate | None:
     None when fewer than 10 samples land in the window, as after a solve
     that took only Newton steps.
     """
-    cfg = trace.config or FlowConfig()
+    cfg = trace.config or _DEFAULT_CONFIG
     lo = 10.0 * cfg.residual_tol
     hi = _RATE_WINDOW_TOP
     ts, ys = [], []

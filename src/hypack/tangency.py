@@ -208,7 +208,7 @@ class FaceArrays:
     """face_kernel's output for F faces, corners in input order.  The kernel
     fills arc (FaceGeometry's arc_length) and L (total_curvature), and
     keeps k and its (F, 3) corner terms D (a face's value in each column),
-    P, x, w and G, from which the rest is derived on first read: the
+    sqrt_D, P, x, w and G, from which the rest is derived on first read: the
     exactly symmetric face Jacobians dL/dK as J_diag[f, i] = dL_i/dK_i and
     J_pair[f, c] = dL_i/dK_j = dL_j/dK_i for the pairs (i, j) = (0, 1),
     (1, 2), (2, 0) of the edge table (surface._PAIR_ENDS), each checked
@@ -217,23 +217,22 @@ class FaceArrays:
     and polygon_area (summed in ascending order, so independent of the
     corner order)."""
 
-    def __init__(self, k, D, P, x, w, G, arc, L):
-        self.k, self.D, self.P, self.x, self.w, self.G = k, D, P, x, w, G
+    def __init__(self, k, D, sqrt_D, P, x, w, G, arc, L):
+        self.k, self.D, self.sqrt_D, self.P, self.x, self.w, self.G = k, D, sqrt_D, P, x, w, G
         self.arc, self.L = arc, L
 
     @cached_property
     def J_pair(self) -> np.ndarray:
         k, kn = self.k, self.k[:, _NEXT]
         with np.errstate(all="ignore"):
-            J_pair = -(k * kn) / (np.sqrt(self.D) * (k + kn))
+            J_pair = -(k * kn) / (self.sqrt_D * (k + kn))
         _check_evaluable(k, J_pair)
         return J_pair
 
     @cached_property
     def J_diag(self) -> np.ndarray:
-        k, D, x = self.k, self.D, self.x
+        k, D, sqrt_d, x = self.k, self.D, self.sqrt_D, self.x
         with np.errstate(all="ignore"):
-            sqrt_d = np.sqrt(D)
             H = (1.0 / (self.P / D) - self.G) / x
             small = np.abs(x) < _SERIES_X
             if small.any():
@@ -327,12 +326,13 @@ def face_kernel(k) -> FaceArrays:
         # cancels near w = 0 or w = 1
         G = np.where(x > 0.0, np.arctan(w), 0.5 * np.log1p(2.0 * w * (1.0 + w) / (P / D))) / w
         G[w == 0.0] = 1.0
-        arc = 2.0 * G / np.sqrt(D)
+        sqrt_D = np.sqrt(D)
+        arc = 2.0 * G / sqrt_D
         L = k * arc
 
     # a finite P bounds k^2 and D, so that no product overflowed into a finite L
     _check_evaluable(k, L, P)
-    return FaceArrays(k, D, P, x, w, G, arc, L)
+    return FaceArrays(k, D, sqrt_D, P, x, w, G, arc, L)
 
 
 # c_n = |B_2n| / (2n (2n + 1)!): Cl2(x) = x - x ln|x| + sum_n c_n x^(2n+1), to 1e-17 on [-pi, pi];

@@ -23,7 +23,7 @@ from hypack.packing import _face_curvatures, _hessian_entries, _hessian_index
 from hypack.packing import global_jacobian, vertex_curvature_sums, vertex_curvatures
 from hypack.surface import Triangulation, check_admissible, violating_subset
 from hypack.realize import realize_metric
-from hypack.tangency import FaceArrays, InfeasibleGeometryError
+from hypack.tangency import FaceArrays, InfeasibleGeometryError, corner_curvatures
 
 from conftest import TETRA_FACES, genus2, torus_grid
 from test_oracle import oracle_face
@@ -368,10 +368,11 @@ def reference_solve(tri, target, K0=None, config=FlowConfig(), *, uncertified_ok
     global_jacobian, vertex_curvature_sums and np.linalg.solve, and the
     certificate from its own vertex_curvatures call, which must hold
     unless uncertified_ok, where the maximum flow decides instead (as in
-    solve).  No drift guard: on
+    solve).  Without K0 it starts where solve does, from flow's table of
+    the one-corner curve.  No drift guard: on
     an admissible target the guard finds no witness and changes nothing."""
     target = np.asarray(target, dtype=float)
-    K = np.zeros(tri.num_vertices) if K0 is None else np.array(K0, dtype=float)
+    K = _default_start(tri, target) if K0 is None else np.array(K0, dtype=float)
     rows = [K]
     res = vertex_curvature_sums(tri, K) - target
     h, steps, newton = flow._INITIAL_STEP, 0, False
@@ -412,6 +413,13 @@ def reference_solve(tri, target, K0=None, config=FlowConfig(), *, uncertified_ok
     certified = bool(np.all(3.0 * np.abs(rep.L - target) < slack))
     assert certified or (uncertified_ok and check_admissible(tri, target).admissible)
     return SolveStatus.CONVERGED, rows
+
+
+def _default_start(tri, target):
+    """solve's K0 when none is given: each vertex where one corner between
+    two horocycles, L(e^K, 1, 1), is its share Lhat_i / deg(i)."""
+    deg = np.array([tri.degree(v) for v in range(tri.num_vertices)])
+    return np.interp(target / deg, flow._START_L, flow._START_K)
 
 
 def _newton_trials(trace):
@@ -532,6 +540,72 @@ class TestOneEvaluationPerIterate:
         res = solve(tri, _planted(tri, 0), config=FlowConfig(newton=False))
         assert res.status is SolveStatus.CONVERGED
         assert counts["J_diag"] == counts["J_pair"] == 0 and counts["area"] == 1
+
+
+def _start_of(tri, target):
+    """The K0 a default solve starts from: its first trace row."""
+    cfg = FlowConfig(max_steps=0, check_admissibility=False)
+    return solve(tri, target, config=cfg).trace.K[0]
+
+
+def _planted_cusps(tri, seed, sigma):
+    """Planted targets, log k ~ N(0, sigma), with about a fifth of the
+    vertices on horocycles (K = 0) on odd seeds."""
+    rng = np.random.default_rng([seed, round(10 * sigma)])
+    K_star = rng.normal(0.0, sigma, tri.num_vertices)
+    if seed % 2:
+        K_star[rng.random(tri.num_vertices) < 0.2] = 0.0
+    return vertex_curvature_sums(tri, K_star)
+
+
+class TestDefaultStart:
+    """Without K0 a solve starts each vertex where one corner between two
+    horocycles, L(e^K, 1, 1), is its share Lhat_i / deg(i) of the target."""
+
+    def test_the_table_rises_strictly(self):
+        assert np.all(np.diff(flow._START_L) > 0.0)
+
+    def test_each_corner_meets_its_share(self):
+        tri = genus2()
+        deg = np.array([tri.degree(v) for v in range(tri.num_vertices)])
+        lo, hi = flow._START_L[0], flow._START_L[-1]
+        for seed in range(20):
+            share = np.exp(np.random.default_rng(seed).uniform(np.log(lo), np.log(hi),
+                                                               tri.num_vertices))
+            K0 = _start_of(tri, share * deg)
+            got = [corner_curvatures(math.exp(K), 1.0, 1.0)[0] for K in K0]
+            assert np.max(np.abs(np.array(got) - share)) < 1e-3
+
+    def test_shares_beyond_the_table_clamp_to_its_ends(self):
+        tri = genus2()
+        deg = np.array([tri.degree(v) for v in range(tri.num_vertices)])
+        share = np.where(np.arange(tri.num_vertices) % 2, 1e-9, 1e3)
+        K0 = _start_of(tri, share * deg)
+        assert np.array_equal(K0, np.where(share < 1.0, flow._START_K[0], flow._START_K[-1]))
+        assert np.max(np.abs(K0)) < flow._DRIFT_LIMIT
+
+    @pytest.mark.parametrize("j", [7, 8, 11, 12, 16, 23, 25, 29, 33])
+    def test_a_planted_genus2_state_takes_four_newton_steps(self, j):
+        # as perfbench's solve-genus2 pool draws its states; from K = 0
+        # each of them takes five
+        tri = genus2()
+        K_star = np.random.default_rng([2, j]).normal(0.0, 0.7, tri.num_vertices)
+        res = solve(tri, vertex_curvature_sums(tri, K_star))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.trace.phase[1:] == ["newton"] * 4
+        assert np.max(np.abs(res.K - K_star)) < 1e-9
+
+    @pytest.mark.parametrize("sigma", [0.7, 2.0, 4.0])
+    @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(8, 8)],
+                             ids=["genus2", "torus8x8"])
+    def test_no_more_steps_than_from_zero(self, surface, sigma):
+        tri = surface()
+        for seed in range(4):
+            target = _planted_cusps(tri, seed, sigma)
+            default = solve(tri, target)
+            zero = solve(tri, target, np.zeros(tri.num_vertices))
+            assert default.status is zero.status is SolveStatus.CONVERGED, seed
+            assert len(default.trace.K) <= len(zero.trace.K), seed
 
 
 @pytest.mark.parametrize("K0", [-6.0, -8.0])
@@ -794,9 +868,9 @@ class TestRateEstimate:
 
     def test_rate_is_pinned(self, tetrahedron):
         # the fit window's top is a constant, so newton_switch_tol does
-        # not move the rate of the flow on unit targets
+        # not move the rate of the flow on unit targets; pinned from K = 0
         for switch in (1e-2, math.inf):
-            est = rate_estimate(solve(tetrahedron, np.ones(4),
+            est = rate_estimate(solve(tetrahedron, np.ones(4), np.zeros(4),
                                       config=FlowConfig(newton=False,
                                                         newton_switch_tol=switch)).trace)
             assert est.lam == pytest.approx(0.6464068075858324, rel=1e-6)
