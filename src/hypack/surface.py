@@ -10,13 +10,14 @@ admissible iff
     sum_{i in I} Lhat_i  <  pi * |F_I|   for every nonempty I subset V,
 
 where F_I is the set of faces meeting I.  The test is one maximum flow
-from the vertices to the faces, exact at every surface size.
-Triangulations are immutable after construction and all queries are
-read-only.
+from the vertices to the faces, exact at every size: Dinitz phases on
+corner tables built on the first call, then a linear-time witness.
+Triangulations are immutable and all queries are read-only.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -94,6 +95,7 @@ class Triangulation:
     _slot_ends: np.ndarray = field(init=False, repr=False, compare=False)
     _slot_count: np.ndarray = field(init=False, repr=False, compare=False)
     _defects: tuple[Defect, ...] | None = field(init=False, repr=False, compare=False)
+    _corners: tuple | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
         n = _count(num_vertices, "num_vertices", 1)
@@ -125,6 +127,7 @@ class Triangulation:
         object.__setattr__(self, "_slot_ends", ends)
         object.__setattr__(self, "_slot_count", count)
         object.__setattr__(self, "_defects", None)
+        object.__setattr__(self, "_corners", None)
 
     def degree(self, v: int) -> int:
         """Number of faces containing vertex v."""
@@ -136,6 +139,17 @@ class Triangulation:
         if self._defects is None:
             object.__setattr__(self, "_defects", self._find_defects())
         return list(self._defects)
+
+    def _corner_table(self) -> tuple:
+        """Built on the first call: each vertex's (face f, flat corner 3 f + its
+        first corner in f) in vertex_faces order, and each flat corner's vertex."""
+        if self._corners is None:
+            faces = self.faces
+            object.__setattr__(self, "_corners", (
+                tuple([(f, 3 * f + faces[f].index(v)) for f in fs]
+                      for v, fs in enumerate(self.vertex_faces)),
+                self.face_array.ravel().tolist()))
+        return self._corners
 
     def _find_defects(self) -> tuple[Defect, ...]:
         """The four checks, each as array masks over the edge table; a
@@ -235,18 +249,6 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-def _reach(starts, step) -> set:
-    """Everything reachable from `starts` (included) by repeated `step`."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for w in step(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def euler_characteristic(tri: Triangulation) -> int:
     return tri.num_vertices - len(tri.edges) + len(tri.faces)
 
@@ -267,23 +269,26 @@ class Admissibility:
 
 def check_admissible(tri: Triangulation, l_hat) -> Admissibility:
     """Test sum_{i in I} Lhat_i < pi |F_I| for every nonempty I, exactly
-    and at every size, by a maximum flow: source -> vertex v (capacity
-    Lhat_v) -> each face at v (unbounded) -> sink (capacity pi).  The cut
-    holding the vertex set I costs sum(Lhat) + margin(I).  The worst
-    margin over the sets holding v is the extra flow v can still send.
-    The search runs on the one flow: after its turn v leaves the network,
-    so each set is searched once, from its smallest vertex."""
-    x, room, tol, witness, margin = _max_flow(tri, l_hat)
+    and at every size, by a maximum flow (_max_flow): source -> vertex v
+    (capacity Lhat_v) -> each face at v (unbounded) -> sink (capacity pi),
+    where the cut holding the vertex set I costs sum(Lhat) + margin(I).
+    The worst margin over the sets holding v is what v can still send in
+    its turn, at most the singletons' and V's margins; v then leaves the
+    network, so each set is searched once, from its smallest vertex."""
+    targets, x, room, witness, margin = _max_flow(tri, l_hat)
     if witness is not None:
         return Admissibility(admissible=False, worst_margin=margin, witness=witness)
-    best = math.inf
-    for v in range(tri.num_vertices):
-        best = min(best, _augment(tri, x, room, v, best, tol))
-        for f in tri.vertex_faces[v]:  # the other vertices stay saturated
-            for c, w in enumerate(tri.faces[f]):
-                if w == v:
-                    room[f] += x[f][c]
-                    x[f][c] = 0.0
+    by_vertex, at = tri._corner_table()
+    best = min([math.pi * len(pairs) - t for pairs, t in zip(by_vertex, targets)]
+               + [math.pi * len(room) - math.fsum(targets)])
+    for v, pairs in enumerate(by_vertex):
+        sent = sum(room[f] for f, _ in pairs)
+        for f, k in pairs:  # v fills its faces' room first
+            x[k], room[f] = x[k] + room[f], 0.0
+        if sent < best:
+            best = min(best, sent + _push(by_vertex, at, x, room, {v: best - sent}))
+        for f, k in pairs:  # v leaves; the other vertices stay saturated
+            room[f], x[k] = room[f] + x[k], 0.0
     return Admissibility(admissible=True, worst_margin=best)
 
 
@@ -361,93 +366,158 @@ def _checked_targets(tri: Triangulation, l_hat) -> np.ndarray:
     L = np.asarray(l_hat, dtype=float)
     if L.shape != (tri.num_vertices,):
         raise ValueError(f"expected {tri.num_vertices} target entries, got shape {L.shape}")
-    ok = (L > 0.0) & (L < math.inf)
-    if not np.all(ok):
-        bad = int(np.argmin(ok))
-        raise ValueError(f"target curvatures must be positive and finite; entry {bad} is {L[bad]}")
+    for i, v in enumerate(L.tolist()):  # NaN fails too
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"target curvatures must be positive and finite; entry {i} is {L[i]}")
     return L
 
 
+_TOL = 1e-12 * math.pi  # flows and rooms (at most pi) within it count as 0
+
+
 def _max_flow(tri: Triangulation, l_hat):
-    """Route the targets by a maximum flow, in which corner c of face f takes
-    x[f][c] from its vertex and face f can pass room[f] more to the sink.
-    Returns (x, room, tol, witness, its margin).  Flows and rooms, which
-    never exceed pi, count as 0 within tol = 1e-12 pi; vertex v is short
-    of its target when more than 1e-12 (pi + Lhat_v) is missing, so that
-    a tiny target next to huge ones still counts."""
-    L = _checked_targets(tri, l_hat)
-    tol = 1e-12 * math.pi
-    short_tol = [1e-12 * (math.pi + float(v)) for v in L]
-    x = [[0.0, 0.0, 0.0] for _ in tri.faces]
+    """Route the targets on the corner tables (flat corner k = 3 f + c
+    takes x[k] from its vertex, face f passes up to room[f] more to the
+    sink): a greedy fill, face by face, then Dinitz phases (_push) from the
+    vertices it leaves short of more than 1e-12 (pi + Lhat_v).  Returns
+    (targets, x, room, witness, margin): the reach of the vertices still
+    short, or else the smallest tight set, checked by pi |F_W| - sum_W Lhat."""
+    targets = _checked_targets(tri, l_hat).tolist()
+    by_vertex, at = tri._corner_table()
+    x = [0.0] * len(at)
     room = [math.pi] * len(tri.faces)
-    need = [float(v) for v in L]
-    for f, face in enumerate(tri.faces):  # greedy first fill, then augment
-        for c, v in enumerate(face):
-            x[f][c] = min(room[f], need[v])
-            room[f] -= x[f][c]
-            need[v] -= x[f][c]
-    for v in range(tri.num_vertices):
-        if need[v] > short_tol[v]:
-            need[v] -= _augment(tri, x, room, v, need[v], tol)
-    short = [v for v in range(tri.num_vertices) if need[v] > short_tol[v]]
-    margin = 0.0 - sum(need[v] for v in short)  # the witness's; +0.0 on a tight set
-    return x, room, tol, _witness(tri, x, room, short, tol), margin
-
-
-def _search(tri: Triangulation, x, room, starts, tol):
-    """Breadth-first residual search from `starts`: a vertex reaches its
-    faces, a face the corners whose flow it can hand back.  Returns (the
-    first (vertex, face) with room or None, reached vertex -> the
-    (vertex, face, corner) it was reached by, None for a start)."""
-    prev: dict[int, tuple | None] = dict.fromkeys(starts)
-    queue = list(starts)
-    for u in queue:
-        for f in tri.vertex_faces[u]:
-            if room[f] > tol:
-                return (u, f), prev
-            for c, w in enumerate(tri.faces[f]):
-                if w not in prev and x[f][c] > tol:
-                    prev[w] = (u, f, c)
-                    queue.append(w)
-    return None, prev
-
-
-def _augment(tri: Triangulation, x, room, start: int, limit: float, tol: float) -> float:
-    """Send up to `limit` more from vertex `start` along shortest residual
-    paths, updating x and room in place; returns the amount sent."""
-    sent = 0.0
-    while limit - sent > tol:
-        end, prev = _search(tri, x, room, [start], tol)
-        if end is None:
-            break
-        u, f = end
-        links = []
-        while prev[u] is not None:
-            links.append(prev[u])
-            u = prev[u][0]
-        d = min([limit - sent, room[f]] + [x[g][c] for _, g, c in links])
+    need = targets.copy()
+    for k, v in enumerate(at):
+        f = k // 3
+        x[k] = d = min(room[f], need[v])
         room[f] -= d
-        x[f][tri.faces[f].index(end[0])] += d
-        for p, g, c in links:  # face g takes d more from p and d less from corner c
-            x[g][tri.faces[g].index(p)] += d
-            x[g][c] -= d
-        sent += d
-    return sent
+        need[v] -= d
+    short_tol = [1e-12 * (math.pi + v) for v in targets]
+    missing = {v: d for v, d in enumerate(need) if d > short_tol[v]}
+    _push(by_vertex, at, x, room, missing)
+    short = [v for v, d in missing.items() if d > short_tol[v]]
+    margin = 0.0 - sum(missing[v] for v in short)  # +0.0 on a tight set
+    witness = (tuple(sorted(_levels(by_vertex, at, x, room, short)[0])) if short
+               else _tight_set(by_vertex, at, x, room))
+    if witness is not None:
+        faces = {f for v in witness for f, _ in by_vertex[v]}
+        direct = math.pi * len(faces) - math.fsum(targets[v] for v in witness)
+        if abs(direct - margin) > 1e-9 * (1.0 + abs(margin)):
+            raise RuntimeError(f"witness {witness}: the flow gives {margin!r}, the sums {direct!r}")
+    return targets, x, room, witness, margin
 
 
-def _witness(tri: Triangulation, x, room, short, tol) -> tuple[int, ...] | None:
-    """The smallest worst-violating set of a maximum flow, or None.  With
-    vertices short of their target it is all they reach (the smallest
-    minimum cut); else a vertex with no residual path to the sink lies in
-    a tight set (margin 0), and the smallest one is such a vertex's reach."""
-    if short:
-        return tuple(sorted(_search(tri, x, room, short, tol)[1]))
-    to_sink = _reach([w for f, face in enumerate(tri.faces) if room[f] > tol for w in face],
-                     lambda u: [w for f in tri.vertex_faces[u]
-                                if x[f][tri.faces[f].index(u)] > tol for w in tri.faces[f]])
-    tight = [tuple(sorted(_search(tri, x, room, [v], tol)[1]))
-             for v in range(tri.num_vertices) if v not in to_sink]
-    return min(tight, key=lambda t: (len(t), t), default=None)
+def _push(by_vertex, at, x, room, need: dict) -> float:
+    """Send up to need[v] more from each vertex v of `need` (lowered in
+    place) in Dinitz phases (Soviet Math. Dokl. 11, 1970): _levels sets
+    the levels, then a blocking flow searches depth first, iteratively,
+    down them from each face with room at the top, with a current arc per
+    vertex and per face; dead ends and met starts leave the phase.
+    Returns the amount sent."""
+    tol, sent = _TOL, 0.0
+    while True:
+        starts = [v for v, d in need.items() if d > tol]
+        level, face_level, top = _levels(by_vertex, at, x, room, starts)
+        if top is None:
+            return sent
+        at_vertex, at_face, live = dict.fromkeys(level, 0), {}, len(starts)
+        for t, f, k in [(t, f, k) for t in top for f, k in by_vertex[t] if room[f] > tol]:
+            path = [(t, k, k)]  # (w, corners of the vertex before w and of w in their face)
+            while live and path and room[f] > tol:
+                u = path[-1][0]
+                down = level[u] - 1
+                if down == -1 and need[u] > tol:
+                    d = min(need[u], room[f], *[x[j] for _, j, _ in path[1:]])
+                    room[f] -= d
+                    x[k] += d
+                    for _, j, c in path[1:]:
+                        x[j] -= d
+                        x[c] += d
+                    need[u] -= d
+                    sent += d
+                    live -= need[u] <= tol
+                    del path[1:]
+                    continue
+                pairs, a = by_vertex[u], at_vertex[u]
+                while down >= 0 and a < len(pairs):
+                    g, j = pairs[a]
+                    if x[j] > tol and face_level.get(g) == down:
+                        c, end = at_face.get(g, 3 * g), 3 * g + 3
+                        while c < end and level.get(at[c]) != down:
+                            c += 1
+                        at_face[g] = c
+                        if c < end:
+                            break
+                    a += 1
+                at_vertex[u] = a
+                if down >= 0 and a < len(pairs):
+                    path.append((at[c], j, c))
+                    continue
+                level[u] = -1  # a dead end for the rest of the phase
+                path.pop()
+
+
+def _levels(by_vertex, at, x, room, starts):
+    """Breadth-first residual search from all of `starts` at once: a vertex
+    reaches its faces, each searched once, a face the vertices it can hand
+    flow back to.  Returns the vertices' and the faces' levels, and the
+    vertices of the first level that has a face with room (or None)."""
+    tol = _TOL
+    level, face_level = dict.fromkeys(starts, 0), {}
+    frontier, depth = starts, 0
+    while frontier:
+        reached, up = [], depth + 1
+        for u in frontier:
+            for f, _ in by_vertex[u]:
+                if f in face_level:
+                    continue
+                if room[f] > tol:
+                    return level, face_level, frontier
+                face_level[f] = depth
+                for j in range(3 * f, 3 * f + 3):
+                    if x[j] > tol and at[j] not in level:
+                        level[at[j]] = up
+                        reached.append(at[j])
+        frontier, depth = reached, up
+    return level, face_level, None
+
+
+def _tight_set(by_vertex, at, x, room) -> tuple[int, ...] | None:
+    """The smallest tight set (margin 0: closed under residual arcs) of a
+    flow that leaves no vertex short, or None: the smallest terminal
+    strongly connected component among the vertices with no residual path
+    to the sink (Tarjan, SIAM J. Comput. 1, 1972), by size, then by tuple."""
+    to_sink = {at[j] for f, r in enumerate(room) if r > _TOL for j in range(3 * f, 3 * f + 3)}
+    stack = list(to_sink)
+    while stack:  # backwards: a face that hands u flow back takes in its vertices
+        for f, k in by_vertex[stack.pop()]:
+            if x[k] > _TOL:
+                stack += [w for w in at[3 * f:3 * f + 3] if w not in to_sink]
+                to_sink.update(at[3 * f:3 * f + 3])
+    succ = {u: [at[j] for f, _ in by_vertex[u] for j in range(3 * f, 3 * f + 3) if x[j] > _TOL]
+            for u in range(len(by_vertex)) if u not in to_sink}
+    index, low, comp, comps = {}, {}, {}, []
+    for root in succ:
+        work = [] if root in index else [(root, 0)]
+        while work:  # (u, i): the arcs of u before its i-th are done
+            u, i = work.pop()
+            if i == 0:
+                index[u] = low[u] = len(index)
+                stack.append(u)
+            elif succ[u][i - 1] not in comp:  # still on the stack
+                low[u] = min(low[u], low[succ[u][i - 1]])
+            if i < len(succ[u]):
+                work.append((u, i + 1))
+                if succ[u][i] not in index:
+                    work.append((succ[u][i], 0))
+            elif low[u] == index[u]:  # the stack holds vertices in search order
+                i = bisect.bisect_left(stack, index[u], key=index.get)
+                comp.update(dict.fromkeys(stack[i:], len(comps)))
+                comps.append(stack[i:])
+                del stack[i:]
+    terminal = [tuple(sorted(c)) for i, c in enumerate(comps)
+                if all(comp[w] == i for u in c for w in succ[u])]
+    return min(terminal, key=lambda t: (len(t), t), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,20 @@ import random
 import numpy as np
 import pytest
 
+from hypack import surface
 from hypack.flow import SolveStatus, solve
 from hypack.packing import vertex_curvature_sums
 from hypack.surface import (
+    Admissibility,
     Defect,
     ParseError,
     Triangulation,
+    _checked_targets,
     check_admissible,
     euler_characteristic,
     load_targets,
     load_triangulation,
+    violating_subset,
 )
 
 from conftest import OCTA_FACES, TETRA_FACES, genus2, torus_grid
@@ -213,6 +217,18 @@ class TestEdgeTable:
         # only validate()'s memo of its defects is filled in
         assert [k for k in after if after[k] is not before[k]] == ["_defects"]
 
+    def test_the_first_feasibility_call_builds_the_corner_tables(self):
+        tri = Triangulation(5, TETRA_FACES[:-1] + [(1, 1, 2)])
+        tri.validate()
+        assert tri._corners is None
+        check_admissible(tri, [1.0] * 5)
+        by_vertex, at = tri._corners
+        assert violating_subset(tri, [1.0] * 5) == (4,) and tri._corner_table()[0] is by_vertex
+        assert at == [v for face in tri.faces for v in face]
+        assert [[f for f, _ in pairs] for pairs in by_vertex] == list(map(list, tri.vertex_faces))
+        # each face's corner is the vertex's first one in it
+        assert by_vertex[1] == [(0, 1), (1, 4), (3, 9)]
+
     @pytest.mark.parametrize("faces", [TETRA_FACES[:-1] + [(1, 1, 2)], list(genus2().faces)],
                              ids=["repeated-vertex", "genus2"])
     def test_lists_and_integer_arrays_give_equal_fields(self, faces):
@@ -345,6 +361,120 @@ def _connectivity_defects(tri, by_edge):
     return []
 
 
+# The augmenting-path flow that preceded the Dinitz phases, kept as the
+# oracle for check_admissible and violating_subset: one breadth-first path
+# at a time, each short vertex on its own.
+
+def oracle_admissible(tri, l_hat):
+    """(admissible, worst margin, witness) as check_admissible gave them."""
+    x, room, tol, witness, margin = _max_flow(tri, l_hat)
+    if witness is not None:
+        return False, margin, witness
+    best = math.inf
+    for v in range(tri.num_vertices):
+        best = min(best, _augment(tri, x, room, v, best, tol))
+        for f in tri.vertex_faces[v]:  # the other vertices stay saturated
+            for c, w in enumerate(tri.faces[f]):
+                if w == v:
+                    room[f] += x[f][c]
+                    x[f][c] = 0.0
+    return True, best, None
+
+
+def _reach(starts, step) -> set:
+    """Everything reachable from `starts` (included) by repeated `step`."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in step(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _max_flow(tri: Triangulation, l_hat):
+    """Route the targets by a maximum flow, in which corner c of face f takes
+    x[f][c] from its vertex and face f can pass room[f] more to the sink.
+    Returns (x, room, tol, witness, its margin).  Flows and rooms, which
+    never exceed pi, count as 0 within tol = 1e-12 pi; vertex v is short
+    of its target when more than 1e-12 (pi + Lhat_v) is missing, so that
+    a tiny target next to huge ones still counts."""
+    L = _checked_targets(tri, l_hat)
+    tol = 1e-12 * math.pi
+    short_tol = [1e-12 * (math.pi + float(v)) for v in L]
+    x = [[0.0, 0.0, 0.0] for _ in tri.faces]
+    room = [math.pi] * len(tri.faces)
+    need = [float(v) for v in L]
+    for f, face in enumerate(tri.faces):  # greedy first fill, then augment
+        for c, v in enumerate(face):
+            x[f][c] = min(room[f], need[v])
+            room[f] -= x[f][c]
+            need[v] -= x[f][c]
+    for v in range(tri.num_vertices):
+        if need[v] > short_tol[v]:
+            need[v] -= _augment(tri, x, room, v, need[v], tol)
+    short = [v for v in range(tri.num_vertices) if need[v] > short_tol[v]]
+    margin = 0.0 - sum(need[v] for v in short)  # the witness's; +0.0 on a tight set
+    return x, room, tol, _witness(tri, x, room, short, tol), margin
+
+
+def _search(tri: Triangulation, x, room, starts, tol):
+    """Breadth-first residual search from `starts`: a vertex reaches its
+    faces, a face the corners whose flow it can hand back.  Returns (the
+    first (vertex, face) with room or None, reached vertex -> the
+    (vertex, face, corner) it was reached by, None for a start)."""
+    prev: dict[int, tuple | None] = dict.fromkeys(starts)
+    queue = list(starts)
+    for u in queue:
+        for f in tri.vertex_faces[u]:
+            if room[f] > tol:
+                return (u, f), prev
+            for c, w in enumerate(tri.faces[f]):
+                if w not in prev and x[f][c] > tol:
+                    prev[w] = (u, f, c)
+                    queue.append(w)
+    return None, prev
+
+
+def _augment(tri: Triangulation, x, room, start: int, limit: float, tol: float) -> float:
+    """Send up to `limit` more from vertex `start` along shortest residual
+    paths, updating x and room in place; returns the amount sent."""
+    sent = 0.0
+    while limit - sent > tol:
+        end, prev = _search(tri, x, room, [start], tol)
+        if end is None:
+            break
+        u, f = end
+        links = []
+        while prev[u] is not None:
+            links.append(prev[u])
+            u = prev[u][0]
+        d = min([limit - sent, room[f]] + [x[g][c] for _, g, c in links])
+        room[f] -= d
+        x[f][tri.faces[f].index(end[0])] += d
+        for p, g, c in links:  # face g takes d more from p and d less from corner c
+            x[g][tri.faces[g].index(p)] += d
+            x[g][c] -= d
+        sent += d
+    return sent
+
+
+def _witness(tri: Triangulation, x, room, short, tol) -> tuple[int, ...] | None:
+    """The smallest worst-violating set of a maximum flow, or None.  With
+    vertices short of their target it is all they reach (the smallest
+    minimum cut); else a vertex with no residual path to the sink lies in
+    a tight set (margin 0), and the smallest one is such a vertex's reach."""
+    if short:
+        return tuple(sorted(_search(tri, x, room, short, tol)[1]))
+    to_sink = _reach([w for f, face in enumerate(tri.faces) if room[f] > tol for w in face],
+                     lambda u: [w for f in tri.vertex_faces[u]
+                                if x[f][tri.faces[f].index(u)] > tol for w in tri.faces[f]])
+    tight = [tuple(sorted(_search(tri, x, room, [v], tol)[1]))
+             for v in range(tri.num_vertices) if v not in to_sink]
+    return min(tight, key=lambda t: (len(t), t), default=None)
+
+
 class TestEuler:
     def test_tetrahedron(self, tetrahedron):
         assert euler_characteristic(tetrahedron) == 2
@@ -373,6 +503,67 @@ def brute_force_admissible(tri, L):
                 worst = margin
                 witness = subset
     return worst, witness
+
+
+def _patch(tri, grid, rng):
+    """A 3x3 block of vertices of a torus grid of `grid` = (rows, columns),
+    or on any other surface a random vertex with its neighbours."""
+    if grid is None:
+        v = int(rng.integers(tri.num_vertices))
+        return sorted({w for f in tri.vertex_faces[v] for w in tri.faces[f]})
+    m, c = grid
+    i, j = rng.integers(m), rng.integers(c)
+    return sorted(int((i + a) % m * c + (j + b) % c) for a in range(3) for b in range(3))
+
+
+def feasibility_targets(tri, grid, rng, draws):
+    """(kind, targets) pairs, `draws` of each kind: planted admissible,
+    uniform, a local 3x3 patch scaled about its bound pi |F_W|, a global
+    overshoot, tight on all of V (sum Lhat = pi |F|), on a patch and on two,
+    and log-uniform over a span of 1e14."""
+    n, nf = tri.num_vertices, len(tri.faces)
+
+    def planted():
+        return np.asarray(vertex_curvature_sums(tri, rng.normal(0.0, 0.7, n)))
+
+    def faces_at(W):
+        return sum(1 for f in tri.faces if set(W).intersection(f))
+
+    for _ in range(draws):
+        yield "planted", planted()
+        yield "uniform", rng.uniform(0.1, 2 * math.pi * nf / n * rng.uniform(0.6, 1.4), n)
+        L, W = planted(), _patch(tri, grid, rng)
+        L[W] *= (math.pi * faces_at(W) + rng.uniform(-0.3, 0.5)) / L[W].sum()
+        yield "local", L
+        L = planted()
+        yield "global", L * (math.pi * nf * (1.0 + rng.uniform(1e-4, 1e-2)) / L.sum())
+        yield "tight-global", np.full(n, math.pi * nf / n)
+        L = 0.5 * planted()
+        for kind in ("tight-patch", "tight-patches"):  # a second one may overlap the first
+            W = _patch(tri, grid, rng)
+            L[W] = math.pi * faces_at(W) / len(W)
+            yield kind, L.copy()
+        yield "span", np.exp(rng.uniform(math.log(1.5e-8), math.log(1.2e6), n))
+
+
+def enumerated_admissible(tri, L):
+    """brute_force_admissible over all subsets at once, for up to about 20
+    vertices and 64 faces.  Subset m is the bits of m; its sum and its
+    faces (as face bits) extend those of m without its top vertex, so the
+    sums add in the same order and give the same (worst, witness)."""
+    n = tri.num_vertices
+    assert len(tri.faces) <= 64
+    total, faces = np.zeros(1 << n), np.zeros(1 << n, dtype=np.uint64)
+    for i in range(n):
+        total[1 << i:2 << i] = total[:1 << i] + L[i]
+        bits = np.uint64(sum(1 << fi for fi in tri.vertex_faces[i]))
+        faces[1 << i:2 << i] = faces[:1 << i] | bits
+    ones = np.array([bin(b).count("1") for b in range(256)])
+    margin = math.pi * ones[faces.view(np.uint8)].reshape(-1, 8).sum(axis=1) - total
+    worst = margin[1:].min()
+    ties = [tuple(i for i in range(n) if m >> i & 1)
+            for m in np.flatnonzero(margin == worst).tolist() if m]
+    return worst, min(ties, key=lambda t: (len(t), t))
 
 
 class TestAdmissible:
@@ -451,6 +642,11 @@ class TestAdmissible:
         (Triangulation(4, TETRA_FACES), [3 * math.pi, 0.5, 0.5, 0.5], (0,)),
         # {0, 1} meets 10 faces and carries exactly 10 pi
         (torus_grid(4, 4), [5 * math.pi] * 2 + [0.5] * 14, (0, 1)),
+        # two tight singletons, the smaller vertex first; a tight pair and a
+        # tight singleton, the smaller set first
+        (torus_grid(4, 4), [6 * math.pi if v in (5, 15) else 0.5 for v in range(16)], (5,)),
+        (torus_grid(4, 4), [5 * math.pi if v < 2 else 6 * math.pi if v == 10 else 0.5
+                            for v in range(16)], (10,)),
     ])
     def test_tight_target_is_inadmissible(self, tri, L, witness):
         adm = check_admissible(tri, L)
@@ -477,6 +673,83 @@ class TestAdmissible:
         # tie-breaking: (10,1,1,1) violates on {0} (by 0.575) and on V (0.434)
         adm = check_admissible(tetrahedron, [10.0, 1.0, 1.0, 1.0])
         assert -adm.worst_margin == pytest.approx(10.0 - 3 * math.pi, abs=1e-12)
+
+
+class TestFeasibilityEngine:
+    """The Dinitz phases on the corner tables against the augmenting-path
+    flow they replaced (oracle_admissible), and against subset
+    enumeration up to 20 vertices."""
+
+    @pytest.mark.parametrize("make, grid, draws", [
+        (genus2, None, 3),
+        (lambda: torus_grid(4, 5), (4, 5), 1),
+        (lambda: torus_grid(6, 6), (6, 6), 3),
+        (lambda: torus_grid(8, 8), (8, 8), 2),
+        (lambda: torus_grid(16, 16), (16, 16), 1),
+    ], ids=["genus2", "torus4x5", "torus6x6", "torus8x8", "torus16x16"])
+    def test_same_answers_as_the_oracle(self, make, grid, draws):
+        tri = make()
+        rng = np.random.default_rng(tri.num_vertices)
+        outcomes = collections.Counter()
+        for kind, L in feasibility_targets(tri, grid, rng, draws):
+            admissible, margin, witness = oracle_admissible(tri, L)
+            adm = check_admissible(tri, L)
+            assert (adm.admissible, adm.witness) == (admissible, witness), kind
+            # within 1e-9, or a few units in the last place of margins near 1e7
+            assert adm.worst_margin == pytest.approx(margin, rel=1e-15, abs=1e-9), kind
+            assert violating_subset(tri, L) == witness
+            if margin == 0.0:
+                assert adm.worst_margin == 0.0
+            if tri.num_vertices <= 20:  # exact, but ties only up to rounding
+                worst, subset = enumerated_admissible(tri, L)
+                assert worst == pytest.approx(margin, rel=1e-15, abs=1e-9)
+                if abs(worst) > 1e-9:
+                    assert (worst > 0.0, None if worst > 0.0 else subset) == (admissible, witness)
+            outcome = "admissible" if admissible else "tight" if margin == 0.0 else "violated"
+            outcomes[kind, outcome] += 1
+        assert {o for _, o in outcomes} == {"admissible", "tight", "violated"}, outcomes
+
+    def test_enumeration_is_the_brute_force(self):
+        tri = genus2()
+        for kind, L in feasibility_targets(tri, None, np.random.default_rng(3), 1):
+            if kind in ("planted", "local", "tight-patch"):
+                assert enumerated_admissible(tri, L) == brute_force_admissible(tri, L), kind
+
+    def test_a_global_violation_takes_few_phases(self, monkeypatch):
+        # the total is 0.1% above pi |F|, so the witness is all of V; one
+        # augmenting path at a time, the old flow took about n^2 steps here
+        tri = torus_grid(32, 32)
+        L = vertex_curvature_sums(tri, np.random.default_rng(1).normal(0.0, 0.7, 1024))
+        L = L * (1.001 * math.pi * 2048 / L.sum())
+        searches = []
+        levels = surface._levels
+        monkeypatch.setattr(surface, "_levels",
+                            lambda *a: searches.append(levels(*a)) or searches[-1])
+        assert violating_subset(tri, L) == tuple(range(1024))
+        phases = sum(top is not None for _, _, top in searches)  # each search that reached room
+        assert 0 < phases <= 64
+
+    def test_a_tight_target_on_all_of_v(self):
+        # sum Lhat = pi |F| exactly: no vertex is short and only V is
+        # tight; the oracle searched from every vertex in turn, which took
+        # about 0.1 s at 16x16 and 2.3 s at 32x32
+        tri = torus_grid(16, 16)
+        L = [2 * math.pi] * 256
+        assert check_admissible(tri, L) == Admissibility(*oracle_admissible(tri, L))
+        assert check_admissible(tri, L).witness == tuple(range(256))
+        tri = torus_grid(32, 32)
+        assert check_admissible(tri, [2 * math.pi] * 1024) == \
+            Admissibility(False, 0.0, tuple(range(1024)))
+
+    def test_a_flow_that_is_not_maximal_fails_its_check(self, monkeypatch):
+        # without the phases the greedy fill leaves vertices short of an
+        # admissible target, and what they reach has a positive margin
+        tri = torus_grid(4, 4)
+        L = vertex_curvature_sums(tri, np.random.default_rng(0).normal(0.0, 0.7, 16))
+        assert check_admissible(tri, L).admissible
+        monkeypatch.setattr(surface, "_push", lambda *a: 0.0)
+        with pytest.raises(RuntimeError, match="the flow gives"):
+            check_admissible(tri, L)
 
 
 class TestIO:
