@@ -381,12 +381,12 @@ def _max_flow(tri: Triangulation, l_hat):
     sink): a greedy fill, face by face, then Dinitz phases (_push) from the
     vertices it leaves short of more than 1e-12 (pi + Lhat_v).  Returns
     (targets, x, room, witness, margin): the reach of the vertices still
-    short, or else the smallest tight set, checked by pi |F_W| - sum_W Lhat."""
+    short, or else the smallest tight set, checked by pi |F_W| - sum_W Lhat
+    up to what the tolerances leave: short_tol[v] unsent from each vertex,
+    and at each face _TOL of room and of two corners' flow from outside W."""
     targets = _checked_targets(tri, l_hat).tolist()
     by_vertex, at = tri._corner_table()
-    x = [0.0] * len(at)
-    room = [math.pi] * len(tri.faces)
-    need = targets.copy()
+    x, room, need = [0.0] * len(at), [math.pi] * len(tri.faces), targets.copy()
     for k, v in enumerate(at):
         f = k // 3
         x[k] = d = min(room[f], need[v])
@@ -402,7 +402,8 @@ def _max_flow(tri: Triangulation, l_hat):
     if witness is not None:
         faces = {f for v in witness for f, _ in by_vertex[v]}
         direct = math.pi * len(faces) - math.fsum(targets[v] for v in witness)
-        if abs(direct - margin) > 1e-9 * (1.0 + abs(margin)):
+        slack = sum(short_tol[v] for v in witness) + 3 * _TOL * len(faces)
+        if abs(direct - margin) > 1e-9 * (1.0 + abs(margin)) + slack:
             raise RuntimeError(f"witness {witness}: the flow gives {margin!r}, the sums {direct!r}")
     return targets, x, room, witness, margin
 
@@ -463,8 +464,7 @@ def _levels(by_vertex, at, x, room, starts):
     flow back to.  Returns the vertices' and the faces' levels, and the
     vertices of the first level that has a face with room (or None)."""
     tol = _TOL
-    level, face_level = dict.fromkeys(starts, 0), {}
-    frontier, depth = starts, 0
+    level, face_level, frontier, depth = dict.fromkeys(starts, 0), {}, starts, 0
     while frontier:
         reached, up = [], depth + 1
         for u in frontier:

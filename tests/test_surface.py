@@ -741,6 +741,16 @@ class TestFeasibilityEngine:
         assert check_admissible(tri, [2 * math.pi] * 1024) == \
             Admissibility(False, 0.0, tuple(range(1024)))
 
+    def test_a_target_within_the_flow_tolerances_of_tight(self):
+        # 6e-12 over 2 pi at each vertex: above the 1e-12 pi within which a
+        # flow counts as 0, below the 1e-12 (pi + Lhat_v) a vertex may stay
+        # short, so V is tight for the flow while its direct margin is -1.5e-9
+        tri = torus_grid(16, 16)
+        L = [2 * math.pi + 6e-12] * 256
+        assert check_admissible(tri, L) == Admissibility(*oracle_admissible(tri, L)) \
+            == Admissibility(False, 0.0, tuple(range(256)))
+        assert violating_subset(tri, L) == tuple(range(256))
+
     def test_a_flow_that_is_not_maximal_fails_its_check(self, monkeypatch):
         # without the phases the greedy fill leaves vertices short of an
         # admissible target, and what they reach has a positive margin
