@@ -5,27 +5,23 @@ potential, so for admissible targets it converges exponentially to the
 unique log-curvature vector realizing the prescribed per-vertex total
 geodesic curvatures.  Without K0 a solve starts each vertex where one
 corner between two horocycles takes its share Lhat_i / deg(i) of the
-target (_START_L).  One loop takes Newton steps from K0 by default, each
-halved until the residual 2-norm falls, from the full step or from
-the fraction that moves no K_i by more than _NEWTON_MAX_STEP.  That cap
-keeps a start far from the solution from stepping to where M is
-singular to rounding, so Newton converges from far starts too (a
-safeguard measured on random starts, not a proof).  A step solves for
-its direction from the Hessian's entries (packing._hessian_entries): by
-one dense solve below _CG_MIN_VERTICES vertices, and from there up, where
-allocating an n x n array costs more than all of CG, by
-Jacobi-preconditioned conjugate gradients, which make none, to a
-tolerance that shrinks with the residual (_CG_RTOL).  The start and
-every Newton trial are one face-kernel evaluation (_evaluate), which
-computes only L: the face Jacobians of an iterate that a Newton step
-starts from are derived from its arrays on first read, once, and the
-last iterate's arrays derive the certificate's face areas, once.  With
-newton=False it integrates the flow instead, with an embedded
-Dormand-Prince 5(4) pair under per-step error control; with a finite
-newton_switch_tol it integrates the flow until the residual is below
-that bound and takes Newton steps from there on.  A converged K whose
-residual is small against its face areas proves the target admissible
-(_certified); only a solve without that proof runs the maximum flow.
+target (_START_L).  One loop takes Newton steps by default, each halved
+until the residual 2-norm falls, from the full step or from the fraction
+that moves no K_i by more than _NEWTON_MAX_STEP, which keeps far starts
+from stepping to where M is singular to rounding.  An iterate (the start
+or a Newton trial) is one face_kernel call on exp(K) at the faces and
+one scatter of L (_evaluate).  A Newton step derives its iterate's face
+Jacobians in one pass (FaceArrays.jacobians) and solves for its
+direction from the Hessian's entries at the index the Triangulation
+keeps: densely below _CG_MIN_VERTICES vertices, and from there up by
+Jacobi-preconditioned conjugate gradients to a tolerance that shrinks
+with the residual (_CG_RTOL).  With newton=False it integrates the flow
+instead, with an embedded Dormand-Prince 5(4) pair under per-step error
+control; with a finite newton_switch_tol it integrates the flow until
+the residual is below that bound and takes Newton steps from there on.
+A converged K whose residual is small against the face areas of its
+iterate proves the target admissible (_certified); only a solve without
+that proof runs the maximum flow.
 """
 
 from __future__ import annotations
@@ -36,8 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .packing import _dense_hessian, _hessian_entries, _hessian_index, _sum_at_vertices
-from .packing import vertex_curvature_sums, vertex_curvatures
+from .packing import _dense_hessian, _hessian_entries, _sum_at_vertices, vertex_curvature_sums
 # global_jacobian stays importable from here, where perfbench's tracer wraps it
 from .packing import global_jacobian  # noqa: F401
 from .tangency import FaceArrays, face_kernel
@@ -246,21 +241,24 @@ def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
 
 def _evaluate(tri: Triangulation, K, target) -> tuple[np.ndarray, FaceArrays]:
     """The residual L(K) - Lhat and the kernel's arrays at K (the face
-    Jacobians and areas derived on first read), from one face_kernel call."""
-    rep = vertex_curvatures(tri, K)
-    return rep.L - target, rep.arrays
+    Jacobians and areas derived on first read), from one face_kernel call
+    and one scatter; exp(K) may overflow to inf or underflow to 0, which
+    the kernel rejects."""
+    with np.errstate(over="ignore", under="ignore"):
+        fa = face_kernel(np.exp(K)[tri.face_array])
+    return _sum_at_vertices(tri, fa.L) - target, fa
 
 
 def _cg_solve(index, entries, b, rtol) -> np.ndarray:
     """The solution d of M d = b by Jacobi-preconditioned conjugate
     gradients (Hestenes & Stiefel 1952), for M's entries (the diagonal
-    last) at index = (rows, cols): a matrix-vector product is one gather,
+    last) at index = (rows, cols, ...): a matrix-vector product is one gather,
     one multiply and one np.bincount, with no n x n array.  That is plain
     CG on S M S, S = |D|^-1/2 for M's diagonal D.  Stops once r.D^-1 r <=
     rtol^2 b.D^-1 b for the residual r; raises StiffnessError after n
     iterations, or on a direction p with p.M p <= 0 (M, congruent to
     S M S, not positive definite)."""
-    rows, cols = index
+    rows, cols = index[:2]
     n = len(b)
     scale = 1.0 / np.sqrt(np.abs(entries[-n:]))
     scaled = entries * scale[rows] * scale[cols]
@@ -285,13 +283,13 @@ def _cg_solve(index, entries, b, rtol) -> np.ndarray:
                          f"in {n} iterations")
 
 
-def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index, residual_tol):
+def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, residual_tol):
     """One Newton step on L(K) = Lhat, then alpha halved from
     min(1, _NEWTON_MAX_STEP / max|d|) until the residual 2-norm falls.
     The direction d solves M d = res, res_norm = |res|_2, for the Hessian
     M (SPD, exactly symmetric) of the face Jacobians in fa at K, from its
-    entries at index = packing._hessian_index(tri): by one dense solve
-    below _CG_MIN_VERTICES vertices and by _cg_solve from there up (the
+    entries at tri._hessian_index(): by one dense solve below
+    _CG_MIN_VERTICES vertices and by _cg_solve from there up (the
     comment at _CG_MIN_VERTICES says why).  Each trial is one _evaluate
     call.  A trial fails where the kernel cannot evaluate its values, and,
     unless its residual max-norm is below residual_tol (where the solve
@@ -301,10 +299,10 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index, residu
     _cg_solve."""
     entries = _hessian_entries(tri, fa)
     if tri.num_vertices < _CG_MIN_VERTICES:
-        direction = np.linalg.solve(_dense_hessian(tri, index, entries), res)
+        direction = np.linalg.solve(_dense_hessian(tri, entries), res)
     else:
         rtol = max(_CG_RTOL, min(_CG_ETA_MAX, res_norm ** 2))
-        direction = _cg_solve(index, entries, res, rtol)
+        direction = _cg_solve(tri._hessian_index(), entries, res, rtol)
     longest = float(np.abs(direction).max())
     alpha = _NEWTON_MAX_STEP / longest if longest > _NEWTON_MAX_STEP else 1.0
     floor = 1e-12 * alpha
@@ -314,7 +312,7 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index, residu
             res_try, fa_try = _evaluate(tri, K_try, target)
             norm_try, max_try = math.sqrt(res_try @ res_try), float(np.abs(res_try).max())
             if norm_try < res_norm and max_try >= residual_tol:
-                fa_try.J_diag, fa_try.J_pair  # derived here: overflow fails the trial
+                fa_try.jacobians  # derived here: overflow fails the trial
         except ValueError:  # the trial left the range the face kernel can evaluate
             norm_try = math.inf
         if norm_try < res_norm:
@@ -324,10 +322,9 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, index, residu
 
 
 def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) -> SolveResult:
-    """Take Newton steps from K0 (by default) or flow steps to the packing
-    with prescribed total geodesic curvatures.  Without K0 the start is
-    the K at which one corner between two horocycles, L(e^K, 1, 1), is
-    each vertex's share Lhat_i / deg(i), from the table _START_L.
+    """Take Newton steps (by default) or flow steps to the packing with
+    prescribed total geodesic curvatures, from K0 or from the start read
+    off _START_L.
 
     Each pass takes a Newton step or, with newton off or until a finite
     newton_switch_tol is reached, a flow step; max_steps counts both.  A
@@ -335,9 +332,8 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     end the solve, also when only its Jacobians overflow).  The first
     divergence (some K_i beyond +-15 while the residual stalls) runs
     check_admissible's maximum flow once, and a witness ends the solve as
-    INFEASIBLE.  With
-    check_admissibility on (the default), a converged solve must also
-    certify the target (_certified); any other ending (a failed
+    INFEASIBLE.  With check_admissibility on (the default), a converged
+    solve must also certify the target (_certified); any other ending (a failed
     certificate, max_steps, a StiffnessError or a kernel failure) runs
     that maximum flow once, and is INFEASIBLE if it finds a witness.  On
     convergence the result is independent of K0 (the packing is unique).
@@ -357,7 +353,6 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                          f"{K.shape} with {np.count_nonzero(~np.isfinite(K))} not finite")
 
     trace = FlowTrace(config=cfg)
-    index = _hessian_index(tri)  # where the Newton steps put M's entries
     t = 0.0
     h = _INITIAL_STEP
     steps = 0
@@ -388,7 +383,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                 if fa is None:  # the handover from the flow
                     fa = _evaluate(tri, K, target)[1]
                 K, res, res_2norm, res_max, fa, alpha = _newton_step(
-                    tri, K, res, trace.residual_2norm[-1], fa, target, index, cfg.residual_tol)
+                    tri, K, res, trace.residual_2norm[-1], fa, target, cfg.residual_tol)
                 t += alpha
                 trace.append(t, K, res_max, res_2norm, "newton")
                 continue
@@ -412,8 +407,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     converged = status is SolveStatus.CONVERGED
     if cfg.check_admissibility and not checked:
         if converged and fa is None:  # K came from a flow step, which keeps no areas
-            rep = vertex_curvatures(tri, K)
-            res, fa = rep.L - target, rep.arrays
+            res, fa = _evaluate(tri, K, target)
         if not (converged and _certified(tri, res, fa.area)):
             witness = violating_subset(tri, target)
     if witness is not None:

@@ -8,8 +8,9 @@ face Jacobians, kinds, angles and areas only when read.  The potential
 sums the closed-form tangency.face_potential over the faces.  Scatters
 to the vertices add in face order, so results are deterministic.  M is
 exactly symmetric, and its entries are built here alone
-(_hessian_entries): one weight per edge of the edge table, at (u, w) and
-at (w, u), then the diagonal.  global_jacobian and the Newton step below
+(_hessian_entries), at the index Triangulation._hessian_index builds once:
+one weight per edge, at (u, w) and at (w, u), then the diagonal.
+global_jacobian and the Newton step below
 flow._CG_MIN_VERTICES vertices densify them (_dense_hessian); from there
 up the Newton step runs conjugate gradients on them as they are.
 """
@@ -88,30 +89,22 @@ def global_jacobian(tri: Triangulation, K) -> np.ndarray:
     one face_kernel call: exactly symmetric, strictly diagonally dominant
     with positive diagonal, hence positive definite.  Always a dense n x n
     ndarray, which costs 8*n^2 bytes: 0.5 MB at 256 vertices, 8 MB at 1024."""
-    fa = face_kernel(_face_curvatures(tri, K))
-    return _dense_hessian(tri, _hessian_index(tri), _hessian_entries(tri, fa))
-
-
-def _hessian_index(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """The COO index (rows, cols) of M's entries: every slot (u, w) of the
-    triangulation's edge table as (u, w), then as (w, u), then the diagonal."""
-    (u, w), diag = tri._slot_ends, np.arange(tri.num_vertices)
-    return np.concatenate((u, w, diag)), np.concatenate((w, u, diag))
+    return _dense_hessian(tri, _hessian_entries(tri, face_kernel(_face_curvatures(tri, K))))
 
 
 def _hessian_entries(tri: Triangulation, fa: FaceArrays) -> np.ndarray:
-    """M's entries at (rows, cols) = _hessian_index(tri), from the face
+    """M's entries at (rows, cols) = tri._hessian_index()[:2], from the face
     Jacobians in fa: an edge adds the J_pair of its faces, a vertex the
     J_diag, in face order; M v = np.bincount(rows, weights=entries * v[cols])."""
-    w = np.bincount(tri._pair_slot, weights=fa.J_pair.ravel())
-    return np.concatenate((w, w, _sum_at_vertices(tri, fa.J_diag)))
+    J_diag, J_pair = fa.jacobians
+    w = np.bincount(tri._pair_slot, weights=J_pair.ravel())
+    return np.concatenate((w, w, _sum_at_vertices(tri, J_diag)))
 
 
-def _dense_hessian(tri: Triangulation, index, entries) -> np.ndarray:
-    """M as an n x n ndarray, from its entries at index = _hessian_index(tri)."""
+def _dense_hessian(tri: Triangulation, entries) -> np.ndarray:
+    """M as an n x n ndarray, from its entries at tri._hessian_index()[2]."""
     n = tri.num_vertices
-    rows, cols = index
-    return np.bincount(rows * n + cols, weights=entries, minlength=n * n).reshape(n, n)
+    return np.bincount(tri._hessian_index()[2], weights=entries, minlength=n * n).reshape(n, n)
 
 
 def potential_value(tri: Triangulation, K, K_ref, l_hat, *, waypoints=()) -> float:

@@ -96,6 +96,7 @@ class Triangulation:
     _slot_count: np.ndarray = field(init=False, repr=False, compare=False)
     _defects: tuple[Defect, ...] | None = field(init=False, repr=False, compare=False)
     _corners: tuple | None = field(init=False, repr=False, compare=False)
+    _hessian: tuple | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
         n = _count(num_vertices, "num_vertices", 1)
@@ -128,6 +129,7 @@ class Triangulation:
         object.__setattr__(self, "_slot_count", count)
         object.__setattr__(self, "_defects", None)
         object.__setattr__(self, "_corners", None)
+        object.__setattr__(self, "_hessian", None)
 
     def degree(self, v: int) -> int:
         """Number of faces containing vertex v."""
@@ -150,6 +152,18 @@ class Triangulation:
                       for v, fs in enumerate(self.vertex_faces)),
                 self.face_array.ravel().tolist()))
         return self._corners
+
+    def _hessian_index(self) -> tuple:
+        """Built on the first call, read-only: the COO index (rows, cols) of
+        the Hessian's entries (packing._hessian_entries), every slot (u, w)
+        as (u, w), then as (w, u), then the diagonal, and rows * n + cols."""
+        if self._hessian is None:
+            n, (u, w), diag = self.num_vertices, self._slot_ends, np.arange(self.num_vertices)
+            rows, cols = np.concatenate((u, w, diag)), np.concatenate((w, u, diag))
+            object.__setattr__(self, "_hessian", (rows, cols, rows * n + cols))
+            for arr in self._hessian:
+                arr.flags.writeable = False
+        return self._hessian
 
     def _find_defects(self) -> tuple[Defect, ...]:
         """The four checks, each as array masks over the edge table; a
@@ -366,9 +380,9 @@ def _checked_targets(tri: Triangulation, l_hat) -> np.ndarray:
     L = np.asarray(l_hat, dtype=float)
     if L.shape != (tri.num_vertices,):
         raise ValueError(f"expected {tri.num_vertices} target entries, got shape {L.shape}")
-    for i, v in enumerate(L.tolist()):  # NaN fails too
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"target curvatures must be positive and finite; entry {i} is {L[i]}")
+    if not (0.0 < L.min() and L.max() < math.inf):  # a NaN fails both
+        i = next(i for i, v in enumerate(L.tolist()) if not 0.0 < v < math.inf)
+        raise ValueError(f"target curvatures must be positive and finite; entry {i} is {L[i]}")
     return L
 
 

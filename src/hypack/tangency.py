@@ -208,42 +208,40 @@ class FaceArrays:
     """face_kernel's output for F faces, corners in input order.  The kernel
     fills arc (FaceGeometry's arc_length) and L (total_curvature), and
     keeps k and its (F, 3) corner terms D (a face's value in each column),
-    sqrt_D, P, x, w and G, from which the rest is derived on first read: the
-    exactly symmetric face Jacobians dL/dK as J_diag[f, i] = dL_i/dK_i and
-    J_pair[f, c] = dL_i/dK_j = dL_j/dK_i for the pairs (i, j) = (0, 1),
-    (1, 2), (2, 0) of the edge table (surface._PAIR_ENDS), each checked
-    finite in one test on first read; the kind codes (_KINDS, a horocycle within
+    sqrt_D, P, Q = P / D, x, w and G, from which the rest is derived on
+    first read: the exactly symmetric face Jacobians dL/dK as J_diag[f, i]
+    = dL_i/dK_i and J_pair[f, c] = dL_i/dK_j = dL_j/dK_i for the pairs (i, j)
+    = (0, 1), (1, 2), (2, 0) of surface._PAIR_ENDS, both in one pass with
+    one finiteness test (jacobians); the kind codes (_KINDS, a horocycle within
     KIND_TOL of k = 1), FaceGeometry's gen_angle (NaN at a horocycle), area
     and polygon_area (summed in ascending order, so independent of the
     corner order)."""
 
-    def __init__(self, k, D, sqrt_D, P, x, w, G, arc, L):
-        self.k, self.D, self.sqrt_D, self.P, self.x, self.w, self.G = k, D, sqrt_D, P, x, w, G
-        self.arc, self.L = arc, L
+    def __init__(self, k, D, sqrt_D, P, Q, x, w, G, arc, L):
+        self.k, self.D, self.sqrt_D, self.P, self.Q = k, D, sqrt_D, P, Q
+        self.x, self.w, self.G, self.arc, self.L = x, w, G, arc, L
 
     @cached_property
-    def J_pair(self) -> np.ndarray:
-        k, kn = self.k, self.k[:, _NEXT]
-        with np.errstate(all="ignore"):
-            J_pair = -(k * kn) / (self.sqrt_D * (k + kn))
-        _check_evaluable(k, J_pair)
-        return J_pair
-
-    @cached_property
-    def J_diag(self) -> np.ndarray:
+    def jacobians(self) -> tuple[np.ndarray, np.ndarray]:
+        """(J_diag, J_pair), or an error naming a face where one is not finite."""
         k, D, sqrt_d, x = self.k, self.D, self.sqrt_D, self.x
+        kn = k.take(_NEXT, axis=1)
         with np.errstate(all="ignore"):
-            H = (1.0 / (self.P / D) - self.G) / x
+            J_pair = -(k * kn) / (sqrt_d * (k + kn))
+            H = (1.0 / self.Q - self.G) / x
             small = np.abs(x) < _SERIES_X
             if small.any():
                 xs, h = x[small], _H_SERIES[0]
                 for c in _H_SERIES[1:]:
                     h = h * xs + c
                 H[small] = h
-            J_diag = (self.L - k * k * (k[:, _OTHER_J] + k[:, _OTHER_M]) / (sqrt_d * self.P)
-                      + 2.0 * k * k * k * H / (D * sqrt_d))
-        _check_evaluable(k, J_diag)
-        return J_diag
+            J_diag = (self.L - k * k * (k.take(_OTHER_J, axis=1) + k.take(_OTHER_M, axis=1))
+                      / (sqrt_d * self.P) + 2.0 * k * k * k * H / (D * sqrt_d))
+        _check_evaluable(k, J_diag, J_pair)
+        return J_diag, J_pair
+
+    J_diag = property(lambda self: self.jacobians[0])
+    J_pair = property(lambda self: self.jacobians[1])
 
     @cached_property
     def kind(self) -> np.ndarray:
@@ -318,13 +316,14 @@ def face_kernel(k) -> FaceArrays:
         a, b, c = _ascending(k)
         # D at full width: no operation below broadcasts an (F, 1) column
         D = np.repeat(1.0 + a * b + a * c + b * c, 3).reshape(-1, 3)
-        P = (k + k[:, _OTHER_J]) * (k + k[:, _OTHER_M])
+        P = (k + k.take(_OTHER_J, axis=1)) * (k + k.take(_OTHER_M, axis=1))
+        Q = P / D
         x = (k - 1.0) * (k + 1.0) / D
         w = np.sqrt(np.abs(x))
         # atanh w = log1p(2w/(1 - w))/2 with 1 - w = (1 + x)/(1 + w), 1 + x
-        # = P/D without the cancellation of adding: no series, as nothing
+        # = Q without the cancellation of adding: no series, as nothing
         # cancels near w = 0 or w = 1
-        G = np.where(x > 0.0, np.arctan(w), 0.5 * np.log1p(2.0 * w * (1.0 + w) / (P / D))) / w
+        G = np.where(x > 0.0, np.arctan(w), 0.5 * np.log1p(2.0 * w * (1.0 + w) / Q)) / w
         G[w == 0.0] = 1.0
         sqrt_D = np.sqrt(D)
         arc = 2.0 * G / sqrt_D
@@ -332,7 +331,7 @@ def face_kernel(k) -> FaceArrays:
 
     # a finite P bounds k^2 and D, so that no product overflowed into a finite L
     _check_evaluable(k, L, P)
-    return FaceArrays(k, D, sqrt_D, P, x, w, G, arc, L)
+    return FaceArrays(k, D, sqrt_D, P, Q, x, w, G, arc, L)
 
 
 # c_n = |B_2n| / (2n (2n + 1)!): Cl2(x) = x - x ln|x| + sum_n c_n x^(2n+1), to 1e-17 on [-pi, pi];

@@ -19,7 +19,7 @@ from hypack.flow import (
     rate_estimate,
     solve,
 )
-from hypack.packing import _face_curvatures, _hessian_entries, _hessian_index
+from hypack.packing import _face_curvatures, _hessian_entries
 from hypack.packing import global_jacobian, vertex_curvature_sums, vertex_curvatures
 from hypack.surface import Triangulation, check_admissible, violating_subset
 from hypack.realize import realize_metric
@@ -145,11 +145,11 @@ class TestSolve:
     @pytest.mark.parametrize("offset", [1e-7, 1.0])
     def test_unevaluable_jacobians_fail_a_trial_unless_it_ends_the_solve(
             self, tetrahedron, monkeypatch, offset):
-        # every J_diag after the starting one raises: from near the solution
-        # the first full trial is below residual_tol and ends the solve
-        # without its Jacobians; from far, every trial would need them for
-        # the next step, so each fails and backtracking stalls
-        derive = FaceArrays.__dict__["J_diag"].func
+        # every Jacobian derivation after the starting one raises: from near
+        # the solution the first full trial is below residual_tol and ends
+        # the solve without its Jacobians; from far, every trial would need
+        # them for the next step, so each fails and backtracking stalls
+        derive = FaceArrays.__dict__["jacobians"].func
         reads = []
 
         def first_read_only(self):
@@ -159,8 +159,8 @@ class TestSolve:
             return derive(self)
 
         prop = cached_property(first_read_only)
-        prop.__set_name__(FaceArrays, "J_diag")
-        monkeypatch.setattr(FaceArrays, "J_diag", prop)
+        prop.__set_name__(FaceArrays, "jacobians")
+        monkeypatch.setattr(FaceArrays, "jacobians", prop)
         K0 = np.full(4, K_STAR_TETRA + offset)
         if offset < 1e-3:
             res = solve(tetrahedron, np.ones(4), K0)
@@ -188,8 +188,10 @@ class TestSolve:
         res = solve(tetrahedron, np.ones(4), config=FlowConfig(newton=False))
         assert res.status is SolveStatus.CONVERGED
         # the starting residual, then stages 2-7 of each attempted step: the
-        # first stage is the current rate and the last one the next rate
-        assert calls["L"] == 1 + 6 * calls["step"]
+        # first stage is the current rate and the last one the next rate;
+        # then the certificate's areas at the converged K, which a flow step
+        # does not keep
+        assert calls["L"] == 1 + 6 * calls["step"] + 1
 
     @pytest.mark.parametrize("target, witness", [([10.0, 1.0, 1.0, 1.0], (0,)),
                                                  ([3.2] * 4, (0, 1, 2, 3))])
@@ -449,9 +451,10 @@ ITERATE_CASES = {
 
 
 def _count_derived(monkeypatch, log=None):
-    """Count the evaluations of each field FaceArrays derives on first read,
-    and append (name, arrays) of each to log, if given."""
-    counts = dict.fromkeys(("kind", "gen", "area", "polygon_area", "J_diag", "J_pair"), 0)
+    """Count the evaluations of each field FaceArrays derives on first read
+    (jacobians derives J_diag and J_pair together), and append (name,
+    arrays) of each to log, if given."""
+    counts = dict.fromkeys(("kind", "gen", "area", "polygon_area", "jacobians"), 0)
     for name in counts:
         def counted(self, derive=FaceArrays.__dict__[name].func, name=name):
             counts[name] += 1
@@ -489,8 +492,9 @@ class TestOneEvaluationPerIterate:
     def test_one_kernel_call_per_evaluated_iterate(self, case, monkeypatch):
         # the start and each Newton trial: no Jacobian call per step and no
         # call for the certificate.  The Jacobians are derived once per
-        # Newton step, from the iterate it starts at: never of a rejected
-        # trial, nor of the final one, which ends the solve
+        # Newton step, from the iterate it starts at, in one derivation of
+        # both: never of a rejected trial, nor of the final one, which ends
+        # the solve
         import hypack.packing
         tri, target, K0, cfg = self._problem(case)
         calls = []
@@ -500,7 +504,8 @@ class TestOneEvaluationPerIterate:
             calls.append(k)
             return kernel(k)
 
-        monkeypatch.setattr(hypack.packing, "face_kernel", counted)
+        for module in (flow, hypack.packing):
+            monkeypatch.setattr(module, "face_kernel", counted)
         log = []
         _count_derived(monkeypatch, log)
         res = solve(tri, target, K0, config=cfg)
@@ -508,29 +513,29 @@ class TestOneEvaluationPerIterate:
         assert len(calls) == 1 + _newton_trials(res.trace)
         steps = res.trace.phase.count("newton")
         assert steps == len(res.trace.K) - 1 >= 3
-        for name in ("J_diag", "J_pair"):
-            derived_at = [fa.k for n, fa in log if n == name]
-            assert len(derived_at) == steps
-            assert all(np.array_equal(k, _face_curvatures(tri, K))
-                       for k, K in zip(derived_at, res.trace.K[:-1]))
+        derived_at = [fa.k for n, fa in log if n == "jacobians"]
+        assert len(derived_at) == steps
+        assert all(np.array_equal(k, _face_curvatures(tri, K))
+                   for k, K in zip(derived_at, res.trace.K[:-1]))
 
     @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(16, 16)],
                              ids=["genus2", "torus16x16"])
     def test_a_newton_solve_derives_only_the_certificate_areas(self, surface, monkeypatch):
-        # the iterates read L and, once per Newton step, J alone; the
-        # certificate reads the face areas of the converged K once, and
-        # realization the angles and polygon areas once each, and no J
+        # the iterates read L and, once per Newton step, J alone (J_diag and
+        # J_pair in one derivation); the certificate reads the face areas of
+        # the converged K once, and realization the angles and polygon
+        # areas once each, and no J
         tri = surface()
         counts = _count_derived(monkeypatch)
         res = solve(tri, _planted(tri, 0))
         steps = len(res.trace.K) - 1
         assert res.status is SolveStatus.CONVERGED and steps > 1
         assert counts == {"kind": 0, "gen": 0, "area": 1, "polygon_area": 0,
-                          "J_diag": steps, "J_pair": steps}
+                          "jacobians": steps}
         counts.update(dict.fromkeys(counts, 0))
         realize_metric(tri, res.K)
         assert counts == {"kind": 1, "gen": 1, "area": 0, "polygon_area": 1,
-                          "J_diag": 0, "J_pair": 0}
+                          "jacobians": 0}
 
     @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(8, 8)],
                              ids=["genus2", "torus8x8"])
@@ -539,7 +544,7 @@ class TestOneEvaluationPerIterate:
         counts = _count_derived(monkeypatch)
         res = solve(tri, _planted(tri, 0), config=FlowConfig(newton=False))
         assert res.status is SolveStatus.CONVERGED
-        assert counts["J_diag"] == counts["J_pair"] == 0 and counts["area"] == 1
+        assert counts["jacobians"] == 0 and counts["area"] == 1
 
 
 def _start_of(tri, target):
@@ -754,7 +759,7 @@ class TestConjugateGradientStep:
         K = np.random.default_rng(0).normal(0.0, 0.7, 256)
         entries = _hessian_entries(tri, vertex_curvatures(tri, K).arrays)
         b = np.random.default_rng(1).normal(0.0, 1.0, 256)
-        index = _hessian_index(tri)
+        index = tri._hessian_index()
         assert np.max(np.abs(flow._cg_solve(index, entries, b, flow._CG_RTOL)
                              - np.linalg.solve(global_jacobian(tri, K), b))) < 1e-8
         rtol = flow._CG_RTOL

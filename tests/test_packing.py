@@ -4,7 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypack.flow import solve
 from hypack.packing import (
+    _dense_hessian,
+    _hessian_entries,
     global_jacobian,
     potential_value,
     vertex_curvature_sums,
@@ -112,6 +115,40 @@ class TestGlobalJacobian:
         for _ in range(5):
             K = rng.normal(0.0, 1.0, tri.num_vertices)
             assert np.array_equal(global_jacobian(tri, K), jacobian_by_face_loop(tri, K))
+
+    def test_hessian_index_is_built_once_and_read_only(self):
+        # the COO index and the dense flat index come from the Triangulation,
+        # built on first use and then shared by every solve and assembly
+        tri = genus2()
+        n = tri.num_vertices
+        index = tri._hessian_index()
+        rows, cols, flat = index
+        u, w = tri._slot_ends
+        assert np.array_equal(rows, np.concatenate((u, w, np.arange(n))))
+        assert np.array_equal(cols, np.concatenate((w, u, np.arange(n))))
+        assert np.array_equal(flat, rows * n + cols)
+        for arr in index:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        global_jacobian(tri, np.zeros(n))
+        solve(tri, vertex_curvature_sums(tri, np.full(n, 0.3)))
+        assert tri._hessian_index() is index
+        assert all(a is b for a, b in zip(tri._hessian_index(), index))
+
+    @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(8, 8)],
+                             ids=["genus2", "torus8x8"])
+    def test_equals_the_dense_assembly_of_the_entries(self, surface, rng):
+        tri = surface()
+        n = tri.num_vertices
+        rows, cols, _ = tri._hessian_index()
+        for _ in range(3):
+            K = rng.normal(0.0, 1.0, n)
+            entries = _hessian_entries(tri, vertex_curvatures(tri, K).arrays)
+            M = np.zeros((n, n))
+            np.add.at(M, (rows, cols), entries)
+            assert np.array_equal(global_jacobian(tri, K), M)
+            assert np.array_equal(_dense_hessian(tri, entries), M)
 
     def test_symmetric_state_structure(self, tetrahedron):
         M = global_jacobian(tetrahedron, np.zeros(4) + 0.3)

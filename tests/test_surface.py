@@ -214,8 +214,9 @@ class TestEdgeTable:
         solve(tri, vertex_curvature_sums(tri, np.random.default_rng(2).normal(0.0, 0.7, 256)))
         after = vars(tri)
         assert after.keys() == before.keys()
-        # only validate()'s memo of its defects is filled in
-        assert [k for k in after if after[k] is not before[k]] == ["_defects"]
+        # only validate()'s memo of its defects and the Newton steps' memo of
+        # the Hessian index are filled in
+        assert [k for k in after if after[k] is not before[k]] == ["_defects", "_hessian"]
 
     def test_the_first_feasibility_call_builds_the_corner_tables(self):
         tri = Triangulation(5, TETRA_FACES[:-1] + [(1, 1, 2)])
@@ -667,6 +668,24 @@ class TestAdmissible:
     def test_nonpositive_rejected(self, tetrahedron):
         with pytest.raises(ValueError):
             check_admissible(tetrahedron, [1.0, 0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_target_named_at_a_late_index(self, bad):
+        # one array test decides; only a failure looks for the first bad entry
+        tri = torus_grid(16, 16)
+        L = np.full(256, 2.0)
+        L[[200, 250]] = bad, -2.0
+        message = f"target curvatures must be positive and finite; entry 200 is {bad}"
+        for call in (_checked_targets, check_admissible, violating_subset, solve):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(tri, L)
+        assert _checked_targets(tri, np.full(256, 2.0)).shape == (256,)
+
+    def test_wrong_target_shape(self):
+        tri = torus_grid(16, 16)
+        for L in (np.full(255, 2.0), np.full((256, 1), 2.0), 2.0):
+            with pytest.raises(ValueError, match="expected 256 target entries, got shape"):
+                _checked_targets(tri, L)
 
     def test_string_of_margins(self, tetrahedron):
         # violation amount is maximized by the witness, with smallest-set

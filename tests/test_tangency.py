@@ -357,11 +357,14 @@ class TestFaceJacobian:
 class TestFaceKernel:
     def test_value_path_carries_no_jacobian(self):
         # a value-only use derives no Jacobian: neither the kernel, nor
-        # reading every other field, nor the FaceGeometry records
+        # reading every other field, nor the FaceGeometry records.  Reading
+        # either Jacobian derives both, once
         fa = face_kernel([(2.0, 0.5, 1.0), (0.3, 0.2, 0.1), (4.0, 3.0, 2.0)])
         face_records(fa)
-        assert "J_diag" not in vars(fa) and "J_pair" not in vars(fa)
-        assert fa.J_pair is fa.J_pair and "J_diag" not in vars(fa)
+        assert "jacobians" not in vars(fa)
+        J_pair = fa.J_pair
+        assert fa.jacobians == (fa.J_diag, J_pair) and fa.jacobians is fa.jacobians
+        assert fa.J_pair is J_pair and fa.J_diag is vars(fa)["jacobians"][0]
 
     def test_jacobian_path_keeps_the_values(self):
         # a Newton solve reads its residual, Jacobians and certificate from
@@ -409,8 +412,8 @@ class TestFaceKernel:
         # the check reads L where it read the area pi - sum L: on extreme
         # faces, |ln k| up to 700, with corners at k = 1 +- 1e-15 and pairs
         # k_j = 1/k_i, the kernel rejects exactly the faces whose area or
-        # P = (k_i + k_j)(k_i + k_m) is not finite, and each Jacobian, on
-        # first read, the faces where it is not finite
+        # P = (k_i + k_j)(k_i + k_m) is not finite, and the Jacobians, on
+        # first read of either, the faces where J_diag or J_pair is not finite
         rng = np.random.default_rng(22)
         n = 4000
         mags = np.where(rng.random((n, 3)) < 0.5, rng.uniform(0.0, 700.0, (n, 3)),
@@ -431,10 +434,10 @@ class TestFaceKernel:
         assert len(decided) == 1 and np.array_equal(decided.pop(), ok)
         assert 100 < ok.sum() < n - 100
         bad = np.flatnonzero(~ok)[:2]  # two faces the kernel's own check rejects
-        for name in ("J_diag", "J_pair"):
-            J = getattr(fa, name)
-            assert np.array_equal(decided.pop(), np.isfinite(J).all(axis=1))
-            ok &= np.isfinite(J).all(axis=1)
+        J_finite = np.isfinite(fa.J_diag).all(axis=1) & np.isfinite(fa.J_pair).all(axis=1)
+        assert len(decided) == 1 and np.array_equal(decided.pop(), J_finite)
+        assert (ok & ~J_finite).any()  # faces the kernel takes but the Jacobians reject
+        ok &= J_finite
         # a finite L lies in [0, pi] to rounding, so its area is finite too
         finite = np.isfinite(fa.L).all(axis=1)
         assert 0.0 <= fa.L[finite].min() and fa.L[finite].max() <= math.pi + 1e-14
