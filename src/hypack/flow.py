@@ -76,12 +76,12 @@ _MIN_STEP = 1e-14
 _STEP_ERROR_TOL = 1e-8
 _REL_STEP_ERROR = 0.05
 
-# |K_i| beyond this while the residual stalls runs the feasibility check
-# once, which ends the flow or Newton as INFEASIBLE if it finds a witness.
-# The area of a face whose curvatures all grow falls like 0.16 e^(-2K),
-# so from K ~ 17 its L sum
-# to pi to rounding and a drifting Newton iteration stalls instead; at 15
-# the area is still 34 ulps of pi.
+# The first pass with some |K_i| beyond this and a residual above
+# 10 residual_tol runs the feasibility check, once; a witness ends the flow
+# or Newton as INFEASIBLE.  No test asks whether the residual stalls.  The
+# area of a face whose curvatures all grow falls like 0.16 e^(-2K), so from
+# K ~ 17 its L sum to pi to rounding and a drifting Newton iteration stalls
+# instead; at 15 the area is still 34 ulps of pi.
 _DRIFT_LIMIT = 15.0
 
 # A Newton step on a surface of at least this many vertices solves for its
@@ -329,8 +329,8 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     Each pass takes a Newton step or, with newton off or until a finite
     newton_switch_tol is reached, a flow step; max_steps counts both.  A
     trial the kernel cannot evaluate fails (a Newton trial that does not
-    end the solve, also when only its Jacobians overflow).  The first
-    divergence (some K_i beyond +-15 while the residual stalls) runs
+    end the solve, also when only its Jacobians overflow).  The first pass
+    with some K_i beyond +-15 and the residual above 10 residual_tol runs
     check_admissible's maximum flow once, and a witness ends the solve as
     INFEASIBLE.  With check_admissibility on (the default), a converged
     solve must also certify the target (_certified); any other ending (a failed
@@ -346,7 +346,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
         raise ValueError("triangulation is not a closed surface: "
                          + "; ".join(str(d) for d in defects[:5]))
     target = _checked_targets(tri, l_hat)
-    K = (np.interp(target / np.bincount(tri.face_array.ravel()), _START_L, _START_K)
+    K = (np.interp(target / np.diff(tri._vertex_stops), _START_L, _START_K)
          if K0 is None else np.array(K0, dtype=float, copy=True))
     if K.shape != target.shape or not np.isfinite(K).all():
         raise ValueError(f"K0 must hold {tri.num_vertices} finite entries; got shape "

@@ -1,9 +1,9 @@
 """Combinatorial model of a closed triangulated surface.
 
 Validation (no repeated vertex in a face, every edge in two faces,
-single-cycle vertex links, connectivity, all computed as array masks
-and pointer jumping over one numpy edge table that the constructor
-builds), Euler characteristic, and the feasibility test for
+single-cycle vertex links, connectivity: array masks over the edge table
+and the corner order that the constructor builds, and one components
+routine for links and faces), Euler characteristic, and the test for
 prescribed total geodesic curvatures: a positive target vector Lhat is
 admissible iff
 
@@ -57,33 +57,29 @@ class Defect:
 # the order of the edge table's pairs and of face_kernel's J_pair columns
 _PAIR_ENDS = ((0, 1, 0), (1, 2, 2))
 _PAIRS = tuple(zip(*_PAIR_ENDS))
-# link state 2k + e of a face pivots at corner _PIVOT_CORNERS[2k + e],
-# end e of its pair k; turning around that corner inside the face leads
-# to state _TURN[2k + e], of the face's other pair at the same corner
-_PIVOT_CORNERS = sum(_PAIRS, ())
-_TURN = np.array([2 * j + _PAIRS[j].index(c) for k, pair in enumerate(_PAIRS) for c in pair
-                  for j in range(3) if j != k and c in _PAIRS[j]])
 
 
 @dataclass(frozen=True)
 class Triangulation:
     """Closed triangulated surface: vertex count plus face triples.
 
-    The constructor builds one edge table, from which every incidence
-    structure derives: one np.unique over the sorted corner-pair keys
-    of face_array, pairs (0, 1), (1, 2), (0, 2) of each face in face
-    order.  Its entries (slots) are the keys (u, w), u <= w; _pair_slot
-    is the slot of each face's pairs, (3F,), _slot_ends the (2, S) ends
-    of each slot, _slot_count the number of pairs on it (a face with a
-    repeated vertex may lie twice on a slot), and a (u, u) slot only
-    links faces.  edges is the slots with u != w, and vertex_faces (each
-    vertex's faces, in face order) comes from one stable argsort.  All
-    arrays are read-only.  Construction only rejects structurally
-    malformed input (bad arity, vertex ids that are not integers or out
-    of range); closed-surface violations are reported as data by
-    validate(), computed from the table on its first call.  Every
-    attribute is set in __init__, so that instances keep one attribute
-    layout.
+    The constructor builds the two tables from which every incidence
+    structure derives.  The edge table is one np.unique over the sorted
+    corner-pair keys of face_array, pairs (0, 1), (1, 2), (0, 2) of each
+    face in face order.  Its entries (slots) are the keys (u, w), u <= w;
+    _pair_slot is the slot of each face's pairs, (3F,), _slot_ends the
+    (2, S) ends of each slot, _slot_count the number of pairs on it (a
+    face with a repeated vertex may lie twice on a slot), and a (u, u)
+    slot only links faces; edges is the slots with u != w.  The corner
+    order is one stable argsort of the flat corners 3 f + c, one per face
+    at each of its vertices (its first corner there): _vertex_corners, by
+    vertex, then by face, with vertex v's run from _vertex_stops[v] to
+    _vertex_stops[v + 1]; vertex_faces is the runs // 3.  All arrays are
+    read-only.  Construction only rejects structurally malformed input
+    (bad arity, vertex ids that are not integers or out of range);
+    validate() reports closed-surface violations as data, found from the
+    tables on its first call.  Every attribute is set in __init__, so
+    that instances keep one attribute layout.
     """
 
     num_vertices: int
@@ -94,6 +90,8 @@ class Triangulation:
     _pair_slot: np.ndarray = field(init=False, repr=False, compare=False)
     _slot_ends: np.ndarray = field(init=False, repr=False, compare=False)
     _slot_count: np.ndarray = field(init=False, repr=False, compare=False)
+    _vertex_corners: np.ndarray = field(init=False, repr=False, compare=False)
+    _vertex_stops: np.ndarray = field(init=False, repr=False, compare=False)
     _defects: tuple[Defect, ...] | None = field(init=False, repr=False, compare=False)
     _corners: tuple | None = field(init=False, repr=False, compare=False)
     _hessian: tuple | None = field(init=False, repr=False, compare=False)
@@ -110,30 +108,33 @@ class Triangulation:
         distinct = np.ones(f.shape, dtype=bool)
         distinct[:, 1] = f[:, 1] != f[:, 0]
         distinct[:, 2] = (f[:, 2] != f[:, 0]) & (f[:, 2] != f[:, 1])
-        at = np.nonzero(distinct)[0]
         corner = f[distinct]
-        by_vertex = at[np.argsort(corner, kind="stable")].tolist()
-        stops = np.cumsum(np.bincount(corner, minlength=n)).tolist()
+        corners = np.flatnonzero(distinct)[np.argsort(corner, kind="stable")]
+        stops = np.concatenate(([0], np.cumsum(np.bincount(corner, minlength=n))))
+        by_vertex, cuts = (corners // 3).tolist(), stops.tolist()
         proper = ends[0] != ends[1]
-        for arr in (slot, ends, count):
+        for arr in (slot, ends, count, corners, stops):
             arr.flags.writeable = False
         object.__setattr__(self, "num_vertices", n)
         object.__setattr__(self, "faces", rows)
         object.__setattr__(self, "edges", tuple(zip(ends[0][proper].tolist(),
                                                     ends[1][proper].tolist())))
         object.__setattr__(self, "vertex_faces", tuple(
-            tuple(by_vertex[i:j]) for i, j in zip([0] + stops[:-1], stops)))
+            tuple(by_vertex[i:j]) for i, j in zip(cuts, cuts[1:])))
         object.__setattr__(self, "face_array", f)
         object.__setattr__(self, "_pair_slot", slot)
         object.__setattr__(self, "_slot_ends", ends)
         object.__setattr__(self, "_slot_count", count)
+        object.__setattr__(self, "_vertex_corners", corners)
+        object.__setattr__(self, "_vertex_stops", stops)
         object.__setattr__(self, "_defects", None)
         object.__setattr__(self, "_corners", None)
         object.__setattr__(self, "_hessian", None)
 
     def degree(self, v: int) -> int:
         """Number of faces containing vertex v."""
-        return len(self.vertex_faces[v])
+        v = range(self.num_vertices)[v]
+        return int(self._vertex_stops[v + 1] - self._vertex_stops[v])
 
     def validate(self) -> list[Defect]:
         """All closed-surface violations, as data (empty list when valid):
@@ -146,10 +147,10 @@ class Triangulation:
         """Built on the first call: each vertex's (face f, flat corner 3 f + its
         first corner in f) in vertex_faces order, and each flat corner's vertex."""
         if self._corners is None:
-            faces = self.faces
+            k, cuts = self._vertex_corners, self._vertex_stops.tolist()
+            pairs = list(zip((k // 3).tolist(), k.tolist()))
             object.__setattr__(self, "_corners", (
-                tuple([(f, 3 * f + faces[f].index(v)) for f in fs]
-                      for v, fs in enumerate(self.vertex_faces)),
+                tuple(pairs[i:j] for i, j in zip(cuts, cuts[1:])),
                 self.face_array.ravel().tolist()))
         return self._corners
 
@@ -166,7 +167,8 @@ class Triangulation:
         return self._hessian
 
     def _find_defects(self) -> tuple[Defect, ...]:
-        """The four checks, each as array masks over the edge table; a
+        """The four checks, as array masks over the edge table and the
+        components (_components) of the corner graph and of the faces; a
         Python loop runs only over what a mask flags."""
         n, f, faces = self.num_vertices, self.face_array, self.faces
         (u, w), count, slot = self._slot_ends, self._slot_count, self._pair_slot
@@ -180,11 +182,20 @@ class Triangulation:
                                     count[unpaired].tolist())]
 
         # the pairs on one slot, consecutive in slot order: p[i] and q[i]
-        # share a slot; a slot of exactly two pairs makes them mates
+        # share a slot
         order = np.argsort(slot, kind="stable")
         same = slot[order[1:]] == slot[order[:-1]]
         p, q = order[:-1][same], order[1:][same]
-        corners = np.bincount(f.ravel(), minlength=n)
+        # the corner graph joins the corners of p[i] and q[i] at each common
+        # end; at a vertex that lies once in each of its faces and whose
+        # edges each lie in two faces, its corners form one component per
+        # cycle of its link (and none at a vertex in no face)
+        at = f.ravel()
+        pair_corners = (3 * np.arange(len(f))[:, None, None] + np.array(_PAIRS)).reshape(-1, 2)
+        a, b = pair_corners.take(p, axis=0), pair_corners.take(q, axis=0)  # faster than [p]
+        b = np.where(at[a[:, :1]] == at[b[:, :1]], b, b[:, ::-1])
+        label = _components(len(at), a.ravel(), b.ravel())
+        cycles = np.bincount(at[label == np.arange(len(at))], minlength=n)
         twice: dict[int, int] = {}  # vertex -> the first face it lies twice in
         for fi in repeated:
             for v in faces[fi]:
@@ -192,10 +203,9 @@ class Triangulation:
                     twice.setdefault(v, fi)
         is_open = np.zeros(n, dtype=bool)
         is_open[u[unpaired]] = is_open[w[unpaired]] = True
-        splits = _link_cycles(f, n, p, q, count[slot[p]] == 2, int(corners.max(initial=1))) != 2
-        flagged = set(np.flatnonzero((corners == 0) | is_open | splits).tolist()) | twice.keys()
+        flagged = set(np.flatnonzero((cycles != 1) | is_open).tolist()) | twice.keys()
         for v in sorted(flagged):
-            if corners[v] == 0:
+            if cycles[v] == 0:
                 defects.append(Defect("isolated_vertex", (v,), f"vertex {v} lies in no face"))
             elif v in twice:
                 defects.append(Defect("bad_link", (v,), f"vertex {v} lies twice in face {twice[v]}"))
@@ -212,34 +222,6 @@ class Triangulation:
                 defects.append(Defect("disconnected", (), f"face-adjacency graph splits "
                                       f"({reached} of {len(f)} reachable)"))
         return tuple(defects)
-
-
-def _link_cycles(f: np.ndarray, n: int, p: np.ndarray, q: np.ndarray, mates: np.ndarray,
-                 longest: int) -> np.ndarray:
-    """The number of cycles of the walk around each of the n vertices,
-    twice over.  A link state 2 (3 fi + k) + e stands at face fi, pivots
-    at end e of its corner pair k, and leaves the face across that pair.
-    It steps to the mate pair (p[i] and q[i] where mates[i]) in the next
-    face, at the same pivot, and turns there to that face's other pair at
-    the pivot.  At a vertex v that lies once in each of its faces and
-    whose edges each lie in two faces, the steps form cycles, one per
-    cycle of v's link in each direction, so v's link is one closed cycle
-    exactly when it has two.  Pointer jumping gives each state the least
-    state of its cycle in ceil(log2(longest)) rounds, for `longest` at
-    least every vertex's face count.  Counts at other vertices mean
-    nothing."""
-    pivot = f[:, _PIVOT_CORNERS].ravel()
-    mate = np.arange(len(f) * 3)
-    mate[p[mates]], mate[q[mates]] = q[mates], p[mates]
-    step = 2 * np.repeat(mate, 2)
-    step += pivot[step] != pivot  # the mate's end at the same pivot
-    turn = step % 6
-    step += _TURN[turn] - turn
-    least = np.arange(len(pivot))
-    for _ in range((longest - 1).bit_length()):
-        np.minimum(least, least[step], out=least)
-        step = step[step]
-    return np.bincount(pivot[least == np.arange(len(pivot))], minlength=n)
 
 
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -264,7 +246,8 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def euler_characteristic(tri: Triangulation) -> int:
-    return tri.num_vertices - len(tri.edges) + len(tri.faces)
+    u, w = tri._slot_ends
+    return tri.num_vertices - int(np.count_nonzero(u != w)) + len(tri.face_array)
 
 
 @dataclass(frozen=True)
@@ -320,17 +303,18 @@ def _index(value) -> int:
 
 def _face_table(faces, n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
     """(a new read-only (F, 3) intp array, a tuple of tuples of Python
-    ints) of faces whose ids lie in [0, n).  Faces of three Python or
-    numpy ints, or an (F, 3) integer array, pass by one vectorized check;
-    anything else, or an id out of range, goes through the face-by-face
-    loop (_normalized), which names the first bad face."""
-    if isinstance(faces, np.ndarray) and faces.dtype.kind in "iu" and faces.ndim == 2:
-        faces = faces.tolist()
+    ints) of faces whose ids lie in [0, n).  An (F, 3) integer array, cast
+    to intp, or faces of three Python or numpy ints pass by one vectorized
+    range check; anything else, or an id out of range (also one that the
+    cast wraps), goes through the face-by-face loop (_normalized), which
+    names the first bad face."""
+    f = rows = None
+    if isinstance(faces, np.ndarray) and faces.dtype.kind in "iu" and faces.shape[1:] == (3,):
+        f = faces.astype(np.intp)
     elif not isinstance(faces, (list, tuple)):
         faces = list(faces)
-    f = rows = None
     try:
-        if not set(map(len, faces)) - {3}:
+        if f is None and not set(map(len, faces)) - {3}:
             types = set(map(type, itertools.chain.from_iterable(faces)))
             if all(t is int or issubclass(t, np.integer) for t in types):
                 f = np.fromiter(itertools.chain.from_iterable(faces), dtype=np.intp,
@@ -400,7 +384,7 @@ def _max_flow(tri: Triangulation, l_hat):
     and at each face _TOL of room and of two corners' flow from outside W."""
     targets = _checked_targets(tri, l_hat).tolist()
     by_vertex, at = tri._corner_table()
-    x, room, need = [0.0] * len(at), [math.pi] * len(tri.faces), targets.copy()
+    x, room, need = [0.0] * len(at), [math.pi] * len(tri.face_array), targets.copy()
     for k, v in enumerate(at):
         f = k // 3
         x[k] = d = min(room[f], need[v])

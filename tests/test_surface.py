@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -182,14 +183,27 @@ class TestValidate:
         assert type(t.num_vertices) is int
         assert all(type(v) is int for f in t.faces for v in f)
 
+    @pytest.mark.parametrize("faces, face, bad", [
+        (np.array([(0, 1, 2), (0, 1, 2**63)], dtype=np.uint64), 1, 2**63),
+        (np.array([(0, 1, 2), (0, -1, 2)], dtype=np.int64), 1, -1),
+        (np.array([(0, 1, 1), (0, 1, 0)], dtype=bool), 0, None),
+    ], ids=["uint64-beyond-int64", "negative-int64", "bool-array"])
+    def test_constructor_names_the_bad_face_of_an_array(self, faces, face, bad):
+        # an integer array is cast to intp whole: an id that the cast wraps
+        # fails the range check too, and the face-by-face loop names it
+        message = (f"face {face} vertex {bad} out of range [0, 4)" if bad is not None
+                   else f"face {face} vertex ids must be integers, got {faces[face]!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Triangulation(4, faces)
+
     def test_edge_face_identity(self, tetrahedron, octahedron):
         for t in (tetrahedron, octahedron, torus_grid(4, 5), genus2()):
             assert 2 * len(t.edges) == 3 * len(t.faces)
 
 
 class TestEdgeTable:
-    """Every incidence structure comes from one np.unique in the
-    constructor, and nothing is added or recomputed later."""
+    """Every incidence structure comes from the constructor's one np.unique
+    and one stable argsort, and nothing is added or recomputed later."""
 
     def test_one_unique_per_triangulation_and_none_per_solve(self, monkeypatch):
         calls = []
@@ -249,6 +263,33 @@ class TestEdgeTable:
             for name in ("face_array", "_pair_slot", "_slot_ends", "_slot_count"):
                 arr = getattr(t, name)
                 assert np.array_equal(arr, getattr(first, name)) and not arr.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        genus2, lambda: torus_grid(4, 5),
+        lambda: Triangulation(5, TETRA_FACES[:-1] + [(1, 1, 2)]),
+    ], ids=["genus2", "torus4x5", "repeated-vertex"])
+    def test_corner_order_matches_the_per_corner_search(self, make):
+        tri = make()
+        by_vertex, at = _reference_corner_table(tri)
+        assert tri._corner_table() == (by_vertex, at)
+        assert tri.vertex_faces == tuple(tuple(f for f, _ in pairs) for pairs in by_vertex)
+        assert [tri.degree(v) for v in range(tri.num_vertices)] == list(map(len, by_vertex))
+        assert tri.degree(-1) == len(by_vertex[-1])
+        with pytest.raises(IndexError):
+            tri.degree(tri.num_vertices)
+        assert not (tri._vertex_corners.flags.writeable or tri._vertex_stops.flags.writeable)
+
+
+# The per-corner search that built the corner tables before the corner
+# order, kept as the oracle for Triangulation._corner_table(): each
+# vertex's faces in face order, each at the vertex's first corner in it.
+
+def _reference_corner_table(tri):
+    by_vertex = [[] for _ in range(tri.num_vertices)]
+    for f, face in enumerate(tri.faces):
+        for v in set(face):
+            by_vertex[v].append((f, 3 * f + face.index(v)))
+    return tuple(by_vertex), [v for face in tri.faces for v in face]
 
 
 def suspension(m: int) -> Triangulation:
