@@ -207,7 +207,7 @@ class FlowTrace:
             for t, rm, r2, K in zip(self.ts, self.residual_max,
                                     self.residual_2norm, self.K):
                 fh.write(f"{t!r},{rm!r},{r2!r},"
-                         + ",".join(repr(float(x)) for x in K) + "\n")
+                         + ",".join(map(repr, K.tolist())) + "\n")
 
 
 @dataclass(frozen=True)

@@ -5,24 +5,27 @@ circle -> cone point) by the face kernel's own kind rule, computes cone
 angles and discrete Gaussian curvatures, geodesic boundary lengths, runs
 the global Gauss-Bonnet audit on the realized surface, and renders
 single faces to SVG from a closed-form picture in the Poincare disk.
-Realization sums the arrays of one face_kernel call per vertex, with no
-per-face records, at the classified state: each cusp is realized as a
-horocycle, at k = 1 exactly.  Read-only; thread-safe.
+Realization classifies each vertex once and sums the generalized angles
+2 w G of one face_kernel call per vertex, with no per-face records, at
+the classified state: each cusp is realized as a horocycle, at k = 1
+exactly, where that angle is 0.  The JSON report is one % over
+per-class record templates with the numbers themselves, with no JSON
+encoder.  Read-only; thread-safe.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from .packing import _sum_at_vertices, vertex_curvatures
 from .surface import Triangulation, euler_characteristic
 from .tangency import (_CIRC, _HORO, _HYPER, KIND_TOL, CurveKind, InfeasibleGeometryError,
-                       _kind, _positive, classify_curvature)
+                       _kind, _polygon_area, _positive, classify_curvature)
 
 __all__ = [
     "CLASS_TOL",
@@ -40,6 +43,15 @@ __all__ = [
 CLASS_TOL = 1e-9
 
 
+def _class_kind(k, tol: float) -> np.ndarray:
+    """Kind codes of positive curvatures k at class tolerance tol (_kind),
+    or ValueError for a tol outside [KIND_TOL, inf)."""
+    if not KIND_TOL <= tol < math.inf:
+        raise ValueError(f"class tolerance {tol} must be finite and at least the face "
+                         f"kernel's horocycle tolerance KIND_TOL = {KIND_TOL}")
+    return _kind(k, tol)
+
+
 def classify(k, tol: float = CLASS_TOL):
     """Partition vertices by solved curvature, by the face kernel's kind
     rule at tolerance tol: I1 (k < 1 - tol, boundary), I2 (|k - 1| <= tol,
@@ -47,11 +59,7 @@ def classify(k, tol: float = CLASS_TOL):
     KIND_TOL as a horocycle, which has no generalized angle, so a tol below
     KIND_TOL (which would make it a cone) raises ValueError, as does a tol
     that is not finite (which would make every vertex a cusp)."""
-    k = _positive(k)
-    if not KIND_TOL <= tol < math.inf:
-        raise ValueError(f"class tolerance {tol} must be finite and at least the face "
-                         f"kernel's horocycle tolerance KIND_TOL = {KIND_TOL}")
-    kind = _kind(k, tol)
+    kind = _class_kind(_positive(k), tol)
     return tuple(tuple(np.flatnonzero(kind == c).tolist()) for c in (_HYPER, _HORO, _CIRC))
 
 
@@ -81,37 +89,45 @@ class RealizedMetric:
     audit_residual: float
 
 
+_CLASS_NAMES = np.empty(3, dtype=object)  # a class name per kind code
+_CLASS_NAMES[[_HORO, _CIRC, _HYPER]] = "cusp", "cone", "boundary"
+
+
 def realize_metric(tri: Triangulation, K, tol: float = CLASS_TOL) -> RealizedMetric:
-    """Classes, corner sums and the audit from one face_kernel call.  The
-    kernel sees every cusp at K = 0 exactly, so that its corners are the
-    horocycles the class says they are; k is the solved exp(K) and L the
-    curvature sums of the realized state.  A vertex sums its corners'
-    generalized angles in face order: the cone angle at a circle, the
-    boundary length at a hypercycle (axis segments close up at right
-    angles); horocycle corners add nothing."""
+    """Classes, corner sums and the audit from one face_kernel call.  Each
+    vertex is classified once, at tolerance tol; the kernel sees every
+    cusp at K = 0 exactly, so that its corners are the horocycles the
+    class says they are, where the generalized angle 2 w G is exactly 0;
+    k is the solved exp(K) and L the curvature sums of the realized
+    state.  A vertex sums its corners' generalized angles in face order:
+    the cone angle at a circle, the boundary length at a hypercycle (axis
+    segments close up at right angles); horocycle corners add nothing.
+    An entry of K that is not finite raises ValueError naming it, before
+    the kernel runs."""
     K = np.asarray(K, dtype=float)
+    finite = np.isfinite(K)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"K must be finite; entry {i} is {K.flat[i]}")
     k = np.exp(K)
-    boundary, cusps, cones = classify(k, tol)
-    classes = np.full(len(k), "cone", dtype=object)
-    classes[list(boundary)] = "boundary"
-    classes[list(cusps)] = "cusp"
-    K_realized = K.copy()
-    K_realized[list(cusps)] = 0.0
-    rep = vertex_curvatures(tri, K_realized)
-    gen = _sum_at_vertices(tri, np.nan_to_num(rep.arrays.gen))  # NaN at a horocycle
-    theta = gen[list(cones)]
-    gaussian = dict(zip(cones, (2.0 * math.pi - theta).tolist()))
-    total_area = sum(rep.arrays.polygon_area.tolist(), 0.0)
+    kind = _class_kind(_positive(k), tol)
+    rep = vertex_curvatures(tri, np.where(kind == _HORO, 0.0, K))
+    gen = 2.0 * rep.arrays.w * rep.arrays.G  # per corner, 0 at a horocycle
+    at_vertex = _sum_at_vertices(tri, gen)
+    boundary, cusps, cones = (np.flatnonzero(kind == c) for c in (_HYPER, _HORO, _CIRC))
+    theta = at_vertex[cones]
+    gaussian = dict(zip(cones.tolist(), (2.0 * math.pi - theta).tolist()))
+    total_area = sum(_polygon_area(kind[tri.face_array] == _CIRC, gen).tolist(), 0.0)
     chi_surface = euler_characteristic(tri)
     chi_realized = chi_surface - len(boundary) - len(cusps)
     return RealizedMetric(
         k=k,
-        classes=tuple(classes.tolist()),
+        classes=tuple(_CLASS_NAMES[kind].tolist()),
         L=rep.L,
-        cone_angles=dict(zip(cones, theta.tolist())),
+        cone_angles=dict(zip(gaussian, theta.tolist())),
         gaussian_curvature=gaussian,
-        boundary_lengths=dict(zip(boundary, gen[list(boundary)].tolist())),
-        cusps=cusps,
+        boundary_lengths=dict(zip(boundary.tolist(), at_vertex[boundary].tolist())),
+        cusps=tuple(cusps.tolist()),
         total_area=total_area,
         chi_surface=chi_surface,
         chi_realized=chi_realized,
@@ -135,24 +151,38 @@ _HEAD = ('{\n  "global": {\n    "audit_residual": %s,\n    "chi_S": %s,\n'
          '  "schema_version": 1,\n  "vertices": [')
 
 
+def _json_number(x):
+    """x itself if it is finite, else json's spelling: NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return x
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
 def report_document(metric: RealizedMetric) -> str:
     """Machine-readable solve report, schema_version 1, byte-identical for
     identical inputs: keys sorted, two-space indent, trailing newline,
-    numbers as json.dumps spells them (shortest round-trip floats, NaN, Infinity)."""
+    numbers as json.dumps spells them (shortest round-trip floats, NaN,
+    Infinity).  One % fills the record templates with the numbers
+    themselves: %s spells a finite float (a Python or a numpy float64) and
+    an int as json does, so only values that are not finite are spelled
+    here, after one sum over the document finds any."""
+    cone, gauss, lengths = metric.cone_angles, metric.gaussian_curvature, metric.boundary_lengths
     values = [metric.audit_residual, metric.chi_surface, metric.chi_realized, metric.total_area]
-    records = []
-    for v, (cls, L, k) in enumerate(zip(metric.classes, np.asarray(metric.L, float).tolist(),
-                                        np.asarray(metric.k, float).tolist())):
-        records.append(_RECORDS[cls])
+    for v, cls, L, k in zip(count(), metric.classes, np.asarray(metric.L, float).tolist(),
+                            np.asarray(metric.k, float).tolist()):
         if cls == "cone":  # values in the record's key order
-            values += (L, metric.cone_angles[v], metric.gaussian_curvature[v], v, k)
+            values += (L, cone[v], gauss[v], v, k)
         elif cls == "boundary":
-            values += (L, metric.boundary_lengths[v], v, k)
+            values += (L, lengths[v], v, k)
         else:
             values += (L, v, k)
-    body = "\n    " + ",\n    ".join(records) + "\n  " if records else ""
-    # one C-encoder call spells every value; all are numbers, split by ", "
-    return (_HEAD + body + "]\n}\n") % tuple(json.dumps(values)[1:-1].split(", "))
+    with np.errstate(all="ignore"):  # numpy scalars warn at inf - inf and overflow
+        total = sum(values)
+    if not math.isfinite(total):  # a value that is not finite, or an overflow
+        values = map(_json_number, values)
+    records = ",\n    ".join(map(_RECORDS.__getitem__, metric.classes))
+    body = "\n    " + records + "\n  " if records else ""
+    return (_HEAD + body + "]\n}\n") % tuple(values)
 
 
 # ---------------------------------------------------------------------------

@@ -260,7 +260,14 @@ class FaceArrays:
     @cached_property
     def polygon_area(self) -> np.ndarray:
         with np.errstate(all="ignore"):
-            return np.pi - sum(_ascending(np.where(self.kind == _CIRC, self.gen, 0.0)))
+            return _polygon_area(self.kind == _CIRC, self.gen)
+
+
+def _polygon_area(circle, gen) -> np.ndarray:
+    """pi minus the sum of the generalized angles gen at the corners where
+    the (F, 3) mask circle holds, in ascending order: FaceGeometry's
+    polygon_area of each face."""
+    return np.pi - sum(_ascending(np.where(circle, gen, 0.0)))
 
 
 # below this |x| the closed form of H cancels; its Taylor series

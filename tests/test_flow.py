@@ -319,6 +319,18 @@ class TestSolve:
         assert all(b > a for a, b in zip(ts, ts[1:]))
         assert len(lines) == len(res.trace.ts) + 1
 
+    def test_csv_rows_spell_each_entry_as_its_float_repr(self, octahedron, tmp_path):
+        # a flow solve of many rows, against a row spelled entry by entry
+        res = solve(octahedron, [12.0, 1, 1, 1, 1, 1], config=FlowConfig(newton=False))
+        tr = res.trace
+        assert len(tr.K) > 10
+        path = tmp_path / "traj.csv"
+        tr.write_csv(str(path))
+        rows = [",".join(["t", "residual_max", "residual_2norm"] + [f"K{i}" for i in range(6)])]
+        rows += [",".join([repr(t), repr(rm), repr(r2)] + [repr(float(x)) for x in K])
+                 for t, rm, r2, K in zip(tr.ts, tr.residual_max, tr.residual_2norm, tr.K)]
+        assert path.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+
 
 def _permute_targets(L, perm):
     out = np.empty_like(np.asarray(L, dtype=float))
@@ -523,8 +535,8 @@ class TestOneEvaluationPerIterate:
     def test_a_newton_solve_derives_only_the_certificate_areas(self, surface, monkeypatch):
         # the iterates read L and, once per Newton step, J alone (J_diag and
         # J_pair in one derivation); the certificate reads the face areas of
-        # the converged K once, and realization the angles and polygon
-        # areas once each, and no J
+        # the converged K once, and realization none of the derived fields:
+        # it sums the kernel's own w and G, and no J
         tri = surface()
         counts = _count_derived(monkeypatch)
         res = solve(tri, _planted(tri, 0))
@@ -534,7 +546,7 @@ class TestOneEvaluationPerIterate:
                           "jacobians": steps}
         counts.update(dict.fromkeys(counts, 0))
         realize_metric(tri, res.K)
-        assert counts == {"kind": 1, "gen": 1, "area": 0, "polygon_area": 1,
+        assert counts == {"kind": 0, "gen": 0, "area": 0, "polygon_area": 0,
                           "jacobians": 0}
 
     @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(8, 8)],

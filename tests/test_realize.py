@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hypack.packing
+import hypack.realize
 from hypack.flow import solve
 from hypack.packing import vertex_curvatures
 from hypack.realize import (
@@ -199,6 +200,38 @@ class TestAudit:
         assert m.total_area == pytest.approx(exact.total_area, abs=1e-9)
         assert np.array_equal(m.k, np.exp(near))  # the solved values
 
+    def test_near_cusps_at_a_loose_class_tolerance(self, rng):
+        # with tol = 1e-6, vertices planted within (KIND_TOL, 1e-6] of k = 1,
+        # on both sides, are cusps realized at k = 1: they add nothing to
+        # any cone or boundary sum, which equal those of the exact cusps
+        tri, K = _torus32_with_cusps(rng)
+        cusp = K == 0.0
+        offset = rng.choice([-1.0, 1.0], K.size) * rng.uniform(1e-11, 1e-6, K.size)
+        near = np.where(cusp, np.log1p(offset), K)
+        off = np.exp(near[cusp]) - 1.0
+        assert (off > KIND_TOL).any() and (off < -KIND_TOL).any()
+        assert KIND_TOL < np.abs(off).min() and np.abs(off).max() <= 1e-6
+        exact, m = realize_metric(tri, K, tol=1e-6), realize_metric(tri, near, tol=1e-6)
+        assert m.cusps == tuple(np.flatnonzero(cusp).tolist()) == exact.cusps
+        assert m.classes == exact.classes
+        assert list(m.cone_angles.items()) == list(exact.cone_angles.items())
+        assert list(m.boundary_lengths.items()) == list(exact.boundary_lengths.items())
+        assert m.total_area == exact.total_area
+        assert m.audit_residual < 1e-8
+        assert report_document(m) == _json_report(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_state_not_finite_is_named_before_the_kernel(self, bad, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("face kernel called on a state that is not finite")
+        monkeypatch.setattr(hypack.realize, "vertex_curvatures", refuse)
+        K = np.zeros(256)
+        K[200] = bad
+        for call in (realize_metric, gauss_bonnet_audit):
+            with pytest.raises(ValueError, match=f"entry 200 is {bad}$") as err:
+                call(torus_grid(16, 16), K)
+            assert err.type is ValueError
+
     def test_all_circle_counting_identity(self, octahedron, rng):
         # sum_f (pi - sum theta) = -2 pi chi + sum_v (2 pi - Theta_v)
         K = np.log(rng.uniform(1.2, 3.0, size=6))
@@ -311,6 +344,41 @@ class TestReportBytes:
         for word in ("NaN", "-Infinity", "-0.0", "5e-324", "1e+300"):
             assert word in doc
         assert "np.float64" not in doc
+
+    def test_finite_numpy_floats(self):
+        # finite numpy floats in the dicts reach %s, which spells them by
+        # numpy's own str: it must agree with float's repr, as json uses
+        f64 = np.float64
+        m = RealizedMetric(
+            k=np.array([2.0, 0.5, 1.0]),
+            classes=("cone", "boundary", "cusp"),
+            L=np.array([1e16, 1e-5, 0.1 + 0.2]),
+            cone_angles={0: f64(1e16)},
+            gaussian_curvature={0: f64(1e-5)},
+            boundary_lengths={1: f64(0.1 + 0.2)},
+            cusps=(2,),
+            total_area=f64(1.2345678901234568e+17),
+            chi_surface=2,
+            chi_realized=0,
+            audit_residual=f64(1e-5),
+        )
+        doc = report_document(m)
+        assert doc == _json_report(m)
+        for word in ("1e+16", "1e-05", "0.30000000000000004", "1.2345678901234568e+17"):
+            assert word in doc
+        assert "np.float64" not in doc
+
+    def test_numpy_sums_that_are_not_finite(self):
+        # numpy scalars whose sum meets inf - inf, or overflows with every
+        # value finite: no numpy warning, and json's spelling
+        f64 = np.float64
+        for cone, gauss in ((math.inf, -math.inf), (1e308, 1e308)):
+            m = RealizedMetric(
+                k=np.array([2.0, 0.5]), classes=("cone", "boundary"), L=np.array([1.0, 2.0]),
+                cone_angles={0: f64(cone)}, gaussian_curvature={0: f64(gauss)},
+                boundary_lengths={1: f64(1e308)}, cusps=(), total_area=f64(1e308),
+                chi_surface=2, chi_realized=1, audit_residual=f64(0.5))
+            assert report_document(m) == _json_report(m)
 
     def test_no_vertices(self):
         m = RealizedMetric(k=np.zeros(0), classes=(), L=np.zeros(0), cone_angles={},
