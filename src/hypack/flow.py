@@ -288,7 +288,7 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, residual_tol)
     min(1, _NEWTON_MAX_STEP / max|d|) until the residual 2-norm falls.
     The direction d solves M d = res, res_norm = |res|_2, for the Hessian
     M (SPD, exactly symmetric) of the face Jacobians in fa at K, from its
-    entries at tri._hessian_index(): by one dense solve below
+    entries at tri._hessian_index: by one dense solve below
     _CG_MIN_VERTICES vertices and by _cg_solve from there up (the
     comment at _CG_MIN_VERTICES says why).  Each trial is one _evaluate
     call.  A trial fails where the kernel cannot evaluate its values, and,
@@ -302,7 +302,7 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, residual_tol)
         direction = np.linalg.solve(_dense_hessian(tri, entries), res)
     else:
         rtol = max(_CG_RTOL, min(_CG_ETA_MAX, res_norm ** 2))
-        direction = _cg_solve(tri._hessian_index(), entries, res, rtol)
+        direction = _cg_solve(tri._hessian_index, entries, res, rtol)
     longest = float(np.abs(direction).max())
     alpha = _NEWTON_MAX_STEP / longest if longest > _NEWTON_MAX_STEP else 1.0
     floor = 1e-12 * alpha

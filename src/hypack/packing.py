@@ -8,7 +8,7 @@ face Jacobians, kinds, angles and areas only when read.  The potential
 sums the closed-form tangency.face_potential over the faces.  Scatters
 to the vertices add in face order, so results are deterministic.  M is
 exactly symmetric, and its entries are built here alone
-(_hessian_entries), at the index Triangulation._hessian_index builds once:
+(_hessian_entries), at the index Triangulation._hessian_index derives once:
 one weight per edge, at (u, w) and at (w, u), then the diagonal.
 global_jacobian and the Newton step below
 flow._CG_MIN_VERTICES vertices densify them (_dense_hessian); from there
@@ -93,7 +93,7 @@ def global_jacobian(tri: Triangulation, K) -> np.ndarray:
 
 
 def _hessian_entries(tri: Triangulation, fa: FaceArrays) -> np.ndarray:
-    """M's entries at (rows, cols) = tri._hessian_index()[:2], from the face
+    """M's entries at (rows, cols) = tri._hessian_index[:2], from the face
     Jacobians in fa: an edge adds the J_pair of its faces, a vertex the
     J_diag, in face order; M v = np.bincount(rows, weights=entries * v[cols])."""
     J_diag, J_pair = fa.jacobians
@@ -102,9 +102,9 @@ def _hessian_entries(tri: Triangulation, fa: FaceArrays) -> np.ndarray:
 
 
 def _dense_hessian(tri: Triangulation, entries) -> np.ndarray:
-    """M as an n x n ndarray, from its entries at tri._hessian_index()[2]."""
+    """M as an n x n ndarray, from its entries at tri._hessian_index[2]."""
     n = tri.num_vertices
-    return np.bincount(tri._hessian_index()[2], weights=entries, minlength=n * n).reshape(n, n)
+    return np.bincount(tri._hessian_index[2], weights=entries, minlength=n * n).reshape(n, n)
 
 
 def potential_value(tri: Triangulation, K, K_ref, l_hat, *, waypoints=()) -> float:

@@ -102,14 +102,17 @@ def realize_metric(tri: Triangulation, K, tol: float = CLASS_TOL) -> RealizedMet
     state.  A vertex sums its corners' generalized angles in face order:
     the cone angle at a circle, the boundary length at a hypercycle (axis
     segments close up at right angles); horocycle corners add nothing.
-    An entry of K that is not finite raises ValueError naming it, before
-    the kernel runs."""
+    An entry of K that is not finite, or whose exp is 0 or overflows,
+    raises ValueError naming it, before the kernel runs."""
     K = np.asarray(K, dtype=float)
-    finite = np.isfinite(K)
-    if not finite.all():
-        i = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"K must be finite; entry {i} is {K.flat[i]}")
-    k = np.exp(K)
+    with np.errstate(over="ignore"):
+        k = np.exp(K)
+    bad = ~((0.0 < k) & (k < math.inf))  # a NaN fails both
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        x = K.flat[i]
+        raise ValueError(f"K must be finite; entry {i} is {x}" if not math.isfinite(x) else
+                         f"exp(K) must be positive and finite; entry {i} is {x}")
     kind = _class_kind(_positive(k), tol)
     rep = vertex_curvatures(tri, np.where(kind == _HORO, 0.0, K))
     gen = 2.0 * rep.arrays.w * rep.arrays.G  # per corner, 0 at a horocycle

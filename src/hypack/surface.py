@@ -12,12 +12,15 @@ admissible iff
 where F_I is the set of faces meeting I.  The test is one maximum flow
 from the vertices to the faces, exact at every size: Dinitz phases on
 corner tables built on the first call, then a linear-time witness.
-Triangulations are immutable and all queries are read-only.
+Triangulations are immutable: what the constructor does not build
+(edges, vertex_faces, the defects, the solvers' tables) is derived on
+first read and kept.  All queries are read-only.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -63,38 +66,34 @@ _PAIRS = tuple(zip(*_PAIR_ENDS))
 class Triangulation:
     """Closed triangulated surface: vertex count plus face triples.
 
-    The constructor builds the two tables from which every incidence
-    structure derives.  The edge table is one np.unique over the sorted
-    corner-pair keys of face_array, pairs (0, 1), (1, 2), (0, 2) of each
-    face in face order.  Its entries (slots) are the keys (u, w), u <= w;
-    _pair_slot is the slot of each face's pairs, (3F,), _slot_ends the
-    (2, S) ends of each slot, _slot_count the number of pairs on it (a
-    face with a repeated vertex may lie twice on a slot), and a (u, u)
-    slot only links faces; edges is the slots with u != w.  The corner
-    order is one stable argsort of the flat corners 3 f + c, one per face
-    at each of its vertices (its first corner there): _vertex_corners, by
-    vertex, then by face, with vertex v's run from _vertex_stops[v] to
-    _vertex_stops[v + 1]; vertex_faces is the runs // 3.  All arrays are
-    read-only.  Construction only rejects structurally malformed input
-    (bad arity, vertex ids that are not integers or out of range);
-    validate() reports closed-surface violations as data, found from the
-    tables on its first call.  Every attribute is set in __init__, so
-    that instances keep one attribute layout.
+    The constructor keeps face_array and builds the two tables from which
+    every incidence structure derives.  The edge table is one np.unique
+    over the sorted corner-pair keys of face_array, pairs (0, 1), (1, 2),
+    (0, 2) of each face in face order.  Its entries (slots) are the keys
+    (u, w), u <= w; _pair_slot is the slot of each face's pairs, (3F,),
+    _slot_ends the (2, S) ends of each slot, _slot_count the number of
+    pairs on it (a face with a repeated vertex may lie twice on a slot),
+    and a (u, u) slot only links faces.  The corner order is one stable
+    argsort of the flat corners 3 f + c, one per face at each of its
+    vertices (its first corner there): _vertex_corners, by vertex, then by
+    face, with vertex v's run from _vertex_stops[v] to _vertex_stops[v + 1].
+    All arrays are read-only.  edges (the slots with u != w), vertex_faces
+    (the runs // 3), the defects and the solvers' tables are derived from
+    these on first read and then kept.  Construction only rejects
+    structurally malformed input (bad arity, vertex ids that are not
+    integers or out of range); validate() reports closed-surface
+    violations as data.  Equality, hashing and repr read num_vertices and
+    faces, which determine everything else.
     """
 
     num_vertices: int
     faces: tuple[tuple[int, int, int], ...]
-    edges: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-    vertex_faces: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     face_array: np.ndarray = field(init=False, repr=False, compare=False)
     _pair_slot: np.ndarray = field(init=False, repr=False, compare=False)
     _slot_ends: np.ndarray = field(init=False, repr=False, compare=False)
     _slot_count: np.ndarray = field(init=False, repr=False, compare=False)
     _vertex_corners: np.ndarray = field(init=False, repr=False, compare=False)
     _vertex_stops: np.ndarray = field(init=False, repr=False, compare=False)
-    _defects: tuple[Defect, ...] | None = field(init=False, repr=False, compare=False)
-    _corners: tuple | None = field(init=False, repr=False, compare=False)
-    _hessian: tuple | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
         n = _count(num_vertices, "num_vertices", 1)
@@ -102,7 +101,6 @@ class Triangulation:
         a, b = f[:, _PAIR_ENDS[0]].ravel(), f[:, _PAIR_ENDS[1]].ravel()
         keys, slot, count = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                                       return_inverse=True, return_counts=True)
-        ends = np.stack(np.divmod(keys, n))
         # each face once at each of its vertices: a corner that repeats an
         # earlier one of its face is dropped
         distinct = np.ones(f.shape, dtype=bool)
@@ -111,25 +109,26 @@ class Triangulation:
         corner = f[distinct]
         corners = np.flatnonzero(distinct)[np.argsort(corner, kind="stable")]
         stops = np.concatenate(([0], np.cumsum(np.bincount(corner, minlength=n))))
-        by_vertex, cuts = (corners // 3).tolist(), stops.tolist()
-        proper = ends[0] != ends[1]
-        for arr in (slot, ends, count, corners, stops):
-            arr.flags.writeable = False
-        object.__setattr__(self, "num_vertices", n)
-        object.__setattr__(self, "faces", rows)
-        object.__setattr__(self, "edges", tuple(zip(ends[0][proper].tolist(),
-                                                    ends[1][proper].tolist())))
-        object.__setattr__(self, "vertex_faces", tuple(
-            tuple(by_vertex[i:j]) for i, j in zip(cuts, cuts[1:])))
-        object.__setattr__(self, "face_array", f)
-        object.__setattr__(self, "_pair_slot", slot)
-        object.__setattr__(self, "_slot_ends", ends)
-        object.__setattr__(self, "_slot_count", count)
-        object.__setattr__(self, "_vertex_corners", corners)
-        object.__setattr__(self, "_vertex_stops", stops)
-        object.__setattr__(self, "_defects", None)
-        object.__setattr__(self, "_corners", None)
-        object.__setattr__(self, "_hessian", None)
+        tables = dict(num_vertices=n, faces=rows, face_array=f, _pair_slot=slot,
+                      _slot_ends=np.stack(np.divmod(keys, n)), _slot_count=count,
+                      _vertex_corners=corners, _vertex_stops=stops)
+        for name, value in tables.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The slots (u, w) with u != w, sorted."""
+        u, w = self._slot_ends
+        proper = u != w
+        return tuple(zip(u[proper].tolist(), w[proper].tolist()))
+
+    @functools.cached_property
+    def vertex_faces(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's faces, in face order, once each."""
+        by_vertex, cuts = (self._vertex_corners // 3).tolist(), self._vertex_stops.tolist()
+        return tuple(tuple(by_vertex[i:j]) for i, j in zip(cuts, cuts[1:]))
 
     def degree(self, v: int) -> int:
         """Number of faces containing vertex v."""
@@ -139,34 +138,31 @@ class Triangulation:
     def validate(self) -> list[Defect]:
         """All closed-surface violations, as data (empty list when valid):
         found on the first call, a fresh list on every call."""
-        if self._defects is None:
-            object.__setattr__(self, "_defects", self._find_defects())
         return list(self._defects)
 
+    @functools.cached_property
     def _corner_table(self) -> tuple:
-        """Built on the first call: each vertex's (face f, flat corner 3 f + its
-        first corner in f) in vertex_faces order, and each flat corner's vertex."""
-        if self._corners is None:
-            k, cuts = self._vertex_corners, self._vertex_stops.tolist()
-            pairs = list(zip((k // 3).tolist(), k.tolist()))
-            object.__setattr__(self, "_corners", (
-                tuple(pairs[i:j] for i, j in zip(cuts, cuts[1:])),
-                self.face_array.ravel().tolist()))
-        return self._corners
+        """Each vertex's (face f, flat corner 3 f + its first corner in f)
+        in vertex_faces order, and each flat corner's vertex."""
+        k, cuts = self._vertex_corners, self._vertex_stops.tolist()
+        pairs = list(zip((k // 3).tolist(), k.tolist()))
+        return (tuple(pairs[i:j] for i, j in zip(cuts, cuts[1:])),
+                self.face_array.ravel().tolist())
 
+    @functools.cached_property
     def _hessian_index(self) -> tuple:
-        """Built on the first call, read-only: the COO index (rows, cols) of
-        the Hessian's entries (packing._hessian_entries), every slot (u, w)
-        as (u, w), then as (w, u), then the diagonal, and rows * n + cols."""
-        if self._hessian is None:
-            n, (u, w), diag = self.num_vertices, self._slot_ends, np.arange(self.num_vertices)
-            rows, cols = np.concatenate((u, w, diag)), np.concatenate((w, u, diag))
-            object.__setattr__(self, "_hessian", (rows, cols, rows * n + cols))
-            for arr in self._hessian:
-                arr.flags.writeable = False
-        return self._hessian
+        """Read-only: the COO index (rows, cols) of the Hessian's entries
+        (packing._hessian_entries), every slot (u, w) as (u, w), then as
+        (w, u), then the diagonal, and rows * n + cols."""
+        n, (u, w), diag = self.num_vertices, self._slot_ends, np.arange(self.num_vertices)
+        rows, cols = np.concatenate((u, w, diag)), np.concatenate((w, u, diag))
+        index = (rows, cols, rows * n + cols)
+        for arr in index:
+            arr.flags.writeable = False
+        return index
 
-    def _find_defects(self) -> tuple[Defect, ...]:
+    @functools.cached_property
+    def _defects(self) -> tuple[Defect, ...]:
         """The four checks, as array masks over the edge table and the
         components (_components) of the corner graph and of the faces; a
         Python loop runs only over what a mask flags."""
@@ -275,7 +271,7 @@ def check_admissible(tri: Triangulation, l_hat) -> Admissibility:
     targets, x, room, witness, margin = _max_flow(tri, l_hat)
     if witness is not None:
         return Admissibility(admissible=False, worst_margin=margin, witness=witness)
-    by_vertex, at = tri._corner_table()
+    by_vertex, at = tri._corner_table
     best = min([math.pi * len(pairs) - t for pairs, t in zip(by_vertex, targets)]
                + [math.pi * len(room) - math.fsum(targets)])
     for v, pairs in enumerate(by_vertex):
@@ -383,7 +379,7 @@ def _max_flow(tri: Triangulation, l_hat):
     up to what the tolerances leave: short_tol[v] unsent from each vertex,
     and at each face _TOL of room and of two corners' flow from outside W."""
     targets = _checked_targets(tri, l_hat).tolist()
-    by_vertex, at = tri._corner_table()
+    by_vertex, at = tri._corner_table
     x, room, need = [0.0] * len(at), [math.pi] * len(tri.face_array), targets.copy()
     for k, v in enumerate(at):
         f = k // 3

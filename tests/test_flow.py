@@ -771,7 +771,7 @@ class TestConjugateGradientStep:
         K = np.random.default_rng(0).normal(0.0, 0.7, 256)
         entries = _hessian_entries(tri, vertex_curvatures(tri, K).arrays)
         b = np.random.default_rng(1).normal(0.0, 1.0, 256)
-        index = tri._hessian_index()
+        index = tri._hessian_index
         assert np.max(np.abs(flow._cg_solve(index, entries, b, flow._CG_RTOL)
                              - np.linalg.solve(global_jacobian(tri, K), b))) < 1e-8
         rtol = flow._CG_RTOL

@@ -121,7 +121,7 @@ class TestGlobalJacobian:
         # built on first use and then shared by every solve and assembly
         tri = genus2()
         n = tri.num_vertices
-        index = tri._hessian_index()
+        index = tri._hessian_index
         rows, cols, flat = index
         u, w = tri._slot_ends
         assert np.array_equal(rows, np.concatenate((u, w, np.arange(n))))
@@ -133,15 +133,15 @@ class TestGlobalJacobian:
                 arr[0] = 0
         global_jacobian(tri, np.zeros(n))
         solve(tri, vertex_curvature_sums(tri, np.full(n, 0.3)))
-        assert tri._hessian_index() is index
-        assert all(a is b for a, b in zip(tri._hessian_index(), index))
+        assert tri._hessian_index is index
+        assert all(a is b for a, b in zip(tri._hessian_index, index))
 
     @pytest.mark.parametrize("surface", [genus2, lambda: torus_grid(8, 8)],
                              ids=["genus2", "torus8x8"])
     def test_equals_the_dense_assembly_of_the_entries(self, surface, rng):
         tri = surface()
         n = tri.num_vertices
-        rows, cols, _ = tri._hessian_index()
+        rows, cols, _ = tri._hessian_index
         for _ in range(3):
             K = rng.normal(0.0, 1.0, n)
             entries = _hessian_entries(tri, vertex_curvatures(tri, K).arrays)

@@ -232,6 +232,21 @@ class TestAudit:
                 call(torus_grid(16, 16), K)
             assert err.type is ValueError
 
+    @pytest.mark.parametrize("big", [800.0, -800.0])
+    def test_state_beyond_exp_is_named_before_the_kernel(self, big, monkeypatch):
+        # exp(800) overflows to inf (a RuntimeWarning, an error under the
+        # suite's filter) and exp(-800) is 0: both are named by index
+        def refuse(*args):
+            raise AssertionError("face kernel called on a state exp cannot represent")
+        monkeypatch.setattr(hypack.realize, "vertex_curvatures", refuse)
+        K = np.zeros(16)
+        K[5] = big
+        for call in (realize_metric, gauss_bonnet_audit):
+            with pytest.raises(ValueError, match=f"^exp\\(K\\) must be positive and finite; "
+                                                 f"entry 5 is {big}$") as err:
+                call(torus_grid(4, 4), K)
+            assert err.type is ValueError
+
     def test_all_circle_counting_identity(self, octahedron, rng):
         # sum_f (pi - sum theta) = -2 pi chi + sum_v (2 pi - Theta_v)
         K = np.log(rng.uniform(1.2, 3.0, size=6))

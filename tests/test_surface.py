@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -203,7 +204,8 @@ class TestValidate:
 
 class TestEdgeTable:
     """Every incidence structure comes from the constructor's one np.unique
-    and one stable argsort, and nothing is added or recomputed later."""
+    and one stable argsort; what is derived from them on first read is
+    kept, and nothing is recomputed."""
 
     def test_one_unique_per_triangulation_and_none_per_solve(self, monkeypatch):
         calls = []
@@ -225,24 +227,52 @@ class TestEdgeTable:
         tri = torus_grid(16, 16)
         before = dict(vars(tri))
         assert tri.validate() == []
+        # validate() adds its memo of the defects, and the Newton steps the
+        # Hessian index; nothing set before is replaced
+        assert vars(tri).keys() - before.keys() == {"_defects"}
         solve(tri, vertex_curvature_sums(tri, np.random.default_rng(2).normal(0.0, 0.7, 256)))
         after = vars(tri)
-        assert after.keys() == before.keys()
-        # only validate()'s memo of its defects and the Newton steps' memo of
-        # the Hessian index are filled in
-        assert [k for k in after if after[k] is not before[k]] == ["_defects", "_hessian"]
+        assert after.keys() - before.keys() == {"_defects", "_hessian_index"}
+        assert all(after[k] is v for k, v in before.items())
 
     def test_the_first_feasibility_call_builds_the_corner_tables(self):
         tri = Triangulation(5, TETRA_FACES[:-1] + [(1, 1, 2)])
         tri.validate()
-        assert tri._corners is None
+        before = dict(vars(tri))
+        assert "_corner_table" not in before
         check_admissible(tri, [1.0] * 5)
-        by_vertex, at = tri._corners
-        assert violating_subset(tri, [1.0] * 5) == (4,) and tri._corner_table()[0] is by_vertex
+        assert vars(tri).keys() - before.keys() == {"_corner_table"}
+        by_vertex, at = tri._corner_table
+        assert violating_subset(tri, [1.0] * 5) == (4,) and tri._corner_table[0] is by_vertex
+        assert vars(tri).keys() - before.keys() == {"_corner_table"}
         assert at == [v for face in tri.faces for v in face]
         assert [[f for f, _ in pairs] for pairs in by_vertex] == list(map(list, tri.vertex_faces))
         # each face's corner is the vertex's first one in it
         assert by_vertex[1] == [(0, 1), (1, 4), (3, 9)]
+
+    def test_edges_and_vertex_faces_are_built_on_first_read(self):
+        tri = torus_grid(16, 16)
+        assert tri.validate() == []
+        target = vertex_curvature_sums(tri, np.random.default_rng(3).normal(0.0, 0.7, 256))
+        assert solve(tri, target).status is SolveStatus.CONVERGED
+        assert check_admissible(tri, target).admissible
+        assert not {"edges", "vertex_faces"} & vars(tri).keys()
+        edges, vertex_faces = tri.edges, tri.vertex_faces
+        assert edges == _reference_edges(tri)
+        assert vertex_faces == tuple(tuple(f for f, _ in pairs)
+                                     for pairs in _reference_corner_table(tri)[0])
+        assert tri.edges is edges and tri.vertex_faces is vertex_faces
+        for name in ("edges", "vertex_faces", "_defects", "faces", "face_array"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tri, name, ())
+
+    def test_a_list_and_an_int64_array_give_equal_triangulations(self):
+        faces = list(torus_grid(8, 8).faces)
+        listed = Triangulation(64, faces)
+        arrayed = Triangulation(64, np.array(faces, dtype=np.int64))
+        assert listed == arrayed and hash(listed) == hash(arrayed)
+        assert repr(listed) == repr(arrayed) == f"Triangulation(num_vertices=64, faces={tuple(faces)})"
+        assert listed != Triangulation(65, faces)
 
     @pytest.mark.parametrize("faces", [TETRA_FACES[:-1] + [(1, 1, 2)], list(genus2().faces)],
                              ids=["repeated-vertex", "genus2"])
@@ -271,7 +301,7 @@ class TestEdgeTable:
     def test_corner_order_matches_the_per_corner_search(self, make):
         tri = make()
         by_vertex, at = _reference_corner_table(tri)
-        assert tri._corner_table() == (by_vertex, at)
+        assert tri._corner_table == (by_vertex, at)
         assert tri.vertex_faces == tuple(tuple(f for f, _ in pairs) for pairs in by_vertex)
         assert [tri.degree(v) for v in range(tri.num_vertices)] == list(map(len, by_vertex))
         assert tri.degree(-1) == len(by_vertex[-1])
@@ -281,7 +311,7 @@ class TestEdgeTable:
 
 
 # The per-corner search that built the corner tables before the corner
-# order, kept as the oracle for Triangulation._corner_table(): each
+# order, kept as the oracle for Triangulation._corner_table: each
 # vertex's faces in face order, each at the vertex's first corner in it.
 
 def _reference_corner_table(tri):
