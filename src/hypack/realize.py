@@ -113,7 +113,7 @@ def realize_metric(tri: Triangulation, K, tol: float = CLASS_TOL) -> RealizedMet
         x = K.flat[i]
         raise ValueError(f"K must be finite; entry {i} is {x}" if not math.isfinite(x) else
                          f"exp(K) must be positive and finite; entry {i} is {x}")
-    kind = _class_kind(_positive(k), tol)
+    kind = _class_kind(k, tol)
     rep = vertex_curvatures(tri, np.where(kind == _HORO, 0.0, K))
     gen = 2.0 * rep.arrays.w * rep.arrays.G  # per corner, 0 at a horocycle
     at_vertex = _sum_at_vertices(tri, gen)

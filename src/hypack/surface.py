@@ -13,8 +13,8 @@ where F_I is the set of faces meeting I.  The test is one maximum flow
 from the vertices to the faces, exact at every size: Dinitz phases on
 corner tables built on the first call, then a linear-time witness.
 Triangulations are immutable: what the constructor does not build
-(edges, vertex_faces, the defects, the solvers' tables) is derived on
-first read and kept.  All queries are read-only.
+(faces as tuples, edges, vertex_faces, the defects, the solvers' tables)
+is derived on first read and kept.  All queries are read-only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,42 +62,37 @@ _PAIR_ENDS = ((0, 1, 0), (1, 2, 2))
 _PAIRS = tuple(zip(*_PAIR_ENDS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Triangulation:
     """Closed triangulated surface: vertex count plus face triples.
 
-    The constructor keeps face_array and builds the two tables from which
-    every incidence structure derives.  The edge table is one np.unique
-    over the sorted corner-pair keys of face_array, pairs (0, 1), (1, 2),
-    (0, 2) of each face in face order.  Its entries (slots) are the keys
-    (u, w), u <= w; _pair_slot is the slot of each face's pairs, (3F,),
-    _slot_ends the (2, S) ends of each slot, _slot_count the number of
-    pairs on it (a face with a repeated vertex may lie twice on a slot),
-    and a (u, u) slot only links faces.  The corner order is one stable
-    argsort of the flat corners 3 f + c, one per face at each of its
-    vertices (its first corner there): _vertex_corners, by vertex, then by
-    face, with vertex v's run from _vertex_stops[v] to _vertex_stops[v + 1].
-    All arrays are read-only.  edges (the slots with u != w), vertex_faces
-    (the runs // 3), the defects and the solvers' tables are derived from
-    these on first read and then kept.  Construction only rejects
-    structurally malformed input (bad arity, vertex ids that are not
-    integers or out of range); validate() reports closed-surface
-    violations as data.  Equality, hashing and repr read num_vertices and
-    faces, which determine everything else.
+    The constructor keeps face_array, the one face table, and builds the
+    two tables from which every incidence structure derives.  The edge
+    table is one np.unique over the sorted corner-pair keys of face_array,
+    pairs (0, 1), (1, 2), (0, 2) of each face in face order.  Its entries
+    (slots) are the keys (u, w), u <= w; _pair_slot is the slot of each
+    face's pairs, (3F,), _slot_ends the (2, S) ends of each slot,
+    _slot_count the number of pairs on it (a face with a repeated vertex
+    may lie twice on a slot), and a (u, u) slot only links faces.  The
+    corner order is one stable argsort of the flat corners 3 f + c, one
+    per face at each of its vertices (its first corner there):
+    _vertex_corners, by vertex, then by face, with vertex v's run from
+    _vertex_stops[v] to _vertex_stops[v + 1].  All arrays are read-only.
+    faces (face_array's rows as tuples of Python ints), edges (the slots
+    with u != w), vertex_faces (the runs // 3), the defects and the
+    solvers' tables are derived from these on first read and then kept.
+    Construction only rejects structurally malformed input (bad arity,
+    vertex ids that are not integers or out of range); validate() reports
+    closed-surface violations as data.  Equality and hashing read
+    num_vertices and face_array, which determine everything else.
     """
 
     num_vertices: int
-    faces: tuple[tuple[int, int, int], ...]
-    face_array: np.ndarray = field(init=False, repr=False, compare=False)
-    _pair_slot: np.ndarray = field(init=False, repr=False, compare=False)
-    _slot_ends: np.ndarray = field(init=False, repr=False, compare=False)
-    _slot_count: np.ndarray = field(init=False, repr=False, compare=False)
-    _vertex_corners: np.ndarray = field(init=False, repr=False, compare=False)
-    _vertex_stops: np.ndarray = field(init=False, repr=False, compare=False)
+    face_array: np.ndarray
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
         n = _count(num_vertices, "num_vertices", 1)
-        f, rows = _face_table(faces, n)
+        f = _face_table(faces, n)
         a, b = f[:, _PAIR_ENDS[0]].ravel(), f[:, _PAIR_ENDS[1]].ravel()
         keys, slot, count = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                                       return_inverse=True, return_counts=True)
@@ -109,13 +104,30 @@ class Triangulation:
         corner = f[distinct]
         corners = np.flatnonzero(distinct)[np.argsort(corner, kind="stable")]
         stops = np.concatenate(([0], np.cumsum(np.bincount(corner, minlength=n))))
-        tables = dict(num_vertices=n, faces=rows, face_array=f, _pair_slot=slot,
+        tables = dict(num_vertices=n, face_array=f, _pair_slot=slot,
                       _slot_ends=np.stack(np.divmod(keys, n)), _slot_count=count,
                       _vertex_corners=corners, _vertex_stops=stops)
         for name, value in tables.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_vertices == other.num_vertices
+                and np.array_equal(self.face_array, other.face_array))
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.face_array.tobytes()))
+
+    def __repr__(self):
+        return f"Triangulation(num_vertices={self.num_vertices!r}, faces={self.faces!r})"
+
+    @functools.cached_property
+    def faces(self) -> tuple[tuple[int, int, int], ...]:
+        """Each face as a tuple of three Python ints, in face order."""
+        return tuple(map(tuple, self.face_array.tolist()))
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -132,7 +144,7 @@ class Triangulation:
 
     def degree(self, v: int) -> int:
         """Number of faces containing vertex v."""
-        v = range(self.num_vertices)[v]
+        v = range(self.num_vertices)[_index(v)]
         return int(self._vertex_stops[v + 1] - self._vertex_stops[v])
 
     def validate(self) -> list[Defect]:
@@ -166,12 +178,13 @@ class Triangulation:
         """The four checks, as array masks over the edge table and the
         components (_components) of the corner graph and of the faces; a
         Python loop runs only over what a mask flags."""
-        n, f, faces = self.num_vertices, self.face_array, self.faces
+        n, f = self.num_vertices, self.face_array
         (u, w), count, slot = self._slot_ends, self._slot_count, self._pair_slot
         repeated = np.flatnonzero((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2])
                                   | (f[:, 0] == f[:, 2])).tolist()
-        defects = [Defect("repeated_vertex", (fi,), f"face {fi} = {faces[fi]} has a repeated vertex")
-                   for fi in repeated]
+        rows = f[repeated].tolist()  # Python ints, which print as such
+        defects = [Defect("repeated_vertex", (fi,), f"face {fi} = {tuple(r)} has a repeated vertex")
+                   for fi, r in zip(repeated, rows)]
         unpaired = (count != 2) & (u != w)
         defects += [Defect("edge_face_count", e, f"edge {e} lies in {c} faces, expected 2")
                     for e, c in zip(zip(u[unpaired].tolist(), w[unpaired].tolist()),
@@ -193,9 +206,9 @@ class Triangulation:
         label = _components(len(at), a.ravel(), b.ravel())
         cycles = np.bincount(at[label == np.arange(len(at))], minlength=n)
         twice: dict[int, int] = {}  # vertex -> the first face it lies twice in
-        for fi in repeated:
-            for v in faces[fi]:
-                if faces[fi].count(v) > 1:
+        for fi, r in zip(repeated, rows):
+            for v in r:
+                if r.count(v) > 1:
                     twice.setdefault(v, fi)
         is_open = np.zeros(n, dtype=bool)
         is_open[u[unpaired]] = is_open[w[unpaired]] = True
@@ -297,14 +310,13 @@ def _index(value) -> int:
     return operator.index(value)
 
 
-def _face_table(faces, n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
-    """(a new read-only (F, 3) intp array, a tuple of tuples of Python
-    ints) of faces whose ids lie in [0, n).  An (F, 3) integer array, cast
-    to intp, or faces of three Python or numpy ints pass by one vectorized
-    range check; anything else, or an id out of range (also one that the
-    cast wraps), goes through the face-by-face loop (_normalized), which
-    names the first bad face."""
-    f = rows = None
+def _face_table(faces, n: int) -> np.ndarray:
+    """A new read-only (F, 3) intp array of faces whose ids lie in [0, n).
+    An (F, 3) integer array, cast to intp, or faces of three Python or
+    numpy ints pass by one vectorized range check; anything else, or an id
+    out of range (also one that the cast wraps), goes through the
+    face-by-face loop (_normalized), which names the first bad face."""
+    f = None
     if isinstance(faces, np.ndarray) and faces.dtype.kind in "iu" and faces.shape[1:] == (3,):
         f = faces.astype(np.intp)
     elif not isinstance(faces, (list, tuple)):
@@ -315,14 +327,12 @@ def _face_table(faces, n: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], 
             if all(t is int or issubclass(t, np.integer) for t in types):
                 f = np.fromiter(itertools.chain.from_iterable(faces), dtype=np.intp,
                                 count=3 * len(faces)).reshape(-1, 3)
-                rows = tuple(map(tuple, faces)) if types <= {int} else None
     except (TypeError, OverflowError):  # a face without a length, or a huge id
         f = None
     if f is None or (f.size and not (f.min() >= 0 and f.max() < n)):
-        rows = tuple(_normalized(faces, n))
-        f = np.array(rows, dtype=np.intp).reshape(-1, 3)
+        f = np.array(_normalized(faces, n), dtype=np.intp).reshape(-1, 3)
     f.flags.writeable = False
-    return f, tuple(map(tuple, f.tolist())) if rows is None else rows
+    return f
 
 
 def _normalized(faces, n: int) -> list[tuple[int, int, int]]:

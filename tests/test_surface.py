@@ -12,6 +12,7 @@ import pytest
 from hypack import surface
 from hypack.flow import SolveStatus, solve
 from hypack.packing import vertex_curvature_sums
+from hypack.realize import realize_metric
 from hypack.surface import (
     Admissibility,
     Defect,
@@ -126,7 +127,9 @@ class TestValidate:
         # the same mutations at 256 vertices, and around vertices of degree
         # 40 (80 once a copy is glued there), whose link walks are long; a
         # random added face rarely repeats a vertex among so many, so every
-        # fourth surface also gets a face whose corner repeats another
+        # fourth surface also gets a face whose corner repeats another; every
+        # other surface is built from an int64 array, whose defect messages
+        # spell the faces from the array
         rnd = random.Random(21)
         base = surface()
         assert base.validate() == _find_defects(base) == []
@@ -136,9 +139,11 @@ class TestValidate:
             if i % 4 == 0:
                 fi, c = rnd.randrange(len(faces)), rnd.randrange(3)
                 faces[fi] = faces[fi][:c] + (faces[fi][c - 1],) + faces[fi][c + 1:]
-            t = Triangulation(n, faces)
+            t = Triangulation(n, np.array(faces, dtype=np.int64).reshape(-1, 3) if i % 2 == 0
+                              else faces)
             got = t.validate()
             assert got == _find_defects(t)
+            assert t.faces == tuple(map(tuple, faces))
             assert t.edges == _reference_edges(t)
             kinds.update({d.kind for d in got})
         assert min(kinds[k] for k in ("repeated_vertex", "edge_face_count", "bad_link",
@@ -254,14 +259,17 @@ class TestEdgeTable:
         tri = torus_grid(16, 16)
         assert tri.validate() == []
         target = vertex_curvature_sums(tri, np.random.default_rng(3).normal(0.0, 0.7, 256))
-        assert solve(tri, target).status is SolveStatus.CONVERGED
+        res = solve(tri, target)
+        assert res.status is SolveStatus.CONVERGED
         assert check_admissible(tri, target).admissible
-        assert not {"edges", "vertex_faces"} & vars(tri).keys()
-        edges, vertex_faces = tri.edges, tri.vertex_faces
+        realize_metric(tri, res.K)
+        assert not {"faces", "edges", "vertex_faces"} & vars(tri).keys()
+        faces, edges, vertex_faces = tri.faces, tri.edges, tri.vertex_faces
+        assert np.array_equal(faces, tri.face_array) and {type(v) for f in faces for v in f} == {int}
         assert edges == _reference_edges(tri)
         assert vertex_faces == tuple(tuple(f for f, _ in pairs)
                                      for pairs in _reference_corner_table(tri)[0])
-        assert tri.edges is edges and tri.vertex_faces is vertex_faces
+        assert tri.faces is faces and tri.edges is edges and tri.vertex_faces is vertex_faces
         for name in ("edges", "vertex_faces", "_defects", "faces", "face_array"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(tri, name, ())
@@ -269,10 +277,13 @@ class TestEdgeTable:
     def test_a_list_and_an_int64_array_give_equal_triangulations(self):
         faces = list(torus_grid(8, 8).faces)
         listed = Triangulation(64, faces)
-        arrayed = Triangulation(64, np.array(faces, dtype=np.int64))
-        assert listed == arrayed and hash(listed) == hash(arrayed)
-        assert repr(listed) == repr(arrayed) == f"Triangulation(num_vertices=64, faces={tuple(faces)})"
+        for dtype in (np.int64, np.int32, np.uint16):
+            arrayed = Triangulation(64, np.array(faces, dtype=dtype))
+            assert listed == arrayed and hash(listed) == hash(arrayed)
+            assert repr(listed) == repr(arrayed) == \
+                f"Triangulation(num_vertices=64, faces={tuple(faces)})"
         assert listed != Triangulation(65, faces)
+        assert listed != Triangulation(64, [faces[1], faces[0]] + faces[2:])
 
     @pytest.mark.parametrize("faces", [TETRA_FACES[:-1] + [(1, 1, 2)], list(genus2().faces)],
                              ids=["repeated-vertex", "genus2"])
@@ -305,8 +316,11 @@ class TestEdgeTable:
         assert tri.vertex_faces == tuple(tuple(f for f, _ in pairs) for pairs in by_vertex)
         assert [tri.degree(v) for v in range(tri.num_vertices)] == list(map(len, by_vertex))
         assert tri.degree(-1) == len(by_vertex[-1])
+        assert tri.degree(np.int64(1)) == len(by_vertex[1])
         with pytest.raises(IndexError):
             tri.degree(tri.num_vertices)
+        with pytest.raises(TypeError):
+            tri.degree(True)
         assert not (tri._vertex_corners.flags.writeable or tri._vertex_stops.flags.writeable)
 
 
