@@ -8,20 +8,20 @@ corner between two horocycles takes its share Lhat_i / deg(i) of the
 target (_START_L).  One loop takes Newton steps by default, each halved
 until the residual 2-norm falls, from the full step or from the fraction
 that moves no K_i by more than _NEWTON_MAX_STEP, which keeps far starts
-from stepping to where M is singular to rounding.  An iterate (the start
-or a Newton trial) is one face_kernel call on exp(K) at the faces and
-one scatter of L (_evaluate).  A Newton step derives its iterate's face
-Jacobians in one pass (FaceArrays.jacobians) and solves for its
-direction from the Hessian's entries at the index the Triangulation
-keeps: densely below _CG_MIN_VERTICES vertices, and from there up by
-Jacobi-preconditioned conjugate gradients to a tolerance that shrinks
-with the residual (_CG_RTOL).  With newton=False it integrates the flow
-instead, with an embedded Dormand-Prince 5(4) pair under per-step error
-control; with a finite newton_switch_tol it integrates the flow until
-the residual is below that bound and takes Newton steps from there on.
-A converged K whose residual is small against the face areas of its
-iterate proves the target admissible (_certified); only a solve without
-that proof runs the maximum flow.
+from stepping to where M is singular to rounding.  A state (the start, a
+Newton trial or a flow stage) is one face_kernel call on exp(K) at the
+faces and one scatter of L (_evaluate), whose arrays it keeps.  A Newton
+step derives its state's face Jacobians in one pass (FaceArrays.jacobians)
+and solves for its direction from the Hessian's entries at the index the
+Triangulation keeps: densely below _CG_MIN_VERTICES vertices, and from
+there up by Jacobi-preconditioned conjugate gradients to a tolerance that
+shrinks with the residual (_CG_RTOL).  With newton=False it integrates
+the flow instead, with an embedded Dormand-Prince 5(4) pair under
+per-step error control; with a finite newton_switch_tol it integrates the
+flow until the residual is below that bound and takes Newton steps from
+there on.  A converged K whose residual is small against the face areas
+of its state proves the target admissible (_certified); only a solve
+without that proof runs the maximum flow.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from enum import Enum
 
 import numpy as np
 
-from .packing import _dense_hessian, _hessian_entries, _sum_at_vertices, vertex_curvature_sums
-# global_jacobian stays importable from here, where perfbench's tracer wraps it
-from .packing import global_jacobian  # noqa: F401
+from .packing import _dense_hessian, _hessian_entries, _sum_at_vertices
 from .tangency import FaceArrays, face_kernel
-# check_admissible stays importable from here, where perfbench's tracer wraps it
-from .surface import Triangulation, check_admissible, violating_subset  # noqa: F401
-from .surface import _checked_targets, _count
+from .surface import _TOL, Triangulation, _checked_targets, _count, violating_subset
+# not called here: perfbench's tracer wraps these names in this module
+from .packing import global_jacobian, vertex_curvature_sums  # noqa: F401
+from .surface import check_admissible  # noqa: F401
 
 __all__ = [
     "FlowConfig",
@@ -220,21 +219,25 @@ class SolveResult:
 def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
     """One embedded Dormand-Prince 5(4) step of dK/dt = -(L - Lhat).
 
-    `rate` is Lhat - L(K), the first stage, which the caller already has.
-    Returns (K', error_estimate, rate at K' = the last stage, first same as
-    last); the caller accepts the step when the max-norm difference of the
-    5th- and 4th-order solutions is below its bound, and else halves h.
-    """
+    `rate` is Lhat - L(K), the first stage, which the caller already has;
+    each of the other six is one _evaluate call.  Returns (K', error
+    estimate, rate at K' = the last stage (first same as last), _evaluate's
+    arrays at K'); the caller accepts the step when the max-norm difference
+    of the 5th- and 4th-order solutions is below its bound, else halves h.
+    Raises ValueError for h <= 0, or a K, l_hat or rate not of shape (n,)."""
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h}")
-    K = np.asarray(K, dtype=float)
-    target = np.asarray(l_hat, dtype=float)
-    ks = [np.asarray(rate, dtype=float)]
+    K, target, rate = (np.asarray(a, dtype=float) for a in (K, l_hat, rate))
+    if not K.shape == target.shape == rate.shape == (tri.num_vertices,):
+        raise ValueError(f"expected {tri.num_vertices} state entries, got shapes {K.shape}, "
+                         f"{target.shape} and {rate.shape}")
+    ks = [rate]
     for i in range(1, 7):
         y = K + h * sum(a * kk for a, kk in zip(_DP_A[i], ks))
-        ks.append(target - vertex_curvature_sums(tri, y))
+        res, fa = _evaluate(tri, y, target)
+        ks.append(-res)
     K4 = K + h * sum(b * kk for b, kk in zip(_DP_B4, ks))
-    return y, float(np.abs(y - K4).max()), ks[6]  # the last stage's y is K5
+    return y, float(np.abs(y - K4).max()), ks[6], fa  # the last stage's y is K5
 
 
 def _evaluate(tri: Triangulation, K, target) -> tuple[np.ndarray, FaceArrays]:
@@ -325,16 +328,17 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     off _START_L.
 
     Each pass takes a Newton step or, with newton off or until a finite
-    newton_switch_tol is reached, a flow step; max_steps counts both.  A
-    trial the kernel cannot evaluate fails (a Newton trial that does not
+    newton_switch_tol is reached, a flow step; max_steps counts both, and
+    each accepted state keeps (K, residual, arrays) from its _evaluate call.
+    A trial the kernel cannot evaluate fails (a Newton trial that does not
     end the solve, also when only its Jacobians overflow).  The first pass
     with some K_i beyond +-15 and the residual above 10 residual_tol runs
     check_admissible's maximum flow once, and a witness ends the solve as
     INFEASIBLE.  With check_admissibility on (the default), a converged
-    solve must also certify the target (_certified); any other ending (a failed
-    certificate, max_steps, a StiffnessError or a kernel failure) runs
-    that maximum flow once, and is INFEASIBLE if it finds a witness.  On
-    convergence the result is independent of K0 (the packing is unique).
+    solve must also certify the target (_certified); any other ending (a
+    failed certificate, max_steps, a StiffnessError or a kernel failure)
+    runs that maximum flow once, and is INFEASIBLE if it finds a witness.
+    On convergence the result is independent of K0 (the packing is unique).
     A K0 of the wrong shape or with an entry that is not finite raises
     ValueError before any kernel call.
     """
@@ -358,8 +362,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
     checked = False  # violating_subset ran, at most once
     witness = status = failure = None
     try:
-        # fa: the kernel's arrays at K, or None when K came from a flow step
-        res, fa = _evaluate(tri, K, target)
+        res, fa = _evaluate(tri, K, target)  # the residual and the kernel's arrays at K
         trace.append(t, K, np.abs(res).max(), math.sqrt(res @ res), "flow")
         while True:
             res_max = trace.residual_max[-1]  # of res, the residual at K
@@ -378,8 +381,6 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             steps += 1
             newton = newton or (cfg.newton and res_max < cfg.newton_switch_tol)
             if newton:
-                if fa is None:  # the handover from the flow
-                    fa = _evaluate(tri, K, target)[1]
                 K, res, res_2norm, res_max, fa, alpha = _newton_step(
                     tri, K, res, trace.residual_2norm[-1], fa, target, cfg.residual_tol)
                 t += alpha
@@ -388,11 +389,11 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
             h = min(h, _MAX_STEP)
             eff_tol = min(_STEP_ERROR_TOL, _REL_STEP_ERROR * res_max)
             try:
-                K_new, err, rate_new = flow_step(tri, K, target, h, -res)
+                K_new, err, rate_new, fa_new = flow_step(tri, K, target, h, -res)
             except ValueError:  # a stage left the range the face kernel can evaluate
                 err = math.inf
             if err < eff_tol:
-                t, K, res, fa = t + h, K_new, -rate_new, None
+                t, K, res, fa = t + h, K_new, -rate_new, fa_new
                 trace.append(t, K, np.abs(res).max(), math.sqrt(res @ res), "flow")
                 h *= min(5.0, 0.9 * (eff_tol / err) ** 0.2) if err > 0.0 else 5.0
             else:
@@ -404,8 +405,6 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
         failure = exc
     converged = status is SolveStatus.CONVERGED
     if cfg.check_admissibility and not checked:
-        if converged and fa is None:  # K came from a flow step, which keeps no areas
-            res, fa = _evaluate(tri, K, target)
         if not (converged and _certified(tri, res, fa.area)):
             witness = violating_subset(tri, target)
     if witness is not None:
@@ -418,12 +417,12 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
 def _certified(tri: Triangulation, res, area) -> bool:
     """Whether 3 |L_i - Lhat_i| + 1e-12 pi deg(i) < (sum of the areas of the
     faces at i) at every vertex, for the residual res = L - Lhat and the
-    face areas of one kernel call at the same K, which proves
-    sum_W Lhat < pi |F_W| for every vertex set W: a face's corner values
-    L_{f,c} >= 0 sum to pi - area_f, and a face has at most three
-    vertices.  The kernel forms area = pi - sum L, so 1e-12 pi per face
-    (the maximum flow's tolerance) covers the rounding."""
-    slack = _sum_at_vertices(tri, np.repeat(area - 1e-12 * math.pi, 3))
+    face areas of the solve's last accepted state (one kernel call at the
+    same K), which proves sum_W Lhat < pi |F_W| for every vertex set W: a
+    face's corner values L_{f,c} >= 0 sum to pi - area_f, and a face has
+    at most three vertices.  The kernel forms area = pi - sum L, so _TOL =
+    1e-12 pi per face (the maximum flow's tolerance) covers the rounding."""
+    slack = _sum_at_vertices(tri, np.repeat(area - _TOL, 3))
     return bool(np.all(3.0 * np.abs(res) < slack))
 
 

@@ -466,10 +466,10 @@ class EmbeddedFace:
 
     def arc_length(self, i: int, *, method: str = "quadrature") -> float:
         """Hyperbolic length of curve i's arc between its tangency points,
-        by adaptive quadrature of ds = |dz|/y along the embedded arc (the
-        independent oracle; "quadrature" is the only method).  The one
-        user of scipy in the package, which it imports on first call:
-        scipy is in the test extra, not in the install dependencies."""
+        by adaptive quadrature of ds = |dz|/y along the embedded arc: the
+        independent oracle, and scipy's one user (test extra; imported on
+        first call).  Worst relative error of L against face_kernel, 150 random
+        faces per |ln k| bound: 9.3e-13 at 4, 4.2e-8 at 8, 1.2e-3 at 12 (one raised)."""
         if method != "quadrature":
             raise ValueError(f"unknown arc-length method {method!r}")
         return _arc_quadrature(self, i)

@@ -62,7 +62,7 @@ class TestFlowStep:
     def test_fixed_point(self, tetrahedron):
         K_hat = np.full(4, K_STAR_TETRA)
         L_hat = vertex_curvature_sums(tetrahedron, K_hat)
-        K_new, err, rate = flow_step(tetrahedron, K_hat, L_hat, 0.5, np.zeros(4))
+        K_new, err, rate, _ = flow_step(tetrahedron, K_hat, L_hat, 0.5, np.zeros(4))
         assert np.max(np.abs(K_new - K_hat)) < 1e-13
         assert err < 1e-13
         assert np.max(np.abs(rate)) < 1e-13
@@ -70,10 +70,14 @@ class TestFlowStep:
     def test_symmetry_preserved(self, tetrahedron):
         K = np.full(4, 0.7)
         rate = np.ones(4) - vertex_curvature_sums(tetrahedron, K)
-        K_new, _, rate_new = flow_step(tetrahedron, K, np.ones(4), 0.1, rate)
+        K_new, _, rate_new, arrays = flow_step(tetrahedron, K, np.ones(4), 0.1, rate)
         assert np.all(K_new == K_new[0])
         assert np.array_equal(rate_new,
                               np.ones(4) - vertex_curvature_sums(tetrahedron, K_new))
+        # the last stage's arrays are those of an evaluation at K_new
+        fa = flow._evaluate(tetrahedron, K_new, np.ones(4))[1]
+        assert np.array_equal(arrays.L, fa.L) and np.array_equal(arrays.area, fa.area)
+        assert all(map(np.array_equal, arrays.jacobians, fa.jacobians))
 
     def test_velocity_bound(self, octahedron, rng):
         # |dK_i/dt| < pi deg(i) + Lhat_i everywhere
@@ -87,6 +91,11 @@ class TestFlowStep:
     def test_rejects_bad_step(self, tetrahedron):
         with pytest.raises(ValueError):
             flow_step(tetrahedron, np.zeros(4), np.ones(4), -0.1, np.zeros(4))
+        # K of shape (5,) or (1, 4), and a rate of shape (3,)
+        for K, rate in [(np.zeros(5), np.zeros(4)), (np.zeros((1, 4)), np.zeros(4)),
+                        (np.zeros(4), np.zeros(3))]:
+            with pytest.raises(ValueError, match="expected 4 state entries"):
+                flow_step(tetrahedron, K, np.ones(4), 0.1, rate)
 
 
 class TestSolve:
@@ -188,10 +197,16 @@ class TestSolve:
         res = solve(tetrahedron, np.ones(4), config=FlowConfig(newton=False))
         assert res.status is SolveStatus.CONVERGED
         # the starting residual, then stages 2-7 of each attempted step: the
-        # first stage is the current rate and the last one the next rate;
-        # then the certificate's areas at the converged K, which a flow step
-        # does not keep
-        assert calls["L"] == 1 + 6 * calls["step"] + 1
+        # first stage is the current rate and the last one the next rate,
+        # whose arrays give the certificate its areas at the converged K
+        assert calls["L"] == 1 + 6 * calls["step"]
+        # at the handover the first Newton step reads the last flow stage's
+        # arrays; then one evaluation per Newton trial
+        calls.update(dict.fromkeys(calls, 0))
+        res = solve(tetrahedron, np.ones(4), config=FlowConfig(newton_switch_tol=1e-3))
+        assert res.status is SolveStatus.CONVERGED
+        assert set(res.trace.phase[1:]) == {"flow", "newton"}
+        assert calls["L"] == 1 + 6 * calls["step"] + _newton_trials(res.trace)
 
     @pytest.mark.parametrize("target, witness", [([10.0, 1.0, 1.0, 1.0], (0,)),
                                                  ([3.2] * 4, (0, 1, 2, 3))])
@@ -414,7 +429,7 @@ def reference_solve(tri, target, K0=None, config=FlowConfig(), *, uncertified_ok
         else:
             h = min(h, flow._MAX_STEP)
             eff_tol = min(flow._STEP_ERROR_TOL, flow._REL_STEP_ERROR * res_max)
-            K_new, err, rate_new = flow_step(tri, K, target, h, -res)
+            K_new, err, rate_new, _ = flow_step(tri, K, target, h, -res)
             if not err < eff_tol:
                 h *= 0.5
                 continue
@@ -557,6 +572,12 @@ class TestOneEvaluationPerIterate:
         res = solve(tri, _planted(tri, 0), config=FlowConfig(newton=False))
         assert res.status is SolveStatus.CONVERGED
         assert counts["jacobians"] == 0 and counts["area"] == 1
+        # after the handover, one derivation per Newton step, the first from
+        # the last flow stage's arrays, and the certificate's areas once
+        counts.update(dict.fromkeys(counts, 0))
+        res = solve(tri, _planted(tri, 0), config=FlowConfig(newton_switch_tol=1e-3))
+        assert res.status is SolveStatus.CONVERGED
+        assert counts["area"] == 1 and counts["jacobians"] == res.trace.phase.count("newton") > 0
 
 
 def _start_of(tri, target):

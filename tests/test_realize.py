@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,18 @@ class TestAudit:
         for call in (realize_metric, gauss_bonnet_audit):
             with pytest.raises(ValueError, match=f"entry 200 is {bad}$") as err:
                 call(torus_grid(16, 16), K)
+            assert err.type is ValueError
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 4), (5,)], ids=["1xn", "2xn", "n+1"])
+    def test_state_of_another_shape_is_rejected_before_the_kernel(self, tetrahedron, shape,
+                                                                 monkeypatch):
+        def refuse(*args):
+            raise AssertionError("face kernel called on a state of the wrong shape")
+        monkeypatch.setattr(hypack.realize, "vertex_curvatures", refuse)
+        for call in (realize_metric, gauss_bonnet_audit):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected 4 state entries, got shape {shape}")) as err:
+                call(tetrahedron, np.zeros(shape))
             assert err.type is ValueError
 
     @pytest.mark.parametrize("big", [800.0, -800.0])
