@@ -8,6 +8,9 @@ Subcommands:
 
 Exit codes: 0 success/admissible, 1 usage, parse or validation error,
 2 infeasible target, 3 no convergence (budget exhausted or solver stalled).
+
+Each handler imports the layers it runs, so that `check` loads only
+hypack.surface, and `face` and `render` load no solver.
 """
 
 from __future__ import annotations
@@ -15,12 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-
-from .flow import FlowConfig, SolveStatus, StiffnessError, rate_estimate, solve
-from .realize import CLASS_TOL, classify, realize_metric, render_face_svg, report_document
 from .surface import ParseError, _json_float, _load_json, check_admissible, load_targets
 from .surface import load_triangulation
-from .tangency import solve_face
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -86,8 +85,11 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _flow_config(args, file_cfg: dict) -> tuple[FlowConfig, float]:
-    """Merge defaults < config file < flags; returns (config, class_tol)."""
+def _flow_config(args, file_cfg: dict):
+    """Merge defaults < config file < flags; returns (FlowConfig, class_tol)."""
+    from .flow import FlowConfig
+    from .realize import CLASS_TOL, classify
+
     kwargs = dict(file_cfg)
     class_tol = kwargs.pop("class_tol", CLASS_TOL)
     if args.tol is not None:
@@ -119,6 +121,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .flow import SolveStatus, StiffnessError, rate_estimate, solve
+    from .realize import realize_metric, report_document
+
     tri = load_triangulation(args.tri)
     defects = tri.validate()
     if defects:
@@ -127,7 +132,11 @@ def _cmd_solve(args) -> int:
         return EXIT_ERROR
     targets = load_targets(args.targets, tri.num_vertices)
     cfg, class_tol = _flow_config(args, _load_config_file(args.config))
-    result = solve(tri, targets, config=cfg)
+    try:
+        result = solve(tri, targets, config=cfg)
+    except StiffnessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     if args.trajectory:
         result.trace.write_csv(args.trajectory)
     if result.status is SolveStatus.INFEASIBLE:
@@ -159,6 +168,9 @@ _KIND_LABEL = {"circle": "angle", "hypercycle": "axis segment", "horocycle": "(n
 
 
 def _cmd_face(args) -> int:
+    from .realize import render_face_svg
+    from .tangency import solve_face
+
     k1, k2, k3 = args.k
     fg = solve_face(k1, k2, k3)
     for i in range(3):
@@ -178,6 +190,8 @@ def _cmd_face(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .realize import render_face_svg
+
     svg = render_face_svg(*args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -196,9 +210,6 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except StiffnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -61,17 +61,25 @@ def _face_curvatures(tri: Triangulation, K) -> np.ndarray:
         return np.exp(K)[..., tri.face_array].reshape(-1, 3)
 
 
+def _state_curvatures(tri: Triangulation, K) -> np.ndarray:
+    """_face_curvatures of one state, or ValueError unless K has shape (n,)."""
+    K = np.asarray(K, dtype=float)
+    if K.shape != (tri.num_vertices,):
+        raise ValueError(f"expected a state of shape ({tri.num_vertices},), got shape {K.shape}")
+    return _face_curvatures(tri, K)
+
+
 def vertex_curvature_sums(tri: Triangulation, K) -> np.ndarray:
     """L_i = sum over faces at i of the corner total curvature: one
     value-only face_kernel call over all faces."""
-    return _sum_at_vertices(tri, face_kernel(_face_curvatures(tri, K)).L)
+    return _sum_at_vertices(tri, face_kernel(_state_curvatures(tri, K)).L)
 
 
 def vertex_curvatures(tri: Triangulation, K) -> CurvatureReport:
     """Full report from one face_kernel call: curvature sums and the
     solved faces.  Raises InfeasibleGeometryError, from the kernel, for a
     face that cannot be evaluated in double precision."""
-    fa = face_kernel(_face_curvatures(tri, K))
+    fa = face_kernel(_state_curvatures(tri, K))
     return CurvatureReport(L=_sum_at_vertices(tri, fa.L), arrays=fa)
 
 
@@ -89,7 +97,7 @@ def global_jacobian(tri: Triangulation, K) -> np.ndarray:
     one face_kernel call: exactly symmetric, strictly diagonally dominant
     with positive diagonal, hence positive definite.  Always a dense n x n
     ndarray, which costs 8*n^2 bytes: 0.5 MB at 256 vertices, 8 MB at 1024."""
-    return _dense_hessian(tri, _hessian_entries(tri, face_kernel(_face_curvatures(tri, K))))
+    return _dense_hessian(tri, _hessian_entries(tri, face_kernel(_state_curvatures(tri, K))))
 
 
 def _hessian_entries(tri: Triangulation, fa: FaceArrays) -> np.ndarray:

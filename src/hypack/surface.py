@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -364,16 +363,31 @@ def _count(value, name: str, least: int) -> int:
     return n
 
 
-def _checked_targets(tri: Triangulation, l_hat) -> np.ndarray:
-    """l_hat as a float array, or ValueError naming the first entry that is
-    not positive and finite, or the wrong shape."""
+def _target_array(tri: Triangulation, l_hat) -> np.ndarray:
+    """l_hat as a float array, or ValueError if its shape is not (n,)."""
     L = np.asarray(l_hat, dtype=float)
     if L.shape != (tri.num_vertices,):
         raise ValueError(f"expected {tri.num_vertices} target entries, got shape {L.shape}")
-    if not (0.0 < L.min() and L.max() < math.inf):  # a NaN fails both
-        i = next(i for i, v in enumerate(L.tolist()) if not 0.0 < v < math.inf)
-        raise ValueError(f"target curvatures must be positive and finite; entry {i} is {L[i]}")
     return L
+
+
+def _checked_targets(tri: Triangulation, l_hat) -> np.ndarray:
+    """_target_array(tri, l_hat), or ValueError naming the first entry that
+    is not positive and finite (_checked_list)."""
+    L = _target_array(tri, l_hat)
+    if not (0.0 < L.min() and L.max() < math.inf):  # a NaN fails both
+        _checked_list(L.tolist())
+    return L
+
+
+def _checked_list(targets: list) -> list:
+    """targets, or ValueError naming the first entry that is not positive
+    and finite.  _max_flow checks the list it routes here, not its array:
+    on a small surface, numpy's min and max cost more than this loop."""
+    for i, v in enumerate(targets):
+        if not 0.0 < v < math.inf:  # a NaN fails it
+            raise ValueError(f"target curvatures must be positive and finite; entry {i} is {v}")
+    return targets
 
 
 _TOL = 1e-12 * math.pi  # flows and rooms (at most pi) within it count as 0
@@ -388,7 +402,7 @@ def _max_flow(tri: Triangulation, l_hat):
     short, or else the smallest tight set, checked by pi |F_W| - sum_W Lhat
     up to what the tolerances leave: short_tol[v] unsent from each vertex,
     and at each face _TOL of room and of two corners' flow from outside W."""
-    targets = _checked_targets(tri, l_hat).tolist()
+    targets = _checked_list(_target_array(tri, l_hat).tolist())
     by_vertex, at = tri._corner_table
     x, room, need = [0.0] * len(at), [math.pi] * len(tri.face_array), targets.copy()
     for k, v in enumerate(at):
@@ -491,13 +505,18 @@ def _tight_set(by_vertex, at, x, room) -> tuple[int, ...] | None:
     flow that leaves no vertex short, or None: the smallest terminal
     strongly connected component among the vertices with no residual path
     to the sink (Tarjan, SIAM J. Comput. 1, 1972), by size, then by tuple."""
-    to_sink = {at[j] for f, r in enumerate(room) if r > _TOL for j in range(3 * f, 3 * f + 3)}
+    # backwards from the faces with room: a face that hands u flow back takes
+    # in its vertices; each face once (taken), until every vertex is in
+    taken = {f for f, r in enumerate(room) if r > _TOL}
+    to_sink = {at[j] for f in taken for j in range(3 * f, 3 * f + 3)}
     stack = list(to_sink)
-    while stack:  # backwards: a face that hands u flow back takes in its vertices
+    while stack and len(to_sink) < len(by_vertex):
         for f, k in by_vertex[stack.pop()]:
-            if x[k] > _TOL:
-                stack += [w for w in at[3 * f:3 * f + 3] if w not in to_sink]
-                to_sink.update(at[3 * f:3 * f + 3])
+            if x[k] > _TOL and f not in taken:
+                taken.add(f)
+                new = [w for w in at[3 * f:3 * f + 3] if w not in to_sink]
+                stack += new
+                to_sink.update(new)
     succ = {u: [at[j] for f, _ in by_vertex[u] for j in range(3 * f, 3 * f + 3) if x[j] > _TOL]
             for u in range(len(by_vertex)) if u not in to_sink}
     index, low, comp, comps = {}, {}, {}, []
@@ -586,6 +605,7 @@ def _json_float(v, where: str) -> float:
 
 
 def _load_json(path: str):
+    import json  # here, so that building and validating a surface does not load it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

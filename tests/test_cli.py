@@ -3,7 +3,6 @@ import re
 
 import pytest
 
-import hypack.cli
 import hypack.flow
 from hypack.cli import main
 from hypack.realize import realize_metric, report_document
@@ -114,13 +113,13 @@ class TestSolve:
     def test_printed_report_is_written_report(self, tmp_path, capsys, monkeypatch):
         # a cone and five boundaries: stdout and --out carry the same bytes,
         # which are report_document of the solved K
-        results, solve = [], hypack.cli.solve
+        results, solve = [], hypack.flow.solve
 
         def recording_solve(*args, **kwargs):
             results.append(solve(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(hypack.cli, "solve", recording_solve)
+        monkeypatch.setattr(hypack.flow, "solve", recording_solve)
         tri = write(tmp_path, "octa.json", OCTA)
         targets = write(tmp_path, "t.json", {"L_hat": [12.0, 1, 1, 1, 1, 1]})
         out = tmp_path / "r.json"
@@ -362,7 +361,7 @@ class TestClassTolFlag:
         def no_solve(*args, **kwargs):
             raise AssertionError("solve ran")
 
-        monkeypatch.setattr("hypack.cli.solve", no_solve)
+        monkeypatch.setattr("hypack.flow.solve", no_solve)
         out = tmp_path / "r.json"
         cfg = write(tmp_path, "cfg.json", {"class_tol": 0.0})
         for opts in (["--class-tol", "0"], ["--config", cfg]):

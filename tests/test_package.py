@@ -1,6 +1,12 @@
+import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+
+import pytest
 
 import hypack
 
@@ -17,9 +23,62 @@ TOP_LEVEL = {
 
 
 def test_top_level_names_are_pinned():
-    names = {n for n, v in vars(hypack).items()
-             if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert sorted(hypack.__all__) == sorted(TOP_LEVEL)
+    names = {n for n in dir(hypack)
+             if not n.startswith("_") and not isinstance(getattr(hypack, n), types.ModuleType)}
     assert names == TOP_LEVEL
+    # each name resolves, from its module, and is then kept in the package
+    for name in TOP_LEVEL:
+        assert vars(hypack)[name] is getattr(hypack, name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hypack.no_such_name
+
+
+def _run_fresh(code: str, cwd=None) -> str:
+    """Standard output of `code` in a fresh interpreter that imports this
+    hypack and writes no bytecode cache."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(hypack.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADED = "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('hypack.')))"
+TETRA_FACES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+SOLVER = ["hypack.flow", "hypack.packing", "hypack.surface", "hypack.tangency"]
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import hypack", []),
+    ("import hypack\n"
+     f"tri = hypack.Triangulation(4, {TETRA_FACES})\n"
+     "assert tri.validate() == []\n"
+     "assert hypack.check_admissible(tri, [1.0] * 4).admissible", ["hypack.surface"]),
+    ("import hypack\nhypack.solve", SOLVER),
+], ids=["import", "validated-surface", "solve"])
+def test_each_name_loads_only_its_layers(code, loaded):
+    assert ast.literal_eval(_run_fresh(code + LOADED)) == loaded
+
+
+def test_the_check_subcommand_loads_no_solver_layer(tmp_path):
+    (tmp_path / "tetra.json").write_text(f'{{"num_vertices": 4, "faces": {TETRA_FACES}}}')
+    (tmp_path / "targets.json").write_text('{"L_hat": [1, 1, 1, 1]}')
+    code = ("import hypack.cli\n"
+            "args = ['check', '--tri', 'tetra.json', '--targets', 'targets.json']\n"
+            "assert hypack.cli.main(args) == 0")
+    out = _run_fresh(code + LOADED, cwd=tmp_path).splitlines()
+    assert out[0].startswith("admissible")
+    assert ast.literal_eval(out[1]) == ["hypack.cli", "hypack.surface"]
+
+
+def test_star_and_submodule_imports():
+    code = ("from hypack import *\nfrom hypack import surface\n"
+            "print(sorted(n for n in dir() if not n.startswith('_')), surface.__name__)")
+    names, module = _run_fresh(code).rsplit(" ", 1)
+    assert ast.literal_eval(names) == sorted(TOP_LEVEL | {"surface"})
+    assert module.strip() == "hypack.surface"
 
 
 def test_modules_are_pinned():

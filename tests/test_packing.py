@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,8 +68,12 @@ class TestVertexCurvatures:
         assert abs(rep.L.sum() - per_face) < 1e-12
 
     def test_dimension_mismatch(self, tetrahedron):
-        with pytest.raises(ValueError):
-            vertex_curvature_sums(tetrahedron, np.zeros(5))
+        # a (1, 4) state passed as (4,), and a (2, 4) one failed in bincount
+        for call in (vertex_curvature_sums, vertex_curvatures, global_jacobian):
+            for shape in ((5,), (1, 4), (2, 4)):
+                message = f"expected a state of shape (4,), got shape {shape}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call(tetrahedron, np.zeros(shape))
 
     def test_unevaluable_state_raises(self, tetrahedron):
         # exp(K) far below 1e-160: the hexagon's sinh products underflow
