@@ -2,10 +2,10 @@
 
 Given a closed triangulated surface and a prescribed positive total
 geodesic curvature per vertex, decide feasibility, compute the unique
-packing metric (circles, horocycles, hypercycles) by damped Newton
-on the curvature flow's convex potential (or by the flow itself), and
-realize the resulting geometry (cone angles, cusps, geodesic boundary
-lengths) with a Gauss-Bonnet audit.
+packing metric (circles, horocycles, hypercycles) by Newton's method,
+each step halved until the residual 2-norm falls (or by the curvature
+flow itself), and realize the resulting geometry (cone angles, cusps,
+geodesic boundary lengths) with a Gauss-Bonnet audit.
 
 `import hypack` loads none of the submodules.  Each public name's
 module is imported the first time the name is read (PEP 562) and the

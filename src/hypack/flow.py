@@ -32,9 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .packing import _dense_hessian, _hessian_entries, _sum_at_vertices
+from .packing import _dense_hessian, _face_curvatures, _hessian_entries, _sum_at_vertices
 from .tangency import FaceArrays, face_kernel
-from .surface import _TOL, Triangulation, _checked_targets, _count, violating_subset
+from .surface import _TOL, Triangulation, _checked_targets, _count, _per_vertex, violating_subset
 # not called here: perfbench's tracer wraps these names in this module
 from .packing import global_jacobian, vertex_curvature_sums  # noqa: F401
 from .surface import check_admissible  # noqa: F401
@@ -134,11 +134,6 @@ _RATE_WINDOW_TOP = 1e-3
 class StiffnessError(RuntimeError):
     """The flow's step size or Newton's step fraction underflowed."""
 
-    def __init__(self, message, K=None, t=None):
-        super().__init__(message)
-        self.K = K
-        self.t = t
-
 
 class SolveStatus(Enum):
     CONVERGED = "converged"
@@ -227,10 +222,8 @@ def flow_step(tri: Triangulation, K, l_hat, h: float, rate):
     Raises ValueError for h <= 0, or a K, l_hat or rate not of shape (n,)."""
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h}")
-    K, target, rate = (np.asarray(a, dtype=float) for a in (K, l_hat, rate))
-    if not K.shape == target.shape == rate.shape == (tri.num_vertices,):
-        raise ValueError(f"expected {tri.num_vertices} state entries, got shapes {K.shape}, "
-                         f"{target.shape} and {rate.shape}")
+    K, rate = _per_vertex(tri, K, "state"), _per_vertex(tri, rate, "state")
+    target = _per_vertex(tri, l_hat, "target")
     ks = [rate]
     for i in range(1, 7):
         y = K + h * sum(a * kk for a, kk in zip(_DP_A[i], ks))
@@ -245,8 +238,7 @@ def _evaluate(tri: Triangulation, K, target) -> tuple[np.ndarray, FaceArrays]:
     Jacobians and areas derived on first read), from one face_kernel call
     and one scatter; exp(K) may overflow to inf or underflow to 0, which
     the kernel rejects."""
-    with np.errstate(over="ignore", under="ignore"):
-        fa = face_kernel(np.exp(K)[tri.face_array])
+    fa = face_kernel(_face_curvatures(tri, K))
     return _sum_at_vertices(tri, fa.L) - target, fa
 
 
@@ -319,7 +311,7 @@ def _newton_step(tri: Triangulation, K, res, res_norm, fa, target, residual_tol)
         if norm_try < res_norm:
             return K_try, res_try, norm_try, max_try, fa_try, alpha
         alpha *= 0.5
-    raise StiffnessError("Newton backtracking stalled", K=K)
+    raise StiffnessError("Newton backtracking stalled")
 
 
 def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) -> SolveResult:
@@ -349,10 +341,10 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                          + "; ".join(str(d) for d in defects[:5]))
     target = _checked_targets(tri, l_hat)
     K = (np.interp(target / np.diff(tri._vertex_stops), _START_L, _START_K)
-         if K0 is None else np.array(K0, dtype=float, copy=True))
-    if K.shape != target.shape or not np.isfinite(K).all():
-        raise ValueError(f"K0 must hold {tri.num_vertices} finite entries; got shape "
-                         f"{K.shape} with {np.count_nonzero(~np.isfinite(K))} not finite")
+         if K0 is None else _per_vertex(tri, K0, "K0").copy())
+    if not np.isfinite(K).all():
+        i = int(np.argmin(np.isfinite(K)))  # the first entry that is not finite
+        raise ValueError(f"K0 must be finite; entry {i} is {K[i]}")
 
     trace = FlowTrace(config=cfg)
     t = 0.0
@@ -400,7 +392,7 @@ def solve(tri: Triangulation, l_hat, K0=None, config: FlowConfig | None = None) 
                 h *= 0.5
                 if h < _MIN_STEP:
                     raise StiffnessError(f"step size underflowed at t={t} "
-                                         f"(residual {res_max:.3e})", K=K, t=t)
+                                         f"(residual {res_max:.3e})")
     except (StiffnessError, ValueError) as exc:  # a ValueError from the face kernel
         failure = exc
     converged = status is SolveStatus.CONVERGED

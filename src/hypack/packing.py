@@ -3,7 +3,7 @@ the Hessian M = [dL_i/dK_j], and the convex potential.
 
 The state is K = ln k, which makes the domain all of R^|V|.  Every
 evaluation is one call of the array face kernel (tangency.face_kernel)
-over all faces, with no loop over faces: it computes L, and derives the
+on exp(K) at all faces (_face_curvatures): it computes L, and derives the
 face Jacobians, kinds, angles and areas only when read.  The potential
 sums the closed-form tangency.face_potential over the faces.  Scatters
 to the vertices add in face order, so results are deterministic.  M is
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .surface import Triangulation
+from .surface import Triangulation, _per_vertex
 from .tangency import FaceArrays, FaceGeometry, face_kernel, face_potential, face_records
 # not called here: perfbench's tracer wraps these names in this module
 from .tangency import corner_curvatures, face_jacobian, solve_face  # noqa: F401
@@ -51,35 +51,25 @@ class CurvatureReport:
 
 
 def _face_curvatures(tri: Triangulation, K) -> np.ndarray:
-    """The (F, 3) corner curvatures exp(K) of every face, or (N*F, 3) for
-    N states in the rows of K.  exp overflows to inf and underflows to 0
+    """The (F, 3) corner curvatures exp(K) of every face, for a state K of
+    shape (n,) (_per_vertex).  exp overflows to inf and underflows to 0
     silently; the face kernel rejects both."""
-    K = np.asarray(K, dtype=float)
-    if K.shape[-1:] != (tri.num_vertices,):
-        raise ValueError(f"expected {tri.num_vertices} state entries, got {K.shape}")
+    K = _per_vertex(tri, K, "state")
     with np.errstate(over="ignore", under="ignore"):
-        return np.exp(K)[..., tri.face_array].reshape(-1, 3)
-
-
-def _state_curvatures(tri: Triangulation, K) -> np.ndarray:
-    """_face_curvatures of one state, or ValueError unless K has shape (n,)."""
-    K = np.asarray(K, dtype=float)
-    if K.shape != (tri.num_vertices,):
-        raise ValueError(f"expected a state of shape ({tri.num_vertices},), got shape {K.shape}")
-    return _face_curvatures(tri, K)
+        return np.exp(K)[tri.face_array]
 
 
 def vertex_curvature_sums(tri: Triangulation, K) -> np.ndarray:
     """L_i = sum over faces at i of the corner total curvature: one
     value-only face_kernel call over all faces."""
-    return _sum_at_vertices(tri, face_kernel(_state_curvatures(tri, K)).L)
+    return _sum_at_vertices(tri, face_kernel(_face_curvatures(tri, K)).L)
 
 
 def vertex_curvatures(tri: Triangulation, K) -> CurvatureReport:
     """Full report from one face_kernel call: curvature sums and the
     solved faces.  Raises InfeasibleGeometryError, from the kernel, for a
     face that cannot be evaluated in double precision."""
-    fa = face_kernel(_state_curvatures(tri, K))
+    fa = face_kernel(_face_curvatures(tri, K))
     return CurvatureReport(L=_sum_at_vertices(tri, fa.L), arrays=fa)
 
 
@@ -97,7 +87,7 @@ def global_jacobian(tri: Triangulation, K) -> np.ndarray:
     one face_kernel call: exactly symmetric, strictly diagonally dominant
     with positive diagonal, hence positive definite.  Always a dense n x n
     ndarray, which costs 8*n^2 bytes: 0.5 MB at 256 vertices, 8 MB at 1024."""
-    return _dense_hessian(tri, _hessian_entries(tri, face_kernel(_state_curvatures(tri, K))))
+    return _dense_hessian(tri, _hessian_entries(tri, face_kernel(_face_curvatures(tri, K))))
 
 
 def _hessian_entries(tri: Triangulation, fa: FaceArrays) -> np.ndarray:
@@ -120,8 +110,10 @@ def potential_value(tri: Triangulation, K, K_ref, l_hat, *, waypoints=()) -> flo
 
     Phi(K) = sum_f w_f(exp K) - Lhat . K, w_f the face potentials of
     tangency.face_potential, so grad Phi = L - Lhat.  The changes of the
-    w_f are summed over the segments of the polyline K_ref, *waypoints, K.
+    w_f are summed over the segments of the polyline K_ref, *waypoints, K,
+    from one face_potential call per point.
     """
-    pts = np.array([K_ref, *waypoints, K], dtype=float)
-    w = face_potential(_face_curvatures(tri, pts)).reshape(len(pts), -1)
-    return float(np.diff(w, axis=0).sum() - np.asarray(l_hat, dtype=float) @ (pts[-1] - pts[0]))
+    target = _per_vertex(tri, l_hat, "target")
+    pts = [_per_vertex(tri, p, "state") for p in (K_ref, *waypoints, K)]
+    w = np.array([face_potential(_face_curvatures(tri, p)) for p in pts])
+    return float(np.diff(w, axis=0).sum() - target @ (pts[-1] - pts[0]))

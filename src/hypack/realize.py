@@ -23,7 +23,7 @@ from itertools import count
 import numpy as np
 
 from .packing import _sum_at_vertices, vertex_curvatures
-from .surface import Triangulation, euler_characteristic
+from .surface import Triangulation, _per_vertex, euler_characteristic
 from .tangency import (_CIRC, _HORO, _HYPER, KIND_TOL, CurveKind, InfeasibleGeometryError,
                        _kind, _polygon_area, _positive, classify_curvature)
 
@@ -104,9 +104,7 @@ def realize_metric(tri: Triangulation, K, tol: float = CLASS_TOL) -> RealizedMet
     segments close up at right angles); horocycle corners add nothing.
     A K of a shape other than (n,), or with an entry that is not finite or
     whose exp is 0 or overflows, raises ValueError before the kernel runs."""
-    K = np.asarray(K, dtype=float)
-    if K.shape != (tri.num_vertices,):
-        raise ValueError(f"expected {tri.num_vertices} state entries, got shape {K.shape}")
+    K = _per_vertex(tri, K, "state")
     with np.errstate(over="ignore"):
         k = np.exp(K)
     bad = ~((0.0 < k) & (k < math.inf))  # a NaN fails both

@@ -60,6 +60,9 @@ class Defect:
 _PAIR_ENDS = ((0, 1, 0), (1, 2, 2))
 _PAIRS = tuple(zip(*_PAIR_ENDS))
 
+# the most vertices whose edge keys u n + w (and Hessian keys) fit in intp
+_MAX_VERTICES = math.isqrt(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Triangulation:
@@ -80,10 +83,10 @@ class Triangulation:
     faces (face_array's rows as tuples of Python ints), edges (the slots
     with u != w), vertex_faces (the runs // 3), the defects and the
     solvers' tables are derived from these on first read and then kept.
-    Construction only rejects structurally malformed input (bad arity,
-    vertex ids that are not integers or out of range); validate() reports
-    closed-surface violations as data.  Equality and hashing read
-    num_vertices and face_array, which determine everything else.
+    Construction only rejects malformed input (bad arity, vertex ids that
+    are not integers or out of range, over _MAX_VERTICES vertices);
+    validate() reports closed-surface violations as data.  Equality and
+    hashing read num_vertices and face_array, which determine the rest.
     """
 
     num_vertices: int
@@ -91,6 +94,8 @@ class Triangulation:
 
     def __init__(self, num_vertices: int, faces: Sequence[Sequence[int]]):
         n = _count(num_vertices, "num_vertices", 1)
+        if n > _MAX_VERTICES:
+            raise ValueError(f"num_vertices must be at most {_MAX_VERTICES}, got {n}")
         f = _face_table(faces, n)
         a, b = f[:, _PAIR_ENDS[0]].ravel(), f[:, _PAIR_ENDS[1]].ravel()
         keys, slot, count = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
@@ -363,18 +368,19 @@ def _count(value, name: str, least: int) -> int:
     return n
 
 
-def _target_array(tri: Triangulation, l_hat) -> np.ndarray:
-    """l_hat as a float array, or ValueError if its shape is not (n,)."""
-    L = np.asarray(l_hat, dtype=float)
-    if L.shape != (tri.num_vertices,):
-        raise ValueError(f"expected {tri.num_vertices} target entries, got shape {L.shape}")
-    return L
+def _per_vertex(tri: Triangulation, values, name: str) -> np.ndarray:
+    """values as a float array, or ValueError naming `name` if its shape is
+    not (n,): the one shape check of a state, target or rate."""
+    a = np.asarray(values, dtype=float)
+    if a.shape != (tri.num_vertices,):
+        raise ValueError(f"expected {tri.num_vertices} {name} entries, got shape {a.shape}")
+    return a
 
 
 def _checked_targets(tri: Triangulation, l_hat) -> np.ndarray:
-    """_target_array(tri, l_hat), or ValueError naming the first entry that
-    is not positive and finite (_checked_list)."""
-    L = _target_array(tri, l_hat)
+    """_per_vertex(tri, l_hat, "target"), or ValueError naming the first
+    entry that is not positive and finite (_checked_list)."""
+    L = _per_vertex(tri, l_hat, "target")
     if not (0.0 < L.min() and L.max() < math.inf):  # a NaN fails both
         _checked_list(L.tolist())
     return L
@@ -402,7 +408,7 @@ def _max_flow(tri: Triangulation, l_hat):
     short, or else the smallest tight set, checked by pi |F_W| - sum_W Lhat
     up to what the tolerances leave: short_tol[v] unsent from each vertex,
     and at each face _TOL of room and of two corners' flow from outside W."""
-    targets = _checked_list(_target_array(tri, l_hat).tolist())
+    targets = _checked_list(_per_vertex(tri, l_hat, "target").tolist())
     by_vertex, at = tri._corner_table
     x, room, need = [0.0] * len(at), [math.pi] * len(tri.face_array), targets.copy()
     for k, v in enumerate(at):

@@ -73,6 +73,13 @@ class TestCheck:
         assert main(["check", "--tri", p, "--targets", unit_targets]) == 1
         assert "edge_face_count" in capsys.readouterr().out
 
+    def test_vertex_count_beyond_the_edge_keys(self, tmp_path, unit_targets, capsys):
+        # 10**20 overflowed numpy's int64 keys with a traceback
+        p = write(tmp_path, "huge.json", {"num_vertices": 10**20, "faces": TETRA["faces"]})
+        assert main(["check", "--tri", p, "--targets", unit_targets]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {p}: num_vertices must be at most ")
+
 
 class TestSolve:
     def test_tetrahedron_report(self, tmp_path, tetra_path, unit_targets, capsys):
@@ -160,6 +167,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "residual_tol must be positive and finite" in err
         assert "newton_switch_tol" not in err and not out.exists()
+
+    def test_invalid_surface(self, tmp_path, unit_targets, capsys):
+        p = write(tmp_path, "open.json", {"num_vertices": 4, "faces": TETRA["faces"][:3]})
+        assert main(["solve", "--tri", p, "--targets", unit_targets]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("defect: [edge_face_count]") == 3
+
+    @pytest.mark.parametrize("doc", [[1e-8], "residual_tol", None], ids=["array", "string", "null"])
+    def test_config_that_is_not_an_object(self, tmp_path, tetra_path, unit_targets, capsys, doc):
+        cfg = write(tmp_path, "cfg.json", doc)
+        assert main(["solve", "--tri", tetra_path, "--targets", unit_targets,
+                     "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: config must be a JSON object\n"
 
     def test_unknown_config_key(self, tmp_path, tetra_path, unit_targets, capsys):
         # max_steps is the only budget, so max_time is an unknown key

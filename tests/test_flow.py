@@ -282,6 +282,22 @@ class TestSolve:
         assert res.status is SolveStatus.MAX_STEPS_EXCEEDED
         assert res.trace.phase == ["flow", "newton", "newton"]
 
+    def test_unevaluable_flow_stage_halves_the_step(self, tetrahedron, monkeypatch):
+        # the first step's first stage cannot be evaluated: the step is
+        # rejected, h is halved, and the flow goes on to converge
+        calls, evaluate = [], flow._evaluate
+
+        def first_stage_fails(tri, K, target):
+            calls.append(K)
+            if len(calls) == 2:  # the start is call 1
+                raise InfeasibleGeometryError("stage outside the kernel's range")
+            return evaluate(tri, K, target)
+        monkeypatch.setattr(flow, "_evaluate", first_stage_fails)
+        res = solve(tetrahedron, np.ones(4), config=FlowConfig(newton=False))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.trace.ts[1] == flow._INITIAL_STEP / 2  # the first accepted step
+        assert np.max(np.abs(res.K - K_STAR_TETRA)) < K_TETRA_ABS_TOL
+
     def test_stiffness_error(self, tetrahedron, monkeypatch):
         # no error estimate is below 0, so every step is rejected
         monkeypatch.setattr(flow, "_STEP_ERROR_TOL", 0.0)
@@ -947,6 +963,9 @@ class TestConfigValidation:
             FlowConfig(residual_tol=-1.0)
         with pytest.raises(ValueError):
             FlowConfig(newton_switch_tol=1e-12)  # below residual_tol
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="^newton_switch_tol must be positive$"):
+                FlowConfig(newton_switch_tol=tol)
         with pytest.raises(ValueError, match="max_steps"):
             FlowConfig(max_steps=-5)
 

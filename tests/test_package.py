@@ -2,13 +2,17 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import hypack
+from hypack.packing import vertex_curvature_sums
+from hypack.surface import violating_subset
 
 TOP_LEVEL = {
     "Admissibility", "CLASS_TOL", "CurvatureReport", "CurveKind", "Defect", "FaceGeometry",
@@ -94,3 +98,37 @@ def test_every_all_entry_resolves():
             assert hasattr(module, name), f"hypack.{info.name}.{name}"
             checked += 1
     assert checked >= len(TOP_LEVEL)
+
+
+ONES = np.ones(4)
+# each entry point, the name its message gives a bad per-vertex argument,
+# and a call with that argument in place of a good one
+PER_VERTEX_ARGUMENTS = {
+    "check_admissible": ("target", hypack.check_admissible),
+    "violating_subset": ("target", violating_subset),
+    "solve-l_hat": ("target", hypack.solve),
+    "solve-K0": ("K0", lambda tri, x: hypack.solve(tri, ONES, x)),
+    "flow_step-K": ("state", lambda tri, x: hypack.flow_step(tri, x, ONES, 0.1, ONES)),
+    "flow_step-l_hat": ("target", lambda tri, x: hypack.flow_step(tri, ONES, x, 0.1, ONES)),
+    "flow_step-rate": ("state", lambda tri, x: hypack.flow_step(tri, ONES, ONES, 0.1, x)),
+    "vertex_curvature_sums": ("state", vertex_curvature_sums),
+    "vertex_curvatures": ("state", hypack.vertex_curvatures),
+    "global_jacobian": ("state", hypack.global_jacobian),
+    "realize_metric": ("state", hypack.realize_metric),
+    "gauss_bonnet_audit": ("state", hypack.gauss_bonnet_audit),
+    "potential_value-K": ("state", lambda tri, x: hypack.potential_value(tri, x, ONES, ONES)),
+    "potential_value-K_ref": ("state", lambda tri, x: hypack.potential_value(tri, ONES, x, ONES)),
+    "potential_value-waypoint": ("state", lambda tri, x: hypack.potential_value(
+        tri, ONES, ONES, ONES, waypoints=(ONES, x))),
+    "potential_value-l_hat": ("target", lambda tri, x: hypack.potential_value(tri, ONES, ONES, x)),
+}
+
+
+@pytest.mark.parametrize("shape", [(5,), (1, 4)], ids=["n+1", "1xn"])
+@pytest.mark.parametrize("entry", PER_VERTEX_ARGUMENTS)
+def test_one_wording_for_a_per_vertex_array_of_another_shape(tetrahedron, entry, shape):
+    name, call = PER_VERTEX_ARGUMENTS[entry]
+    message = f"expected 4 {name} entries, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        call(tetrahedron, np.ones(shape))
+    assert err.type is ValueError

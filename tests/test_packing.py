@@ -71,7 +71,7 @@ class TestVertexCurvatures:
         # a (1, 4) state passed as (4,), and a (2, 4) one failed in bincount
         for call in (vertex_curvature_sums, vertex_curvatures, global_jacobian):
             for shape in ((5,), (1, 4), (2, 4)):
-                message = f"expected a state of shape (4,), got shape {shape}"
+                message = f"expected 4 state entries, got shape {shape}"
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     call(tetrahedron, np.zeros(shape))
 

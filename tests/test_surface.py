@@ -171,6 +171,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="num_vertices"):
             Triangulation(n, TETRA_FACES[:1])
 
+    @pytest.mark.parametrize("n", [2**32, 2**70])
+    def test_constructor_rejects_a_vertex_count_beyond_the_edge_keys(self, n):
+        # the keys u n + w must fit in intp: rejected before any array is
+        # built (2**70 overflowed numpy, 2**32 wrapped silently)
+        bound = math.isqrt(np.iinfo(np.intp).max)
+        with pytest.raises(ValueError, match=f"^num_vertices must be at most {bound}, got {n}$"):
+            Triangulation(n, TETRA_FACES)
+
     def test_constructor_rejects_ids_that_are_not_integers(self):
         with pytest.raises(ValueError, match=r"face 0 vertex ids must be integers, got \(0, 1, 2\.7\)"):
             Triangulation(4, [(0, 1, 2.7), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -888,6 +896,31 @@ class TestIO:
         p.write_text('{"faces": []}')
         with pytest.raises(ParseError, match="num_vertices"):
             load_triangulation(str(p))
+
+    @pytest.mark.parametrize("doc, message", [
+        ([4, [[0, 1, 2]]], "top level must be an object"),
+        ({"num_vertices": 4.0, "faces": []}, "field 'num_vertices' must be an integer, got 4.0"),
+        ({"num_vertices": True, "faces": []}, "field 'num_vertices' must be an integer, got True"),
+        ({"num_vertices": 4, "faces": {"0": [0, 1, 2]}}, "field 'faces' must be an array"),
+        ({"num_vertices": 3, "faces": [[0, 1, 3]]}, "face 0 vertex 3 out of range [0, 3)"),
+    ], ids=["top-level", "float-count", "bool-count", "faces-object", "id-range"])
+    def test_malformed_triangulation_names_the_file(self, tmp_path, doc, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(f"{p}: {message}")):
+            load_triangulation(str(p))
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"L": [1.0, 1.0, 1.0, 1.0]}, "missing field 'L_hat'"),
+        ([1.0, 1.0, 1.0, 1.0], "missing field 'L_hat'"),
+        ({"L_hat": {"0": 1.0}}, "field 'L_hat' must be an array"),
+        ({"L_hat": 1.0}, "field 'L_hat' must be an array"),
+    ], ids=["missing", "top-level-array", "object", "number"])
+    def test_malformed_targets_name_the_file(self, tmp_path, doc, message):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{p}: {message}')}$"):
+            load_targets(str(p), 4)
 
     def test_bad_face_arity(self, tmp_path):
         p = tmp_path / "bad.json"
